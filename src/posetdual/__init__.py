@@ -10,6 +10,7 @@ identifies useless checkpoints.
 from .errors import (
     BadChainIndex,
     BadMarking,
+    ConfigError,
     CycleError,
     EmptyProcess,
     GuardExceeded,
@@ -31,6 +32,7 @@ from .poset import (
     Interval,
     Poset,
     build_poset,
+    chain_clocks,
     comparable,
     enumerate_antichains,
     enumerate_downsets_bruteforce,

@@ -221,16 +221,16 @@ def predicate_from_json(data: dict) -> Predicate:
     try:
         if op == "attr":
             return AttrCmp(
-                _check_proc(int(data["proc"])),
+                _check_proc(_int_field(data, "proc")),
                 str(data["attr"]),
                 _cmp_name(data["cmp"]),
                 data["value"],
             )
         if op == "index":
             return IndexCmp(
-                _check_proc(int(data["proc"])),
+                _check_proc(_int_field(data, "proc")),
                 _cmp_name(data["cmp"]),
-                int(data["value"]),
+                _int_field(data, "value"),
             )
         if op == "agg":
             fn = data["fn"]
@@ -238,9 +238,9 @@ def predicate_from_json(data: dict) -> Predicate:
                 raise ModelError(f"unknown aggregate {fn!r}")
             return AggCmp(fn, str(data["attr"]), _cmp_name(data["cmp"]), data["value"])
         if op == "and":
-            return And(tuple(predicate_from_json(a) for a in data["args"]))
+            return And(_args(data))
         if op == "or":
-            return Or(tuple(predicate_from_json(a) for a in data["args"]))
+            return Or(_args(data))
         if op == "not":
             return Not(predicate_from_json(data["arg"]))
         if op == "const":
@@ -250,8 +250,23 @@ def predicate_from_json(data: dict) -> Predicate:
     raise ModelError(f"unknown predicate op {op!r}")
 
 
+def _args(data: dict) -> tuple[Predicate, ...]:
+    args = data["args"]
+    if not isinstance(args, list):
+        raise ModelError(f"predicate field 'args' must be a list, got {args!r}")
+    return tuple(predicate_from_json(a) for a in args)
+
+
+def _int_field(data: dict, key: str) -> int:
+    # bool is an int subclass, but JSON true/false is not a number.
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"predicate field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _cmp_name(name: str) -> str:
-    if name not in _CMP:
+    if not isinstance(name, str) or name not in _CMP:
         raise ModelError(f"unknown comparator {name!r}")
     return name
 

@@ -14,13 +14,14 @@ import sys
 
 from . import analysis, lattice, statemodel, traces, transforms
 from .errors import (
+    ConfigError,
     GuardExceeded,
     ModelError,
     NotWidthExtensible,
     PosetDualError,
     SchemaError,
 )
-from .poset import Poset
+from .poset import Poset, oracle_bound
 from .statemodel import StateModel
 
 EXIT_OK = 0
@@ -105,7 +106,13 @@ def cmd_transform(args) -> int:
             return EXIT_SEMANTIC
         out = traces.event_to_json(outcome.event_model)
     if args.output:
-        traces.write_trace(args.output, out)
+        try:
+            traces.write_trace(args.output, out)
+        except OSError as exc:
+            print(
+                f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr
+            )
+            return EXIT_USAGE
     else:
         _emit(out)
     return EXIT_OK
@@ -137,6 +144,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_cuts(args) -> int:
+    if args.max_cuts < 0:
+        print(
+            f"error: --max-cuts must be non-negative, got {args.max_cuts}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         kind, model = _load(args.path)
     except SchemaError as exc:
@@ -296,6 +309,11 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        oracle_bound()
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

@@ -84,5 +84,9 @@ class GuardExceeded(PosetDualError):
     """An enumeration passed its explicit output cap."""
 
 
+class ConfigError(PosetDualError):
+    """A setting read from the environment has an invalid value."""
+
+
 class SchemaError(PosetDualError):
     """A trace file does not conform to its declared schema."""

@@ -234,7 +234,6 @@ class CutLattice:
 
     cuts: tuple[frozenset[str], ...]
     successors: Mapping[frozenset[str], tuple[frozenset[str], ...]]
-    order_tag: str = "lexicographic"
 
 
 def materialize_cut_lattice(m: EventModel, max_cuts: int | None = None) -> CutLattice:

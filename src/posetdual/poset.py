@@ -18,10 +18,11 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadChainIndex,
+    ConfigError,
     CycleError,
     OracleBoundExceeded,
     UnknownElement,
@@ -32,13 +33,21 @@ _ORACLE_BOUND_ENV = "POSETDUAL_ORACLE_BOUND"
 
 
 def oracle_bound(override: int | None = None) -> int:
-    """Resolve the brute-force size cap (argument > environment > default)."""
+    """Resolve the brute-force size cap (argument > environment > default).
+
+    Raises ConfigError when the environment value is not a non-negative
+    integer.
+    """
     if override is not None:
         return override
     env = os.environ.get(_ORACLE_BOUND_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ORACLE_BOUND
+    if env is None:
+        return DEFAULT_ORACLE_BOUND
+    if not env.strip().isdecimal():
+        raise ConfigError(
+            f"{_ORACLE_BOUND_ENV} must be a non-negative integer, got {env!r}"
+        )
+    return int(env)
 
 
 class Comparability(enum.Enum):
@@ -305,20 +314,30 @@ def _maximum_matching(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
 
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
-
-    def try_augment(u: int, visited: set[int]) -> bool:
-        for v in neighbors[u]:
-            if v in visited:
+    for root in range(n):
+        # Kuhn's augmenting-path search as an explicit-stack DFS: path[d] is
+        # the right vertex tried from stack[d], so depth is not bounded by
+        # the recursion limit.
+        visited: set[int] = set()
+        stack = [(root, iter(neighbors[root]))]
+        path: list[int] = []
+        while stack:
+            v = next((v for v in stack[-1][1] if v not in visited), None)
+            if v is None:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             visited.add(v)
-            if v not in match_r or try_augment(match_r[v], visited):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        return False
-
-    for u in range(n):
-        try_augment(u, set())
+            path.append(v)
+            if v in match_r:
+                w = match_r[v]
+                stack.append((w, iter(neighbors[w])))
+                continue
+            for (u, _), x in reversed(list(zip(stack, path))):
+                match_l[u] = x
+                match_r[x] = u
+            break
     return match_l, match_r
 
 
@@ -475,6 +494,29 @@ def enumerate_downsets_bruteforce(
             yield p.mask_to_set(mask)
 
 
+def chain_clocks(
+    p: Poset, chains: Sequence[Sequence[str]]
+) -> dict[str, tuple[list[int], list[int]]]:
+    """Per-element vector clocks against a family of chains of *p*.
+
+    For each element ``e`` returns ``(down, up)``: ``down[c]`` is the highest
+    position on ``chains[c]`` strictly below ``e`` (-1 if none) and ``up[c]``
+    the lowest position strictly above it (``len(chains[c])`` if none).  Each
+    chain must list its elements from low to high; it then meets the strict
+    downset of ``e`` in a prefix and the strict upset in a suffix, so both
+    numbers are popcounts of the element's bitsets against the chain's mask.
+    Cost is O(elements x chains) bitset intersections.
+    """
+    masks = [p.set_to_mask(c) for c in chains]
+    return {
+        e: (
+            [(d & m).bit_count() - 1 for m in masks],
+            [len(c) - (u & m).bit_count() for c, m in zip(chains, masks)],
+        )
+        for e, d, u in zip(p.elements, p._down, p._up)
+    }
+
+
 def incomparable_interval(
     p: Poset, cp: ChainPartition, s: str, chain_index: int
 ) -> Interval:
@@ -482,23 +524,14 @@ def incomparable_interval(
 
     The chain always decomposes into a prefix below *s*, a contiguous middle
     incomparable to *s*, and a suffix above *s*; the middle is returned with
-    its lo/hi chain positions.  The interval over the chain containing *s*
-    itself is empty by convention.
+    its lo/hi chain positions, read off the clock of *s*.  The interval over
+    the chain containing *s* itself is empty by convention.
     """
     p.index(s)
     if not 0 <= chain_index < cp.n:
         raise BadChainIndex(f"chain index {chain_index} out of range")
     chain = cp.chains[chain_index]
-    if s in chain:
+    (below,), (above,) = chain_clocks(p, (chain,))[s]
+    if s in chain or below + 1 == above:
         return Interval((), None, None)
-    hits = [
-        k
-        for k, t in enumerate(chain)
-        if comparable(p, s, t) is Comparability.CONCURRENT
-    ]
-    if not hits:
-        return Interval((), None, None)
-    lo, hi = hits[0], hits[-1]
-    if hits != list(range(lo, hi + 1)):
-        raise AssertionError("incomparable run is not contiguous (internal bug)")
-    return Interval(tuple(chain[lo:hi + 1]), lo, hi)
+    return Interval(tuple(chain[below + 1:above]), below + 1, above - 1)

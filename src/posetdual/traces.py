@@ -15,6 +15,7 @@ whose order defines the per-process state indices.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -40,10 +41,18 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_int(value: Any) -> bool:
+    # bool is an int subclass, but JSON true/false is not a number.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_envelope(data: Any, kinds: tuple[str, ...]) -> str:
     _require(isinstance(data, dict), "top level must be a JSON object")
     _require("version" in data, "missing mandatory 'version' field")
-    _require(data.get("version") == VERSION, f"unsupported version {data.get('version')!r}")
+    version = data.get("version")
+    _require(
+        _is_int(version) and version == VERSION, f"unsupported version {version!r}"
+    )
     kind = data.get("kind")
     _require(kind in kinds, f"expected kind in {sorted(kinds)}, got {kind!r}")
     allowed = _ENVELOPE | _FIELDS[kind]
@@ -71,8 +80,15 @@ def _pair_list(value: Any, what: str) -> list[tuple[str, str]]:
     return out
 
 
-def parse_poset(data: Mapping[str, Any]) -> tuple[Poset, list[list[str]] | None]:
+def _element_list(data: Mapping[str, Any]) -> list[str]:
     elements = _string_list(data.get("elements", []), "'elements'")
+    dupes = sorted(e for e, count in Counter(elements).items() if count > 1)
+    _require(not dupes, f"duplicate element ids {dupes}")
+    return elements
+
+
+def parse_poset(data: Mapping[str, Any]) -> tuple[Poset, list[list[str]] | None]:
+    elements = _element_list(data)
     relations = _pair_list(data.get("relations", []), "'relations'")
     chains = None
     if "chains" in data:
@@ -83,7 +99,7 @@ def parse_poset(data: Mapping[str, Any]) -> tuple[Poset, list[list[str]] | None]
 
 def parse_state(data: Mapping[str, Any]) -> StateModel:
     _require("chains" in data, "state traces require 'chains'")
-    elements = _string_list(data.get("elements", []), "'elements'")
+    elements = _element_list(data)
     relations = _pair_list(data.get("relations", []), "'relations'")
     chains = [_string_list(c, "chain") for c in data["chains"]]
     for chain in chains:
@@ -100,7 +116,7 @@ def parse_state(data: Mapping[str, Any]) -> StateModel:
 def parse_event(data: Mapping[str, Any]) -> EventModel:
     _require("n" in data, "event traces require 'n'")
     n = data["n"]
-    _require(isinstance(n, int) and n >= 0, "'n' must be a non-negative integer")
+    _require(_is_int(n) and n >= 0, "'n' must be a non-negative integer")
     raw_events = data.get("events", [])
     _require(isinstance(raw_events, list), "'events' must be a list")
     labels: dict[str, set[tuple[int, int]]] = {}
@@ -121,7 +137,7 @@ def parse_event(data: Mapping[str, Any]) -> EventModel:
             _require(not bad, f"unknown slot fields {bad}")
             proc, idx = slot.get("proc"), slot.get("idx")
             _require(
-                isinstance(proc, int) and isinstance(idx, int),
+                _is_int(proc) and _is_int(idx),
                 "slot 'proc' and 'idx' must be integers",
             )
             parsed.add((proc, idx))
@@ -163,7 +179,7 @@ def load_marks(path: str | Path) -> list[list[int]]:
     out = []
     for i, idxs in enumerate(marks, start=1):
         _require(
-            isinstance(idxs, list) and all(isinstance(k, int) for k in idxs),
+            isinstance(idxs, list) and all(_is_int(k) for k in idxs),
             f"marks for process {i} must be a list of integers",
         )
         out.append(list(idxs))

@@ -13,6 +13,12 @@ event.  A component with two nodes on the same chain cannot be collapsed;
 such inputs do not model any computation and are reported rather than
 converted.
 
+Both directions read the order from :func:`~posetdual.poset.chain_clocks`
+instead of testing pairs: the forward transform emits one pair per state and
+other process, O(events x processes) before the closure, and the tentative
+graph takes each node's cross edges from one clock, in time linear in its
+edges.
+
 Both transforms are pure; parallel invocation is safe.
 """
 
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .eventmodel import EventModel, build_event_model
-from .poset import build_poset
+from .poset import build_poset, chain_clocks
 from .statemodel import StateModel, build_state_model
 
 Node = tuple[int, int]
@@ -32,30 +38,28 @@ def es_transform(m: EventModel) -> StateModel:
     """Event model -> state model; states are named ``i.k``.
 
     Every valid event model converts; the result is a poset and passes the
-    omega checks by construction.
+    omega checks by construction.  Each state ``[i,r]`` gets one pair per
+    other process ``j``: to the lowest ``[j,s]`` whose entering event is, or
+    happened after, the event leaving ``[i,r]``.  That position is read off
+    the chain clocks of the event poset over the processes, and the closure
+    supplies the states above it: O(events x processes) pairs.
     """
-    names: dict[Node, str] = {}
-    chains: list[list[str]] = []
-    for i in range(1, m.n + 1):
-        chain = []
-        for k in range(m.chain_length(i) + 1):
-            name = f"{i}.{k}"
-            names[(i, k)] = name
-            chain.append(name)
-        chains.append(chain)
-
+    chains = [
+        [f"{i}.{k}" for k in range(m.chain_length(i) + 1)] for i in range(1, m.n + 1)
+    ]
+    clocks = chain_clocks(m.poset, m.proc_events)
     pairs: list[tuple[str, str]] = []
-    for i in range(1, m.n + 1):
-        for r in range(m.chain_length(i)):
-            pairs.append((names[(i, r)], names[(i, r + 1)]))
-        for j in range(1, m.n + 1):
-            if i == j:
-                continue
-            for r in range(m.chain_length(i)):
-                for s in range(1, m.chain_length(j) + 1):
-                    if m.state_less((i, r), (j, s)):
-                        pairs.append((names[(i, r)], names[(j, s)]))
-    poset = build_poset(names.values(), pairs)
+    for i, chain in enumerate(chains):
+        pairs.extend(zip(chain, chain[1:]))
+        for r, e in enumerate(m.proc_events[i]):
+            own = {j - 1: k for j, k in m.labels[e]}
+            up = clocks[e][1]
+            for j, other in enumerate(chains):
+                # A shared event itself enters a state on each of its processes.
+                s = own.get(j, up[j] + 1)
+                if j != i and s < len(other):
+                    pairs.append((chain[r], other[s]))
+    poset = build_poset([s for chain in chains for s in chain], pairs)
     return build_state_model(poset, chains)
 
 
@@ -93,7 +97,6 @@ class SETransformOutcome:
 
     event_model: EventModel | None
     report: InvalidityReport | None
-    temp_nodes: tuple[Node, ...] = field(default=(), repr=False)
     temp_edges: tuple[tuple[Node, Node], ...] = field(default=(), repr=False)
 
     @property
@@ -106,28 +109,24 @@ def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]
 
     Nodes ``(i,k)`` stand for the transition into state ``[i,k]``; edges are
     the per-chain successions plus a cross edge ``(i,r) -> (j,s)`` whenever
-    ``[i,r-1] < [j,s]``.
+    ``[i,r-1] < [j,s]``, i.e. for every ``s`` from the lowest state of chain
+    ``j`` above ``[i,r-1]`` (its chain clock) upward.  Successor lists are
+    sorted.
     """
+    clocks = chain_clocks(sm.poset, sm.chains)
     nodes: list[Node] = []
     succ: dict[Node, list[Node]] = {}
-    for i in range(1, sm.n + 1):
-        for k in range(1, sm.chain_top_index(i) + 1):
-            node = (i, k)
-            nodes.append(node)
-            succ[node] = []
-    for i in range(1, sm.n + 1):
-        for k in range(1, sm.chain_top_index(i)):
-            succ[(i, k)].append((i, k + 1))
-        for j in range(1, sm.n + 1):
-            if i == j:
-                continue
-            for r in range(1, sm.chain_top_index(i) + 1):
-                src = sm.state_at(i, r - 1)
-                for s in range(1, sm.chain_top_index(j) + 1):
-                    if sm.poset.less(src, sm.state_at(j, s)):
-                        succ[(i, r)].append((j, s))
-    for node in nodes:
-        succ[node].sort()
+    for i, chain in enumerate(sm.chains, start=1):
+        for r in range(1, len(chain)):
+            up = clocks[chain[r - 1]][1]
+            out: list[Node] = []
+            for j, other in enumerate(sm.chains, start=1):
+                if j != i:
+                    out.extend((j, s) for s in range(max(1, up[j - 1]), len(other)))
+                elif r + 1 < len(chain):
+                    out.append((i, r + 1))
+            nodes.append((i, r))
+            succ[(i, r)] = out
     return nodes, succ
 
 
@@ -213,7 +212,6 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
         return SETransformOutcome(
             event_model=None,
             report=InvalidityReport(tuple(sorted(offending))),
-            temp_nodes=tuple(nodes),
             temp_edges=temp_edges,
         )
 
@@ -241,7 +239,6 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
     return SETransformOutcome(
         event_model=model,
         report=None,
-        temp_nodes=tuple(nodes),
         temp_edges=temp_edges,
     )
 

@@ -1,0 +1,132 @@
+"""Chain-clock checks and transforms against the definitional pair scans.
+
+The reference functions below ask ``Poset.less`` or ``EventModel.state_less``
+about every pair of states, exactly as the definitions read.  The library
+answers the same questions from ``chain_clocks``; verdicts, witnesses, detail
+strings, tentative edges and emitted state traces must agree.
+"""
+
+import itertools
+import random
+
+from posetdual import (
+    Verdict,
+    build_poset,
+    build_state_model,
+    check_omega3,
+    check_psi,
+    es_transform,
+)
+from posetdual.traces import state_to_json
+from posetdual.transforms import transition_graph
+
+from builders import random_chain_poset, random_event_model
+
+
+def omega3_by_pairs(sm):
+    p, n = sm.poset, sm.n
+    for j in range(1, n + 1):
+        for t in range(1, sm.chain_top_index(j) + 1):
+            jt, jt_prev = sm.state_at(j, t), sm.state_at(j, t - 1)
+            below = [
+                (i, s)
+                for i in range(1, n + 1)
+                if i != j
+                for s in range(sm.chain_top_index(i) + 1)
+                if p.less(sm.state_at(i, s), jt)
+            ]
+            above = [
+                (k, u)
+                for k in range(1, n + 1)
+                if k != j
+                for u in range(sm.chain_top_index(k) + 1)
+                if p.less(jt_prev, sm.state_at(k, u))
+            ]
+            for (i, s), (k, u) in itertools.product(below, above):
+                a, c = sm.state_at(i, s), sm.state_at(k, u)
+                if not p.less(a, c):
+                    return Verdict(
+                        False,
+                        (a, jt, c),
+                        f"[{i},{s}] < [{j},{t}] and [{j},{t - 1}] < [{k},{u}] "
+                        f"but not [{i},{s}] < [{k},{u}]",
+                    )
+    return Verdict(True)
+
+
+def psi_by_pairs(sm):
+    p = sm.poset
+    for i, j in itertools.permutations(range(1, sm.n + 1), 2):
+        for s in range(1, sm.chain_top_index(i) + 1):
+            for t in range(1, sm.chain_top_index(j) + 1):
+                a, b = sm.state_at(i, s - 1), sm.state_at(j, t)
+                c, d = sm.state_at(j, t - 1), sm.state_at(i, s)
+                if p.less(a, b) and p.less(c, d):
+                    return Verdict(
+                        False,
+                        (a, b, c, d),
+                        f"chains {i} and {j} advance in lockstep at "
+                        f"indices {s} and {t}",
+                    )
+    return Verdict(True)
+
+
+def tentative_edges_by_pairs(sm):
+    edges = set()
+    for i in range(1, sm.n + 1):
+        for k in range(1, sm.chain_top_index(i)):
+            edges.add(((i, k), (i, k + 1)))
+        for j in range(1, sm.n + 1):
+            for r in range(1, sm.chain_top_index(i) + 1):
+                for s in range(1, sm.chain_top_index(j) + 1):
+                    src, dst = sm.state_at(i, r - 1), sm.state_at(j, s)
+                    if i != j and sm.poset.less(src, dst):
+                        edges.add(((i, r), (j, s)))
+    return edges
+
+
+def es_transform_by_pairs(m):
+    chains = [
+        [f"{i}.{k}" for k in range(m.chain_length(i) + 1)] for i in range(1, m.n + 1)
+    ]
+    pairs = [pair for chain in chains for pair in zip(chain, chain[1:])]
+    for i, j in itertools.permutations(range(1, m.n + 1), 2):
+        for r in range(m.chain_length(i)):
+            for s in range(1, m.chain_length(j) + 1):
+                if m.state_less((i, r), (j, s)):
+                    pairs.append((chains[i - 1][r], chains[j - 1][s]))
+    poset = build_poset([s for chain in chains for s in chain], pairs)
+    return build_state_model(poset, chains)
+
+
+def test_clock_results_equal_pair_scans():
+    rng = random.Random(1988)
+    models = []
+    for _ in range(2000):
+        p, chains = random_chain_poset(
+            rng, max_elems=rng.choice([8, 16, 24]), max_chains=rng.choice([3, 5])
+        )
+        models.append(build_state_model(p, chains))
+    for _ in range(500):
+        m = random_event_model(
+            rng, max_procs=rng.choice([3, 5]), max_events_per_proc=5, max_messages=8
+        )
+        sm = es_transform(m)
+        assert state_to_json(sm) == state_to_json(es_transform_by_pairs(m))
+        models.append(sm)
+
+    failures = {"omega3": 0, "psi": 0}
+    for sm in models:
+        for name, fast, slow in (
+            ("omega3", check_omega3, omega3_by_pairs),
+            ("psi", check_psi, psi_by_pairs),
+        ):
+            verdict = fast(sm).as_json()
+            assert verdict == slow(sm).as_json(), (name, state_to_json(sm))
+            failures[name] += not verdict["ok"]
+        nodes, succ = transition_graph(sm)
+        edges = {(a, b) for a in nodes for b in succ[a]}
+        assert edges == tentative_edges_by_pairs(sm)
+        assert all(succ[a] == sorted(succ[a]) for a in nodes)
+    # Both checks must fail often enough for their witnesses to be compared.
+    assert min(failures.values()) >= 100, failures

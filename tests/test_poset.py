@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from posetdual import (
     OracleBoundExceeded,
     UnknownElement,
     build_poset,
+    chain_clocks,
     comparable,
     enumerate_antichains,
     enumerate_downsets_bruteforce,
@@ -267,3 +269,30 @@ def test_random_chain_posets_have_valid_partitions():
         for chain in chains:
             for a, b in zip(chain, chain[1:]):
                 assert p.less(a, b)
+
+
+def test_width_does_not_depend_on_recursion_limit():
+    chain = [f"1.{k}" for k in range(300)]
+    p = build_poset(chain, list(zip(chain, chain[1:])))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        w, antichain = width(p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w == 1 and len(antichain) == 1
+    assert minimum_chain_partition(p).chains == (tuple(chain),)
+
+
+def test_chain_clocks_match_pairwise_order():
+    rng = random.Random(23)
+    for _ in range(100):
+        p, chains = random_chain_poset(rng, max_elems=14, max_chains=4)
+        clocks = chain_clocks(p, chains)
+        for e in p.elements:
+            down, up = clocks[e]
+            for c, chain in enumerate(chains):
+                below = [k for k, x in enumerate(chain) if p.less(x, e)]
+                above = [k for k, x in enumerate(chain) if p.less(e, x)]
+                assert down[c] == max(below, default=-1)
+                assert up[c] == min(above, default=len(chain))

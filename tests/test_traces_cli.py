@@ -93,6 +93,49 @@ def test_implicit_chain_edges_from_indices(tmp_path):
     assert model.poset.less("x", "y")
 
 
+@pytest.mark.parametrize("kind", ["poset", "state"])
+def test_duplicate_element_ids_rejected(tmp_path, kind):
+    bad = tmp_path / "dup.json"
+    data = {"kind": kind, "version": 1, "elements": ["a", "a", "b"], "relations": []}
+    if kind == "state":
+        data["chains"] = [["a"], ["b"]]
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match="duplicate element ids"):
+        load_trace(bad)
+
+
+def _event_trace(n=1, proc=1, idx=1):
+    return {
+        "kind": "event", "version": 1, "n": n,
+        "events": [{"id": "x", "slots": [{"proc": proc, "idx": idx}]}],
+        "edges": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _event_trace(proc=True),
+        _event_trace(idx=True),
+        _event_trace(n=True),
+        {"kind": "poset", "version": True, "elements": []},
+    ],
+    ids=["slot-proc", "slot-idx", "n", "version"],
+)
+def test_boolean_is_not_an_integer(tmp_path, data):
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        load_trace(bad)
+
+
+def test_boolean_mark_rejected(tmp_path):
+    bad = tmp_path / "marks.json"
+    bad.write_text(json.dumps({"kind": "marks", "version": 1, "marks": [[0, True]]}))
+    with pytest.raises(SchemaError):
+        load_marks(bad)
+
+
 # --- CLI -------------------------------------------------------------------
 
 def test_validate_ok(capsys, fixtures_dir):
@@ -304,3 +347,51 @@ def test_transform_roundtrip_through_files(tmp_path, capsys, fixtures_dir):
     assert event_signature(model) == event_signature(builders.barrier_event())
     _, sm = load_trace(out_state)
     assert state_signature(sm) == state_signature(builders.barrier_state())
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        {"op": "attr", "proc": "x", "attr": "session", "cmp": "==", "value": 1},
+        {"op": "and", "args": 5},
+        {"op": "attr", "proc": True, "attr": "session", "cmp": "==", "value": 1},
+        {"op": "index", "proc": 1, "cmp": "==", "value": True},
+        {"op": "index", "proc": 1, "cmp": ["=="], "value": 1},
+    ],
+    ids=["proc-string", "args-number", "proc-bool", "index-value-bool", "cmp-list"],
+)
+def test_malformed_predicate_is_a_parse_error(capsys, tmp_path, fixtures_dir, expr):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"kind": "predicate", "version": 1, "expr": expr}))
+    code, out, err = run_cli(
+        capsys, "analyze", "predicate",
+        "--model", str(fixtures_dir / "sessions_state.json"), "--pred", str(pred),
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_bad_oracle_bound_is_a_usage_error(capsys, monkeypatch, fixtures_dir):
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", "abc")
+    code, out, err = run_cli(capsys, "check", str(fixtures_dir / "pinch_state.json"))
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "POSETDUAL_ORACLE_BOUND" in err
+
+
+def test_negative_max_cuts_is_a_usage_error(capsys, fixtures_dir):
+    code, out, err = run_cli(
+        capsys, "cuts", str(fixtures_dir / "message_pair_event.json"),
+        "--family", "downsets", "--max-cuts", "-1",
+    )
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "--max-cuts" in err
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, fixtures_dir):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "transform", str(fixtures_dir / "message_pair_event.json"),
+        "--direction", "es", "-o", str(target),
+    )
+    assert code == 4 and out == "" and not target.exists()
+    assert err.count("\n") == 1 and str(target) in err
