@@ -3,8 +3,12 @@
 A :class:`Poset` stores a finite irreflexive strict order over opaque string
 ids.  Input relations may be any subset of the intended order; construction
 takes the transitive closure and recomputes the cover relation by transitive
-reduction.  Instances are immutable after construction and safe to share
-between threads; enumeration generators are single-consumer.
+reduction.  Each element keeps its strict up- and down-set as an int bitset
+(bit ``i`` is the ``i``-th element in sorted-id order); closure, reduction
+and matching work on whole bitsets, so their Python-level steps grow with
+the input edges and the matching's search steps, not with the closure's
+pairs.  Instances are immutable after construction and safe to share between
+threads; enumeration generators are single-consumer.
 
 Besides the optimized operations (width and minimum chain partition via
 maximum bipartite matching), the module provides deliberately unsophisticated
@@ -48,6 +52,14 @@ def oracle_bound(override: int | None = None) -> int:
             f"{_ORACLE_BOUND_ENV} must be a non-negative integer, got {env!r}"
         )
     return int(env)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of *mask*, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Comparability(enum.Enum):
@@ -158,13 +170,7 @@ class Poset:
         return self._down[self.index(element)]
 
     def mask_to_set(self, mask: int) -> frozenset[str]:
-        els = self.elements
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(els[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return frozenset(self.elements[i] for i in _bits(mask))
 
     def set_to_mask(self, subset: Iterable[str]) -> int:
         mask = 0
@@ -207,7 +213,12 @@ def build_poset(
     """Build a poset from element ids and (any subset of) its order relation.
 
     The relation is transitively closed; the stored cover relation is the
-    transitive reduction of the closure.
+    transitive reduction of the closure.  After a topological sort, one
+    reverse sweep over the direct successors gives the up-sets and the
+    covers, and one forward sweep over the covers gives the down-sets:
+    O(elements + edges) bitset unions of O(elements / word size) each.
+    Duplicate and transitively implied pairs are accepted and change
+    nothing.
 
     Raises:
         CycleError: the induced relation has a cycle (including a reflexive
@@ -219,7 +230,6 @@ def build_poset(
     n = len(els)
     adj: list[int] = [0] * n
     indeg = [0] * n
-    seen_edges: set[tuple[int, int]] = set()
     for a, b in relation_pairs:
         if a not in index:
             raise UnknownElement(f"relation names undeclared element {a!r}")
@@ -228,8 +238,7 @@ def build_poset(
         if a == b:
             raise CycleError(f"reflexive pair {a!r} -> {b!r} is not allowed")
         ia, ib = index[a], index[b]
-        if (ia, ib) not in seen_edges:
-            seen_edges.add((ia, ib))
+        if not adj[ia] >> ib & 1:
             adj[ia] |= 1 << ib
             indeg[ib] += 1
 
@@ -239,11 +248,7 @@ def build_poset(
     while ready:
         v = ready.pop()
         order.append(v)
-        mask = adj[v]
-        while mask:
-            low = mask & -mask
-            w = low.bit_length() - 1
-            mask ^= low
+        for w in _bits(adj[v]):
             indeg[w] -= 1
             if indeg[w] == 0:
                 ready.append(w)
@@ -251,36 +256,26 @@ def build_poset(
         cyclic = sorted(els[i] for i in range(n) if indeg[i] > 0)
         raise CycleError(f"relation has a cycle through {cyclic}")
 
-    # Reachability by reverse topological sweep.
+    # Reverse sweep: everything above v is a direct successor or above one,
+    # and the covers of v are the direct successors above none of the others.
     up = [0] * n
+    cover = [0] * n
     for v in reversed(order):
-        mask = adj[v]
-        acc = mask
-        while mask:
-            low = mask & -mask
-            acc |= up[low.bit_length() - 1]
-            mask ^= low
-        up[v] = acc
+        above_succ = 0
+        for w in _bits(adj[v]):
+            above_succ |= up[w]
+        up[v] = adj[v] | above_succ
+        cover[v] = adj[v] & ~above_succ
+    # Forward sweep over the covers, which carry the whole order.
     down = [0] * n
-    for i in range(n):
-        mask = up[i]
-        while mask:
-            low = mask & -mask
-            down[low.bit_length() - 1] |= 1 << i
-            mask ^= low
+    for v in order:
+        below = down[v] | 1 << v
+        for w in _bits(cover[v]):
+            down[w] |= below
 
-    covers = []
-    for i, a in enumerate(els):
-        mask = up[i]
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            mask ^= low
-            # (a, b) is a cover edge iff nothing sits strictly between.
-            if not (up[i] & down[j]):
-                covers.append((a, els[j]))
-    covers.sort()
-    return Poset(els, tuple(up), tuple(down), tuple(covers))
+    # Index order is sorted-id order, so the covers come out sorted.
+    covers = tuple((els[v], els[w]) for v in range(n) for w in _bits(cover[v]))
+    return Poset(els, tuple(up), tuple(down), covers)
 
 
 def comparable(p: Poset, a: str, b: str) -> Comparability:
@@ -301,40 +296,35 @@ def _maximum_matching(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
     Left copies are sources of ``<`` pairs, right copies are targets.
     Deterministic: vertices and neighbors are scanned in sorted-id order.
     """
-    n = len(p.elements)
-    neighbors: list[list[int]] = []
-    for i in range(n):
-        mask = p._up[i]
-        nb = []
-        while mask:
-            low = mask & -mask
-            nb.append(low.bit_length() - 1)
-            mask ^= low
-        neighbors.append(nb)
-
+    up = p._up
+    everything = (1 << len(up)) - 1
     match_l: dict[int, int] = {}
     match_r: dict[int, int] = {}
-    for root in range(n):
+    for root in range(len(up)):
         # Kuhn's augmenting-path search as an explicit-stack DFS: path[d] is
         # the right vertex tried from stack[d], so depth is not bounded by
-        # the recursion limit.
-        visited: set[int] = set()
-        stack = [(root, iter(neighbors[root]))]
+        # the recursion limit.  Every neighbor a frame has tried is visited,
+        # and visited only grows, so the frame's next neighbor in sorted
+        # order is the lowest bit of its up-set still in ``unvisited``.
+        unvisited = everything
+        stack = [root]
         path: list[int] = []
         while stack:
-            v = next((v for v in stack[-1][1] if v not in visited), None)
-            if v is None:
+            free = up[stack[-1]] & unvisited
+            if not free:
                 stack.pop()
                 if path:
                     path.pop()
                 continue
-            visited.add(v)
+            low = free & -free
+            unvisited ^= low
+            v = low.bit_length() - 1
             path.append(v)
-            if v in match_r:
-                w = match_r[v]
-                stack.append((w, iter(neighbors[w])))
+            w = match_r.get(v)
+            if w is not None:
+                stack.append(w)
                 continue
-            for (u, _), x in reversed(list(zip(stack, path))):
+            for u, x in reversed(list(zip(stack, path))):
                 match_l[u] = x
                 match_r[x] = u
             break
@@ -359,28 +349,22 @@ def _matching_to_partition(p: Poset, match_l: dict[int, int]) -> ChainPartition:
 
 def _max_antichain_from_cover(p: Poset, match_l, match_r) -> frozenset[str]:
     """Extract a maximum antichain from the Koenig vertex cover."""
-    n = len(p.elements)
-    # Alternating reachability from unmatched left vertices.
-    z_left = set(i for i in range(n) if i not in match_l)
-    z_right: set[int] = set()
-    frontier = list(z_left)
+    # Alternating reachability from unmatched left vertices, as bitsets.  A
+    # right vertex is reached once, and its partner is matched, so no left
+    # vertex enters the frontier twice.
+    frontier = [i for i in range(len(p.elements)) if i not in match_l]
+    z_left = sum(1 << i for i in frontier)
+    z_right = 0
     while frontier:
-        u = frontier.pop()
-        mask = p._up[u]
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            if v not in z_right:
-                z_right.add(v)
-                w = match_r.get(v)
-                if w is not None and w not in z_left:
-                    z_left.add(w)
-                    frontier.append(w)
+        fresh = p._up[frontier.pop()] & ~z_right
+        z_right |= fresh
+        for v in _bits(fresh):
+            w = match_r.get(v)
+            if w is not None:
+                z_left |= 1 << w
+                frontier.append(w)
     # Cover = (L \ Z_L) | Z_R; antichain = both copies outside the cover.
-    return frozenset(
-        p.elements[i] for i in range(n) if i in z_left and i not in z_right
-    )
+    return p.mask_to_set(z_left & ~z_right)
 
 
 def width(p: Poset) -> tuple[int, frozenset[str]]:
@@ -389,7 +373,11 @@ def width(p: Poset) -> tuple[int, frozenset[str]]:
     Computed by minimum chain cover over the closure's split bipartite graph;
     the witness comes from the matching's vertex cover, so the Dilworth
     equality ``chain count == antichain size`` holds by construction.  The
-    witness is deterministic but otherwise unspecified.
+    witness is deterministic but otherwise unspecified.  Kuhn's method runs
+    one search per element; each search step takes the next neighbor as the
+    lowest bit of an up-set outside the visited bitset, so a step costs one
+    bitset operation, and a search may visit every element: O(elements^2)
+    steps in the worst case, as on long chains.
     """
     if p._width_cache is None:
         if not p.elements:
@@ -524,14 +512,17 @@ def incomparable_interval(
 
     The chain always decomposes into a prefix below *s*, a contiguous middle
     incomparable to *s*, and a suffix above *s*; the middle is returned with
-    its lo/hi chain positions, read off the clock of *s*.  The interval over
-    the chain containing *s* itself is empty by convention.
+    its lo/hi chain positions, read off the clock of *s* against this one
+    chain (as in :func:`chain_clocks`), in O(chain length).  The interval
+    over the chain containing *s* itself is empty by convention.
     """
-    p.index(s)
+    i = p.index(s)
     if not 0 <= chain_index < cp.n:
         raise BadChainIndex(f"chain index {chain_index} out of range")
     chain = cp.chains[chain_index]
-    (below,), (above,) = chain_clocks(p, (chain,))[s]
+    mask = p.set_to_mask(chain)
+    below = (p._down[i] & mask).bit_count() - 1
+    above = len(chain) - (p._up[i] & mask).bit_count()
     if s in chain or below + 1 == above:
         return Interval((), None, None)
     return Interval(tuple(chain[below + 1:above]), below + 1, above - 1)

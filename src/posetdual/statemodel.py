@@ -19,7 +19,9 @@ The chain-structured checks read one table of the order,
 :func:`~posetdual.poset.chain_clocks`: per state and chain, the highest
 position below the state and the lowest above it.  With ``n`` chains,
 ``omega3`` costs O(states x n^2), ``psi`` O(states x n), and
-width-extensibility O(states^2 x n) on top of the minimum chain partition.
+width-extensibility O(states x n) bitset operations on top of the minimum
+chain partition.  :func:`run_property_checks` decides width-extensibility
+once when both it and interleaving-consistency are asked for.
 
 All checks are pure functions over immutable models and safe to call from
 multiple threads.
@@ -244,18 +246,18 @@ def extend_to_width_antichain(
     incomparable runs of the current members intersect (runs are intervals,
     so pairwise intersection gives a common element); any element of the
     intersection extends the antichain.  Raises :class:`NotWidthExtensible`
-    with the stuck sub-antichain when no extension exists.
+    with the stuck sub-antichain when no extension exists: the first member,
+    in sorted order, with no run on the chain, else the whole antichain.
     """
     current = set(members)
     if not is_antichain(p, current):
         raise NotWidthAntichain(f"{sorted(current)} is not an antichain")
     cp = minimum_chain_partition(p)
-    chain_of = {e: ci for ci, chain in enumerate(cp.chains) for e in chain}
     for ci, chain in enumerate(cp.chains):
-        if any(chain_of[s] == ci for s in current):
+        if any(cp.position(s)[0] == ci for s in current):
             continue
         lo, hi = 0, len(chain) - 1
-        for s in current:
+        for s in sorted(current):
             run = incomparable_interval(p, cp, s, ci)
             if not run:
                 raise NotWidthExtensible(frozenset({s}))
@@ -274,10 +276,12 @@ def check_width_extensible(p: Poset) -> Verdict:
     partition, and incomparable pairs need those runs to intersect on every
     chain containing neither element (runs on a chain obey the Helly
     property, so pairwise intersection lifts to any antichain).  The run of
-    ``s`` on chain ``c`` is ``down[c]+1 .. up[c]-1`` of its chain clock, so
-    the cost is O(states^2 x chains).  On failure the witness is the
-    offending antichain; among several failures the lexicographically
-    greatest is reported.
+    ``s`` on chain ``c`` is ``down[c]+1 .. up[c]-1`` of its chain clock, and
+    another element misses it iff it lies below the run's first element or
+    above its last, so each element's failing partners are one OR of two
+    bitsets per chain: O(states x chains) bitset operations.  On failure the
+    witness is the offending antichain; among several failures the
+    lexicographically greatest is reported.
     """
     if not p.elements:
         return Verdict(True)
@@ -296,23 +300,24 @@ def check_width_extensible(p: Poset) -> Verdict:
             False, frozenset({failing_singleton}), "no maximum antichain contains it"
         )
 
-    failing_pair: tuple[str, str] | None = None
-    for a, b in itertools.combinations(p.elements, 2):
-        (da, ua), (db, ub) = clocks[a], clocks[b]
-        cb, kb = cp.position(b)
-        if not da[cb] < kb < ua[cb]:
-            continue  # a and b are ordered
-        ca = cp.position(a)[0]
-        if any(
-            min(ua[ci], ub[ci]) - max(da[ci], db[ci]) < 2
-            for ci in range(cp.n)
-            if ci != ca and ci != cb
-        ):
-            failing_pair = (a, b)
-    if failing_pair is not None:
-        return Verdict(
-            False, frozenset(failing_pair), "no maximum antichain contains both"
-        )
+    # Pairs: b misses a's run [lo,hi] on chain c iff b < chain_c[lo] or
+    # b > chain_c[hi].  OR those partners over all chains and keep the ones
+    # incomparable to a and after it (the partners on chain c itself, and all
+    # on a's own chain, whose run is a alone, are ordered with a).  The
+    # greatest failing pair has the last such a and its last partner.
+    els, up, down = p.elements, p._up, p._down
+    ids = [[p.index(e) for e in chain] for chain in cp.chains]
+    for a in range(len(els) - 1, -1, -1):
+        da, ua = clocks[els[a]]
+        failing = 0
+        for chain, below, above in zip(ids, da, ua):
+            failing |= down[chain[below + 1]] | up[chain[above - 1]]
+        failing = (failing & ~(up[a] | down[a])) >> (a + 1)
+        if failing:
+            b = a + failing.bit_length()
+            return Verdict(
+                False, frozenset({els[a], els[b]}), "no maximum antichain contains both"
+            )
     return Verdict(True)
 
 
@@ -403,9 +408,11 @@ def check_interleaving_consistent(
     Otherwise the definition is checked by enumerating maximum antichains,
     subject to the oracle bound.
     """
-    if not p.elements:
-        return Verdict(True)
-    we = check_width_extensible(p)
+    return _interleaving_consistent(p, check_width_extensible(p), bound)
+
+
+def _interleaving_consistent(p: Poset, we: Verdict, bound: int | None) -> Verdict:
+    """Interleaving-consistency given *p*'s width-extensibility verdict."""
     if we.ok:
         sm = StateModel(poset=p, chains=minimum_chain_partition(p).chains)
         psi = check_psi(sm)
@@ -455,10 +462,10 @@ def run_property_checks(
         kw["omega3"] = check_omega3(sm)
     if "psi" in wanted:
         kw["psi"] = check_psi(sm)
+    if "we" in wanted or "ic" in wanted:
+        we = check_width_extensible(sm.poset)
     if "we" in wanted:
-        kw["width_extensible"] = check_width_extensible(sm.poset)
+        kw["width_extensible"] = we
     if "ic" in wanted:
-        kw["interleaving_consistent"] = check_interleaving_consistent(
-            sm.poset, bound=bound
-        )
+        kw["interleaving_consistent"] = _interleaving_consistent(sm.poset, we, bound)
     return PropertyReport(**kw)

@@ -17,7 +17,8 @@ Both directions read the order from :func:`~posetdual.poset.chain_clocks`
 instead of testing pairs: the forward transform emits one pair per state and
 other process, O(events x processes) before the closure, and the tentative
 graph takes each node's cross edges from one clock, in time linear in its
-edges.
+edges.  The collapsed event order is closed from one pair per tentative node
+and chain, and the tentative edge list is only built when read.
 
 Both transforms are pure; parallel invocation is safe.
 """
@@ -92,16 +93,25 @@ class SETransformOutcome:
     """Either the rebuilt event model or an invalidity report.
 
     ``temp_edges`` exposes the tentative pre-collapse graph (including any
-    cycles) for diagnostics.
+    cycles) for diagnostics; it is listed from the stored graph when read.
     """
 
     event_model: EventModel | None
     report: InvalidityReport | None
-    temp_edges: tuple[tuple[Node, Node], ...] = field(default=(), repr=False)
+    _graph: tuple[list[Node], dict[Node, list[Node]]] | None = field(
+        default=None, repr=False
+    )
 
     @property
     def ok(self) -> bool:
         return self.event_model is not None
+
+    @property
+    def temp_edges(self) -> tuple[tuple[Node, Node], ...]:
+        if self._graph is None:
+            return ()
+        nodes, succ = self._graph
+        return tuple((a, b) for a in nodes for b in succ[a])
 
 
 def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]]:
@@ -195,9 +205,6 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
     named ``e<i>.<k>``.
     """
     nodes, succ = transition_graph(sm)
-    temp_edges = tuple(
-        (a, b) for a in nodes for b in succ[a]
-    )
     components = strongly_connected_components(nodes, succ)
 
     offending: list[OffendingComponent] = []
@@ -212,7 +219,7 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
         return SETransformOutcome(
             event_model=None,
             report=InvalidityReport(tuple(sorted(offending))),
-            temp_edges=temp_edges,
+            _graph=(nodes, succ),
         )
 
     comp_of: dict[Node, tuple[Node, ...]] = {}
@@ -226,21 +233,22 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
         eid = f"e{i}.{k}" if len(comp) == 1 else _shared_id(comp)
         ids[comp] = eid
         labels[eid] = frozenset(comp)
-    pairs = sorted(
-        {
-            (ids[comp_of[a]], ids[comp_of[b]])
-            for a, b in temp_edges
-            if comp_of[a] is not comp_of[b]
-        }
-    )
+    # Only the closure of the pairs matters.  A node's successors on one chain
+    # run up to its top, and the run's first node reaches the rest by chain
+    # edges (no component holds two nodes of a chain), so each node gives
+    # one pair per chain.
+    pairs = []
+    for a in nodes:
+        src, chain = comp_of[a], None
+        for b in succ[a]:
+            if b[0] != chain:
+                chain = b[0]
+                if comp_of[b] is not src:
+                    pairs.append((ids[src], ids[comp_of[b]]))
     poset = build_poset(labels.keys(), pairs)
     # The component screening makes this validation unreachable-by-failure.
     model = build_event_model(poset, sm.n, labels, allow_empty_process=True)
-    return SETransformOutcome(
-        event_model=model,
-        report=None,
-        temp_edges=temp_edges,
-    )
+    return SETransformOutcome(event_model=model, report=None, _graph=(nodes, succ))
 
 
 def event_signature(m: EventModel):

@@ -1,8 +1,14 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetdual
 from posetdual import (
     Comparability,
     ModelError,
@@ -21,7 +27,7 @@ from posetdual import (
     extend_to_width_antichain,
     width,
 )
-from posetdual.poset import is_antichain
+from posetdual.poset import incomparable_interval, is_antichain, minimum_chain_partition
 from posetdual.statemodel import (
     interleaving_consistent_bruteforce,
     run_property_checks,
@@ -115,6 +121,49 @@ def test_extend_to_width_antichain():
         extend_to_width_antichain(pinch_poset(), {"b"})
     with pytest.raises(NotWidthAntichain):
         extend_to_width_antichain(sm.poset, {"a0", "a'"})
+
+
+_EXTEND_SCRIPT = """
+import json, sys
+from posetdual import NotWidthExtensible, build_poset, extend_to_width_antichain
+case = json.load(sys.stdin)
+try:
+    extend_to_width_antichain(build_poset(case["elements"], case["relations"]), case["members"])
+except NotWidthExtensible as exc:
+    print(json.dumps(sorted(exc.witness)))
+"""
+
+
+def test_extension_witness_does_not_depend_on_hash_seed():
+    # Minimal elements of which several have no incomparable run on the first
+    # chain they leave unrepresented, so the member order picks the witness.
+    rng = random.Random(14)
+    for _ in range(1000):
+        p, _ = random_chain_poset(rng, max_elems=40, max_chains=8)
+        cp = minimum_chain_partition(p)
+        members = p.minimal_elements()
+        owned = {cp.position(s)[0] for s in members}
+        free = next((ci for ci in range(cp.n) if ci not in owned), None)
+        if free is None:
+            continue
+        stuck = [s for s in members if not incomparable_interval(p, cp, s, free)]
+        if len(stuck) >= 4:
+            break
+    else:
+        pytest.fail("no model with four stuck minimal elements")
+    case = json.dumps(
+        {"elements": p.elements, "relations": p.covers, "members": members}
+    )
+    src = str(Path(posetdual.__file__).resolve().parent.parent)
+    witnesses = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _EXTEND_SCRIPT],
+            input=case, capture_output=True, text=True, env=env, check=True,
+        )
+        witnesses.append(json.loads(run.stdout))
+    assert witnesses[0] == witnesses[1] == [min(stuck)]
 
 
 def test_debug_mode_verifies_extensions():
