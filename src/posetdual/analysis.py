@@ -6,6 +6,17 @@ of the state model.  The clause language is a small closed AST (per-process
 attribute and index comparisons, sum/count aggregates, boolean connectives)
 serialized as JSON; library callers may instead pass a plain callable.
 
+Detection runs on frontier vectors (one state index per process) from the
+cut enumeration of :mod:`posetdual.lattice`.  A predicate is compiled once
+into per-process columns of verdicts, values and warnings, so evaluating it
+on a global state costs O(clauses) lookups and builds no names.  The first
+match of a conjunction of per-process clauses (Garg & Waldecker, 1994) is
+found without enumerating: it is the least global state all of whose states
+pass their clauses, found by advancing per-process indices along the chain
+clocks in O(states x n^2) steps.  The definitional evaluation on named
+states (``_evaluate``) stays as the reference the fast paths are tested
+against.
+
 Checkpoint analysis takes a marking of local states (initial and final state
 of every process must be marked), restricts the model to the marked states,
 and classifies each checkpoint as useful (member of some global checkpoint,
@@ -15,19 +26,37 @@ and a fast engine that reads the verdicts off the cycle structure of the
 tentative event graph of the restriction - a checkpoint is useless exactly
 when the transitions entering and leaving it are strongly connected.  The
 fast engine runs in time linear in that graph and must agree with the oracle
-everywhere; disagreement is a bug by definition.
+everywhere; disagreement is a bug by definition.  The restriction's order is
+closed from one pair per marked state and chain, read off the chain clocks.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import BadMarking, ModelError, NotWidthExtensible, OracleBoundExceeded
-from .lattice import enumerate_width_antichains
-from .poset import Comparability, build_poset, comparable, oracle_bound, width
+from .errors import (
+    BadMarking,
+    ModelError,
+    NotWidthExtensible,
+    OracleBoundExceeded,
+    PredicateError,
+)
+
+# enumerate_width_antichains is not called here any more; the name stays bound
+# in this module because perfbench/tracing.py wraps it by this binding.
+from .lattice import enumerate_width_antichains, frontier_vectors  # noqa: F401
+from .poset import (
+    Comparability,
+    build_poset,
+    chain_clocks,
+    comparable,
+    oracle_bound,
+    width,
+)
 from .statemodel import (
     StateModel,
     build_state_model,
@@ -49,10 +78,23 @@ _CMP = {
 }
 
 
+Warn = Callable[[str], None]
+#: A compiled predicate: (frontier vector, warning sink) -> verdict.
+Test = Callable[[Sequence[int], Warn], bool]
+
+
 class Predicate:
-    """Base class of the closed predicate AST."""
+    """Base class of the closed predicate AST.
+
+    ``evaluate`` runs on one global state given by name (the reference
+    semantics); ``compile`` turns the predicate into a :data:`Test` on the
+    frontier vectors of one model, with the same verdicts and warnings.
+    """
 
     def evaluate(self, ctx: "EvalContext") -> bool:
+        raise NotImplementedError
+
+    def compile(self, sm: StateModel) -> Test:
         raise NotImplementedError
 
     def as_json(self) -> dict:
@@ -78,21 +120,73 @@ class EvalContext:
         log.warning(msg)
 
     def compare(self, cmp: str, got, value) -> bool:
-        try:
-            return _CMP[cmp](got, value)
-        except TypeError:
-            self.warn(f"cannot compare {got!r} {cmp} {value!r}")
-            return False
+        return _compare(cmp, got, value, self.warn)
+
+
+class _Probe(EvalContext):
+    """A context that collects warnings without logging them.
+
+    Compiling evaluates every state up front; a compiled predicate logs a
+    warning only when it replays it for a global state it evaluates.
+    """
+
+    def warn(self, msg: str) -> None:
+        self.warnings.append(msg)
+
+
+def _probe(sm: StateModel, proc: int, state: str, fn: Callable[[EvalContext], object]):
+    """``fn`` on a context that chooses *state* for *proc*, and its warnings."""
+    ctx = _Probe(sm=sm, chosen={proc: state})
+    return fn(ctx), tuple(ctx.warnings)
+
+
+def _compare(cmp: str, got, value, warn: Warn) -> bool:
+    try:
+        return _CMP[cmp](got, value)
+    except TypeError:
+        warn(f"cannot compare {got!r} {cmp} {value!r}")
+        return False
 
 
 def _check_proc(proc: int) -> int:
     if proc < 1:
-        raise ModelError(f"process numbers are 1-based, got {proc}")
+        raise PredicateError(f"process numbers are 1-based, got {proc}")
     return proc
 
 
+class _LocalClause(Predicate):
+    """A clause on the chosen state of one process ``proc``."""
+
+    proc: int
+
+    def column(self, sm: StateModel) -> list[tuple[object, tuple[str, ...]]]:
+        """Verdict and warnings of the clause for each state of its process.
+
+        Raises PredicateError when *sm* has no process ``proc``.
+        """
+        if not 1 <= self.proc <= sm.n:
+            raise PredicateError(
+                f"predicate names process {self.proc}, but the model has "
+                f"{sm.n} processes"
+            )
+        return [
+            _probe(sm, self.proc, s, self.evaluate) for s in sm.chains[self.proc - 1]
+        ]
+
+    def compile(self, sm):
+        col, i = self.column(sm), self.proc - 1
+
+        def test(vector, warn):
+            truth, msgs = col[vector[i]]
+            for msg in msgs:
+                warn(msg)
+            return truth
+
+        return test
+
+
 @dataclass(frozen=True)
-class AttrCmp(Predicate):
+class AttrCmp(_LocalClause):
     """Compare an attribute of the chosen state of one process."""
 
     proc: int
@@ -117,7 +211,7 @@ class AttrCmp(Predicate):
 
 
 @dataclass(frozen=True)
-class IndexCmp(Predicate):
+class IndexCmp(_LocalClause):
     """Compare the chain index of the chosen state of one process."""
 
     proc: int
@@ -152,12 +246,37 @@ class AggCmp(Predicate):
             if got is None:
                 return False
             values.append(got)
+        return self._holds(values, ctx.warn)
+
+    def _holds(self, values: list, warn: Warn) -> bool:
         try:
             agg = sum(values) if self.fn == "sum" else sum(1 for v in values if v)
         except TypeError:
-            ctx.warn(f"cannot aggregate {self.attr!r} values {values!r}")
+            warn(f"cannot aggregate {self.attr!r} values {values!r}")
             return False
-        return ctx.compare(self.cmp, agg, self.value)
+        return _compare(self.cmp, agg, self.value, warn)
+
+    def compile(self, sm):
+        # Per process and state: the attribute value (None when missing or
+        # null, which makes the clause false) and the missing-attribute warning.
+        cols = [
+            [_probe(sm, i, s, lambda ctx: ctx.attr(i, self.attr)) for s in chain]
+            for i, chain in enumerate(sm.chains, start=1)
+        ]
+        holds = self._holds
+
+        def test(vector, warn):
+            values = []
+            for col, k in zip(cols, vector):
+                got, msgs = col[k]
+                for msg in msgs:
+                    warn(msg)
+                if got is None:
+                    return False
+                values.append(got)
+            return holds(values, warn)
+
+        return test
 
     def as_json(self):
         return {
@@ -176,6 +295,17 @@ class And(Predicate):
     def evaluate(self, ctx):
         return all(a.evaluate(ctx) for a in self.args)
 
+    def compile(self, sm):
+        tests = [a.compile(sm) for a in self.args]
+
+        def test(vector, warn):
+            for t in tests:
+                if not t(vector, warn):
+                    return False
+            return True
+
+        return test
+
     def as_json(self):
         return {"op": "and", "args": [a.as_json() for a in self.args]}
 
@@ -186,6 +316,17 @@ class Or(Predicate):
 
     def evaluate(self, ctx):
         return any(a.evaluate(ctx) for a in self.args)
+
+    def compile(self, sm):
+        tests = [a.compile(sm) for a in self.args]
+
+        def test(vector, warn):
+            for t in tests:
+                if t(vector, warn):
+                    return True
+            return False
+
+        return test
 
     def as_json(self):
         return {"op": "or", "args": [a.as_json() for a in self.args]}
@@ -198,6 +339,10 @@ class Not(Predicate):
     def evaluate(self, ctx):
         return not self.arg.evaluate(ctx)
 
+    def compile(self, sm):
+        inner = self.arg.compile(sm)
+        return lambda vector, warn: not inner(vector, warn)
+
     def as_json(self):
         return {"op": "not", "arg": self.arg.as_json()}
 
@@ -209,14 +354,17 @@ class Const(Predicate):
     def evaluate(self, ctx):
         return self.value
 
+    def compile(self, sm):
+        return lambda vector, warn: self.value
+
     def as_json(self):
         return {"op": "const", "value": self.value}
 
 
 def predicate_from_json(data: dict) -> Predicate:
-    """Parse the JSON clause language into the AST; raises ModelError."""
+    """Parse the JSON clause language into the AST; raises PredicateError."""
     if not isinstance(data, dict) or "op" not in data:
-        raise ModelError("predicate node must be an object with an 'op'")
+        raise PredicateError("predicate node must be an object with an 'op'")
     op = data["op"]
     try:
         if op == "attr":
@@ -235,7 +383,7 @@ def predicate_from_json(data: dict) -> Predicate:
         if op == "agg":
             fn = data["fn"]
             if fn not in ("sum", "count"):
-                raise ModelError(f"unknown aggregate {fn!r}")
+                raise PredicateError(f"unknown aggregate {fn!r}")
             return AggCmp(fn, str(data["attr"]), _cmp_name(data["cmp"]), data["value"])
         if op == "and":
             return And(_args(data))
@@ -246,14 +394,14 @@ def predicate_from_json(data: dict) -> Predicate:
         if op == "const":
             return Const(bool(data["value"]))
     except KeyError as exc:
-        raise ModelError(f"predicate op {op!r} is missing field {exc}") from None
-    raise ModelError(f"unknown predicate op {op!r}")
+        raise PredicateError(f"predicate op {op!r} is missing field {exc}") from None
+    raise PredicateError(f"unknown predicate op {op!r}")
 
 
 def _args(data: dict) -> tuple[Predicate, ...]:
     args = data["args"]
     if not isinstance(args, list):
-        raise ModelError(f"predicate field 'args' must be a list, got {args!r}")
+        raise PredicateError(f"predicate field 'args' must be a list, got {args!r}")
     return tuple(predicate_from_json(a) for a in args)
 
 
@@ -261,13 +409,13 @@ def _int_field(data: dict, key: str) -> int:
     # bool is an int subclass, but JSON true/false is not a number.
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelError(f"predicate field {key!r} must be an integer, got {value!r}")
+        raise PredicateError(f"predicate field {key!r} must be an integer, got {value!r}")
     return value
 
 
 def _cmp_name(name: str) -> str:
     if not isinstance(name, str) or name not in _CMP:
-        raise ModelError(f"unknown comparator {name!r}")
+        raise PredicateError(f"unknown comparator {name!r}")
     return name
 
 
@@ -287,17 +435,31 @@ def _evaluate(
     return pred(sm, antichain)
 
 
-def detect_width_predicate(
-    sm: StateModel,
-    pred: PredicateLike,
-    warnings: list | None = None,
-) -> Iterator[frozenset[str]]:
-    """Yield the maximum antichains of *sm* on which the predicate holds.
+def compile_predicate(sm: StateModel, pred: PredicateLike) -> Test:
+    """A :data:`Test` on the frontier vectors of *sm* (entry ``i - 1`` is the
+    index of process ``i``'s state).
 
-    The model's poset must be width-extensible.  When the poset width is
-    smaller than the process count no global state spans every process, so
-    the stream is empty.  First-match and count modes are just ``next()`` and
-    ``sum(1 for ...)`` over the stream.
+    AST predicates are compiled once into per-process columns: a verdict and
+    any warnings per state for ``attr`` and ``index`` clauses, a value per
+    state for ``agg``; the verdict and the warnings of each global state are
+    those of the reference evaluation.  A callable is called on the named
+    antichain.
+
+    Raises:
+        PredicateError: a clause names a process *sm* does not have.
+    """
+    if isinstance(pred, Predicate):
+        return pred.compile(sm)
+    chains = sm.chains
+    return lambda vector, warn: pred(sm, frozenset(map(tuple.__getitem__, chains, vector)))
+
+
+def _spans_processes(sm: StateModel) -> bool:
+    """Decide the detection precondition once.
+
+    Raises NotWidthExtensible when the poset is not width-extensible; False
+    (and a log line) when its width is below the process count, so that no
+    global state spans every process.
     """
     verdict = check_width_extensible(sm.poset)
     if not verdict.ok:
@@ -309,11 +471,150 @@ def detect_width_predicate(
             w,
             sm.n,
         )
+        return False
+    return True
+
+
+def satisfying_frontiers(
+    sm: StateModel,
+    pred: PredicateLike,
+    warnings: list | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """:func:`detect_width_predicate` as frontier vectors of ``sm.chains``.
+
+    Each global state costs one compiled evaluation on a vector read off the
+    cut enumeration by one popcount per process; no state names are built.
+    """
+    test = compile_predicate(sm, pred)
+    if not _spans_processes(sm):
         return
     sink = warnings if warnings is not None else []
-    for antichain in enumerate_width_antichains(sm):
-        if _evaluate(sm, pred, antichain, sink):
-            yield antichain
+
+    def warn(msg: str) -> None:
+        sink.append(msg)
+        log.warning(msg)
+
+    for vector in frontier_vectors(sm):
+        if test(vector, warn):
+            yield vector
+
+
+def detect_width_predicate(
+    sm: StateModel,
+    pred: PredicateLike,
+    warnings: list | None = None,
+) -> Iterator[frozenset[str]]:
+    """Yield the maximum antichains of *sm* on which the predicate holds.
+
+    The model's poset must be width-extensible.  When the poset width is
+    smaller than the process count no global state spans every process, so
+    the stream is empty.  Count mode is ``sum(1 for ...)`` over the stream;
+    :func:`first_width_predicate` gives its first item.  A clause naming a
+    process the model lacks raises PredicateError before any enumeration.
+    """
+    for vector in satisfying_frontiers(sm, pred, warnings):
+        yield frozenset(map(tuple.__getitem__, sm.chains, vector))
+
+
+def _conjuncts(pred: PredicateLike) -> list[_LocalClause] | None:
+    """The clauses of an ``and`` (nested or not) of per-process clauses."""
+    if isinstance(pred, _LocalClause):
+        return [pred]
+    if not isinstance(pred, And):
+        return None
+    out: list[_LocalClause] = []
+    for arg in pred.args:
+        sub = _conjuncts(arg)
+        if sub is None:
+            return None
+        out += sub
+    return out
+
+
+def _admissible_states(sm: StateModel, pred: PredicateLike) -> list[list[bool]] | None:
+    """Per process and state, whether every clause on that process holds.
+
+    None unless the predicate is conjunctive and no state can warn: then
+    its verdict on a global state is the conjunction of these flags, and no
+    evaluation has a side effect.
+    """
+    clauses = _conjuncts(pred)
+    if clauses is None:
+        return None
+    admissible = [[True] * len(chain) for chain in sm.chains]
+    for clause in clauses:
+        col = clause.column(sm)
+        if any(msgs for _, msgs in col):
+            return None
+        row = admissible[clause.proc - 1]
+        for k, (truth, _) in enumerate(col):
+            if not truth:
+                row[k] = False
+    return admissible
+
+
+def _least_frontier(
+    sm: StateModel, admissible: list[list[bool]]
+) -> tuple[int, ...] | None:
+    """Garg & Waldecker's conjunctive-predicate detection on chain clocks.
+
+    Starts every process at its first admissible state.  While some state
+    ``[i, g_i]`` lies below ``[j, g_j]``, no satisfying global state at or
+    above the current one keeps ``[i, g_i]`` or anything else on chain ``i``
+    below ``[j, g_j]``, so ``g_i`` moves to the first admissible state past
+    ``down[j][g_j][i]``.  It ends with the least frontier whose states are
+    admissible and pairwise concurrent, or None when a chain runs out: each
+    state is passed at most once, O(states x n^2) steps.
+    """
+    clocks = chain_clocks(sm.poset, sm.chains)
+    below = [[clocks[s][0] for s in chain] for chain in sm.chains]
+    tops = [len(chain) for chain in sm.chains]
+    # first[i][k]: the first admissible position >= k on chain i (tops[i]: none)
+    first = []
+    for row, top in zip(admissible, tops):
+        col = [top] * (top + 1)
+        for k in range(top - 1, -1, -1):
+            col[k] = k if row[k] else col[k + 1]
+        first.append(col)
+    g = [col[0] for col in first]
+    if any(x == top for x, top in zip(g, tops)):
+        return None
+    moved = True
+    while moved:
+        moved = False
+        for j, down in enumerate(below):
+            d = down[g[j]]
+            for i, x in enumerate(g):
+                if x <= d[i]:
+                    g[i] = first[i][d[i] + 1]
+                    if g[i] == tops[i]:
+                        return None
+                    moved = True
+    return tuple(g)
+
+
+def first_width_predicate(
+    sm: StateModel,
+    pred: PredicateLike,
+    warnings: list | None = None,
+) -> frozenset[str] | None:
+    """The first antichain :func:`detect_width_predicate` yields, or None.
+
+    A predicate that is an ``and`` of ``attr``/``index`` clauses, none of
+    which can warn on any state, holds on a meet-closed family of global
+    states; its least member is a subset, as a cut, of every other one, so
+    it comes first in the enumeration, and :func:`_least_frontier` finds it
+    without enumerating.  Any other predicate takes the enumeration.
+    """
+    admissible = _admissible_states(sm, pred)
+    if admissible is None:
+        return next(detect_width_predicate(sm, pred, warnings), None)
+    if not _spans_processes(sm):
+        return None
+    least = _least_frontier(sm, admissible)
+    if least is None:
+        return None
+    return frozenset(map(tuple.__getitem__, sm.chains, least))
 
 
 @dataclass(frozen=True)
@@ -350,12 +651,16 @@ def induced_checkpoint_model(sm: StateModel, marking: CheckpointMarking) -> Stat
         for i, idxs in enumerate(marking.marks, start=1)
     ]
     kept = [s for chain in chains for s in chain]
-    kept_set = set(kept)
-    pairs = [
-        (a, b)
-        for a, b in sm.poset.closure_pairs()
-        if a in kept_set and b in kept_set
-    ]
+    # One pair per kept state and chain: to the lowest kept state above it
+    # there, found from the state's chain clock.  The kept states above it on
+    # that chain follow by chain pairs, so the closure is the inherited order.
+    clocks = chain_clocks(sm.poset, sm.chains)
+    pairs = []
+    for s in kept:
+        for idxs, chain, up in zip(marking.marks, chains, clocks[s][1]):
+            r = bisect_left(idxs, up)
+            if r < len(idxs):
+                pairs.append((s, chain[r]))
     poset = build_poset(kept, pairs)
     attrs = {s: sm.attrs[s] for s in kept if s in sm.attrs}
     return build_state_model(poset, chains, attrs)

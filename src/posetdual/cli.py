@@ -11,24 +11,39 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from . import analysis, lattice, statemodel, traces, transforms
 from .errors import (
     ConfigError,
     GuardExceeded,
-    ModelError,
-    NotWidthExtensible,
     PosetDualError,
+    PredicateError,
     SchemaError,
+    UsageError,
 )
-from .poset import Poset, oracle_bound
-from .statemodel import StateModel
+from .poset import bitset_decoder, oracle_bound
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2
 EXIT_PARSE = 3
 EXIT_USAGE = 4
 EXIT_GUARD = 5
+
+# The error boundary of main: the first class an error is an instance of
+# gives its exit code and stderr prefix.  Any other PosetDualError is a
+# semantic failure, reported as a JSON diagnostic on stdout with exit 2.
+_EXITS = (
+    (SchemaError, EXIT_PARSE, "parse error"),
+    (PredicateError, EXIT_PARSE, "parse error"),
+    (UsageError, EXIT_USAGE, "error"),
+    (ConfigError, EXIT_USAGE, "error"),
+    (GuardExceeded, EXIT_GUARD, "guard"),
+)
+
+# Cut lines go to stdout in chunks of this many: one write per chunk, and a
+# chunk stays a few tens of kB however many cuts there are.
+_CHUNK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,19 +69,13 @@ def _diagnostic(exc: PosetDualError) -> dict:
     return info
 
 
-def _load(path: str):
-    return traces.load_trace(path)
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
 
 
 def cmd_validate(args) -> int:
-    try:
-        kind, model = _load(args.path)
-    except SchemaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PosetDualError as exc:
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
+    kind, model = traces.load_trace(args.path)
     summary: dict = {"ok": True, "kind": kind}
     if kind == "event":
         summary["events"] = len(model.poset.elements)
@@ -82,21 +91,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    try:
-        kind, model = _load(args.path)
-    except SchemaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PosetDualError as exc:
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
+    kind, model = traces.load_trace(args.path)
     want = "event" if args.direction == "es" else "state"
-    if kind != want:
-        print(
-            f"error: --direction {args.direction} needs a {want} trace, got {kind}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    _need(kind == want, f"--direction {args.direction} needs a {want} trace, got {kind}")
     if args.direction == "es":
         out = traces.state_to_json(transforms.es_transform(model))
     else:
@@ -109,125 +106,85 @@ def cmd_transform(args) -> int:
         try:
             traces.write_trace(args.output, out)
         except OSError as exc:
-            print(
-                f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr
-            )
-            return EXIT_USAGE
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         _emit(out)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        kind, model = _load(args.path)
-    except SchemaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PosetDualError as exc:
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
-    if kind != "state":
-        print(f"error: check needs a state trace, got {kind}", file=sys.stderr)
-        return EXIT_USAGE
+    kind, model = traces.load_trace(args.path)
+    _need(kind == "state", f"check needs a state trace, got {kind}")
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
-    try:
-        report = statemodel.run_property_checks(model, props)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PosetDualError as exc:  # e.g. enumeration fallback over the bound
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
-    _emit(report.as_json())
+    unknown = sorted(set(props) - set(statemodel.PROPERTIES))
+    _need(not unknown, f"unknown properties {unknown}")
+    _emit(statemodel.run_property_checks(model, props).as_json())
     return EXIT_OK
 
 
-def cmd_cuts(args) -> int:
-    if args.max_cuts < 0:
-        print(
-            f"error: --max-cuts must be non-negative, got {args.max_cuts}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        kind, model = _load(args.path)
-    except SchemaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PosetDualError as exc:
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
+def _cut_line(members: str) -> str:
+    return '{"cut": [' + members + "]}\n"
 
+
+def _downset_lines(poset) -> Iterator[str]:
+    """One ``cuts`` line per downset, from a table of JSON-encoded names."""
+    members = bitset_decoder([json.dumps(e) for e in poset.elements], ", ".join)
+    for mask in lattice.downset_masks(poset):
+        yield _cut_line(", ".join(members(mask)))
+
+
+def _antichain_lines(target) -> Iterator[str]:
+    """One ``cuts`` line per maximum antichain, from its frontier vector."""
+    sm, vectors = lattice.width_frontiers(target)
+    names = sm.poset.elements  # sorted, so sorting indices sorts the names
+    encoded = [json.dumps(s) for s in names]
+    columns = [[sm.poset.index(s) for s in chain] for chain in sm.chains]
+    for vector in vectors:
+        chosen = sorted([col[k] for col, k in zip(columns, vector)])
+        yield _cut_line(", ".join([encoded[j] for j in chosen]))
+
+
+def cmd_cuts(args) -> int:
+    _need(args.max_cuts >= 0, f"--max-cuts must be non-negative, got {args.max_cuts}")
+    kind, model = traces.load_trace(args.path)
     if args.family == "downsets":
-        if kind == "event":
-            stream = lattice.enumerate_event_cuts(model)
-        elif kind == "poset":
-            stream = lattice.enumerate_downsets(model[0])
-        else:
-            print("error: downsets need an event or poset trace", file=sys.stderr)
-            return EXIT_USAGE
+        _need(kind in ("event", "poset"), "downsets need an event or poset trace")
+        lines = _downset_lines(model.poset if kind == "event" else model[0])
     else:
-        if kind == "state":
-            target: StateModel | Poset = model
-        elif kind == "poset":
-            target = model[0]
-        else:
-            print("error: antichains need a state or poset trace", file=sys.stderr)
-            return EXIT_USAGE
-        stream = lattice.enumerate_width_antichains(target)
+        _need(kind in ("state", "poset"), "antichains need a state or poset trace")
+        lines = _antichain_lines(model if kind == "state" else model[0])
 
     count = 0
+    chunk: list[str] = []
     try:
-        for cut in stream:
+        for line in lines:
             if count >= args.max_cuts:
                 raise GuardExceeded(f"more than {args.max_cuts} cuts")
-            sys.stdout.write(
-                json.dumps({"cut": sorted(cut)}, sort_keys=True) + "\n"
-            )
+            chunk.append(line)
             count += 1
-    except GuardExceeded as exc:
-        print(f"guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except PosetDualError as exc:  # lazy streams fail on first pull
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
+            if len(chunk) == _CHUNK:
+                sys.stdout.write("".join(chunk))
+                chunk.clear()
+    finally:  # the lines before a guard or an error are still written
+        sys.stdout.write("".join(chunk))
     sys.stdout.write(json.dumps({"count": count}, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_analyze_predicate(args) -> int:
-    try:
-        kind, model = _load(args.model)
-        expr = traces.load_predicate_data(args.pred)
-    except SchemaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PosetDualError as exc:
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
-    if kind != "state":
-        print("error: predicate detection needs a state trace", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        pred = analysis.predicate_from_json(expr)
-    except ModelError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    kind, model = traces.load_trace(args.model)
+    expr = traces.load_predicate_data(args.pred)
+    _need(kind == "state", "predicate detection needs a state trace")
+    pred = analysis.predicate_from_json(expr)
     warnings: list = []
-    try:
-        stream = analysis.detect_width_predicate(model, pred, warnings)
-        if args.first:
-            found = next(stream, None)
-            out = {"found": sorted(found) if found is not None else None}
-        elif args.count:
-            out = {"count": sum(1 for _ in stream)}
-        else:
-            cuts = [sorted(c) for c in stream]
-            out = {"cuts": cuts, "count": len(cuts)}
-    except NotWidthExtensible as exc:
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
+    if args.first:
+        found = analysis.first_width_predicate(model, pred, warnings)
+        out = {"found": sorted(found) if found is not None else None}
+    elif args.count:
+        out = {"count": sum(1 for _ in analysis.satisfying_frontiers(model, pred, warnings))}
+    else:
+        cuts = [sorted(c) for c in analysis.detect_width_predicate(model, pred, warnings)]
+        out = {"cuts": cuts, "count": len(cuts)}
     if warnings:
         out["warnings"] = sorted(set(warnings))
     _emit(out)
@@ -235,24 +192,11 @@ def cmd_analyze_predicate(args) -> int:
 
 
 def cmd_analyze_checkpoints(args) -> int:
-    try:
-        kind, model = _load(args.model)
-        marks = traces.load_marks(args.marks)
-    except SchemaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PosetDualError as exc:
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
-    if kind != "state":
-        print("error: checkpoint analysis needs a state trace", file=sys.stderr)
-        return EXIT_USAGE
+    kind, model = traces.load_trace(args.model)
+    marks = traces.load_marks(args.marks)
+    _need(kind == "state", "checkpoint analysis needs a state trace")
     marking = analysis.CheckpointMarking(tuple(tuple(m) for m in marks))
-    try:
-        report = analysis.find_useless_checkpoints(model, marking, engine=args.engine)
-    except PosetDualError as exc:
-        _emit({"ok": False, "error": _diagnostic(exc)})
-        return EXIT_SEMANTIC
+    report = analysis.find_useless_checkpoints(model, marking, engine=args.engine)
     _emit(report.as_json())
     return EXIT_OK
 
@@ -275,8 +219,8 @@ def build_parser() -> _Parser:
     p.add_argument("path")
     p.add_argument(
         "--properties",
-        default="omega1,omega2,omega3,psi,we,ic",
-        help="comma-separated subset of omega1,omega2,omega3,psi,we,ic",
+        default=",".join(statemodel.PROPERTIES),
+        help="comma-separated subset of " + ",".join(statemodel.PROPERTIES),
     )
     p.set_defaults(func=cmd_check)
 
@@ -311,10 +255,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         oracle_bound()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return args.func(args)
+        return args.func(args)
+    except PosetDualError as exc:
+        for cls, code, prefix in _EXITS:
+            if isinstance(exc, cls):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        _emit({"ok": False, "error": _diagnostic(exc)})
+        return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

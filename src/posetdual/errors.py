@@ -27,6 +27,10 @@ class ModelError(PosetDualError):
     """A model failed structural validation."""
 
 
+class PredicateError(ModelError):
+    """A predicate is malformed, or names a process the model does not have."""
+
+
 class NotTotallyOrdered(ModelError):
     """Two elements assigned to the same process/chain are concurrent."""
 
@@ -90,3 +94,8 @@ class ConfigError(PosetDualError):
 
 class SchemaError(PosetDualError):
     """A trace file does not conform to its declared schema."""
+
+
+class UsageError(PosetDualError):
+    """A command cannot run as asked: wrong trace kind, bad option value,
+    unknown property name or unwritable output."""

@@ -4,14 +4,20 @@ Cut enumeration walks a binary include/exclude tree over a fixed linear
 extension of the event poset: at each step the smallest undecided event is
 either added to the cut (its predecessors are already in) or excluded
 together with everything above it.  Every leaf is a distinct downset, both
-branches of every interior node are productive, and the delay between
+branches of every interior node are productive, and each step is a few
+bitset operations of O(events / word size), so the delay between
 consecutive cuts is linear in the event count, comfortably inside the
-quadratic per-cut budget the enumeration contract allows.
+quadratic per-cut budget the enumeration contract allows.  The walk carries
+the cut as a bitset over the poset's sorted-id index (:func:`downset_masks`);
+names are built only at the edge, a byte of the bitset at a time.
 
 Maximum antichains of a state model are enumerated through the duality:
-convert to the event side, enumerate consistent cuts there, and map each cut
-back through the frontier bijection.  The family of cuts can be exponential
-in the model size, so the CLI guards enumeration with an explicit cap.
+convert to the event side, enumerate consistent cuts there, and read each
+cut's frontier, one state index per process, as one popcount of the cut
+against each process's events (:func:`frontier_vectors`): O(n) popcounts
+per antichain and no per-cut set of event or state names.  The family of
+cuts can be exponential in the model size, so the CLI guards enumeration
+with an explicit cap.
 
 Streams are lazy and single-consumer; separate enumerations may run in
 parallel.  Materialized lattices are immutable.
@@ -20,6 +26,7 @@ parallel.  Materialized lattices are immutable.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -31,7 +38,7 @@ from .errors import (
     UnknownElement,
 )
 from .eventmodel import EventModel, is_consistent_cut, require_consistent_cut
-from .poset import Poset, minimum_chain_partition, width
+from .poset import Poset, _bits, bitset_decoder, minimum_chain_partition, width
 from .statemodel import (
     StateModel,
     check_width_extensible,
@@ -40,16 +47,16 @@ from .statemodel import (
 from .transforms import se_transform
 
 
-def linear_extension(p: Poset) -> tuple[str, ...]:
-    """A topological order of the poset, lexicographically tie-broken."""
+def _linear_extension(p: Poset) -> list[int]:
+    """Element indices in topological order, the lowest index first on ties."""
     n = len(p.elements)
     indeg = [p._down[i].bit_count() for i in range(n)]
     ready = [i for i in range(n) if indeg[i] == 0]
     heapq.heapify(ready)
-    order: list[str] = []
+    order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
-        order.append(p.elements[v])
+        order.append(v)
         mask = p._up[v]
         while mask:
             low = mask & -mask
@@ -58,7 +65,44 @@ def linear_extension(p: Poset) -> tuple[str, ...]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    return tuple(order)
+    return order
+
+
+def linear_extension(p: Poset) -> tuple[str, ...]:
+    """A topological order of the poset, lexicographically tie-broken."""
+    return tuple(p.elements[v] for v in _linear_extension(p))
+
+
+def downset_masks(p: Poset) -> Iterator[int]:
+    """Every downset of the poset exactly once, as a bitset over ``p.elements``.
+
+    Bit ``i`` stands for ``p.elements[i]``, so the set bits, lowest first,
+    list the downset in sorted-id order.  The order of the stream is that of
+    :func:`enumerate_downsets`: the empty downset first, the full one last.
+    """
+    order = _linear_extension(p)
+    pos = [0] * len(order)
+    for q, v in enumerate(order):
+        pos[v] = q
+    # Per position q: the positions of everything outside order[q] and its
+    # up-set, and the element bit that including order[q] sets.
+    keep = []
+    for v in order:
+        above = 1 << pos[v]
+        for w in _bits(p._up[v]):
+            above |= 1 << pos[w]
+        keep.append(~above)
+    bit = [1 << v for v in order]
+
+    stack: list[tuple[int, int]] = [((1 << len(order)) - 1, 0)]
+    while stack:
+        avail, included = stack.pop()
+        while avail:
+            low = avail & -avail
+            q = low.bit_length() - 1
+            stack.append((avail ^ low, included | bit[q]))  # include, explored later
+            avail &= keep[q]  # exclude it and everything above it, explored first
+        yield included
 
 
 def enumerate_downsets(p: Poset) -> Iterator[frozenset[str]]:
@@ -66,33 +110,9 @@ def enumerate_downsets(p: Poset) -> Iterator[frozenset[str]]:
 
     The empty cut comes first and the full cut last.
     """
-    order = linear_extension(p)
-    n = len(order)
-    pos = {e: q for q, e in enumerate(order)}
-    # up_with_self in linear-extension coordinates
-    up = []
-    for e in order:
-        mask = 1 << pos[e]
-        m = p.up_mask(e)
-        while m:
-            low = m & -m
-            mask |= 1 << pos[p.elements[low.bit_length() - 1]]
-            m ^= low
-        up.append(mask)
-
-    full = (1 << n) - 1
-    stack: list[tuple[int, int]] = [(full, 0)]
-    while stack:
-        avail, included = stack.pop()
-        if not avail:
-            yield frozenset(
-                order[q] for q in range(n) if included >> q & 1
-            )
-            continue
-        low = avail & -avail
-        q = low.bit_length() - 1
-        stack.append((avail & ~low, included | low))  # include, explored later
-        stack.append((avail & ~up[q], included))  # exclude, explored first
+    members = bitset_decoder(p.elements, tuple)
+    for mask in downset_masks(p):
+        yield frozenset(itertools.chain.from_iterable(members(mask)))
 
 
 def enumerate_event_cuts(m: EventModel) -> Iterator[frozenset[str]]:
@@ -170,6 +190,48 @@ def _working_chains(target: StateModel | Poset) -> StateModel:
     return StateModel(poset=poset, chains=minimum_chain_partition(poset).chains)
 
 
+def frontier_vectors(sm: StateModel) -> Iterator[tuple[int, ...]]:
+    """The maximum antichains of *sm* as frontier vectors, lazily.
+
+    Entry ``i`` of a vector is the position of the antichain's state on
+    ``sm.chains[i]``.  The poset must be width-extensible and have as many
+    chains as its width; neither is checked here.  The vectors come in the
+    order of the consistent cuts of the reverse transform: each is the
+    popcount of the cut's bitset against one process's events.
+    """
+    if not sm.poset.elements:
+        yield ()
+        return
+    outcome = se_transform(sm)
+    if not outcome.ok:  # unreachable for width-extensible input
+        raise InvalidStateModel(outcome.report)
+    m = outcome.event_model
+    masks = [m.poset.set_to_mask(events) for events in m.proc_events]
+    for cut in downset_masks(m.poset):
+        yield tuple([(cut & mask).bit_count() for mask in masks])
+
+
+def width_frontiers(
+    target: StateModel | Poset,
+) -> tuple[StateModel, Iterator[tuple[int, ...]]]:
+    """All maximum antichains of a width-extensible poset, as frontier vectors.
+
+    Returns the chain-partitioned view whose chains the vectors index (the
+    target itself when its chain count is the poset width, else a minimum
+    chain partition) and the lazy stream of :func:`frontier_vectors`, in
+    the order of :func:`enumerate_width_antichains`.
+
+    Raises:
+        NotWidthExtensible: the input fails the precondition (with witness).
+    """
+    poset = target.poset if isinstance(target, StateModel) else target
+    verdict = check_width_extensible(poset)
+    if not verdict.ok:
+        raise NotWidthExtensible(verdict.witness)
+    sm = _working_chains(target)
+    return sm, frontier_vectors(sm)
+
+
 def enumerate_width_antichains(
     target: StateModel | Poset,
 ) -> Iterator[frozenset[str]]:
@@ -184,21 +246,9 @@ def enumerate_width_antichains(
     Raises:
         NotWidthExtensible: the input fails the precondition (with witness).
     """
-    poset = target.poset if isinstance(target, StateModel) else target
-    verdict = check_width_extensible(poset)
-    if not verdict.ok:
-        raise NotWidthExtensible(verdict.witness)
-    if not poset.elements:
-        yield frozenset()
-        return
-    sm = _working_chains(target)
-    outcome = se_transform(sm)
-    if not outcome.ok:  # unreachable for width-extensible input
-        raise InvalidStateModel(outcome.report)
-    m = outcome.event_model
-    for cut in enumerate_event_cuts(m):
-        tops = _frontier(m, cut)
-        yield frozenset(sm.state_at(i + 1, k) for i, k in enumerate(tops))
+    sm, vectors = width_frontiers(target)
+    for vector in vectors:
+        yield frozenset(map(tuple.__getitem__, sm.chains, vector))
 
 
 def lattice_meet_join(

@@ -445,12 +445,16 @@ class PropertyReport:
         return {k: v.as_json() for k, v in names.items() if v is not None}
 
 
+#: The property names :func:`run_property_checks` accepts, in report order.
+PROPERTIES = ("omega1", "omega2", "omega3", "psi", "we", "ic")
+
+
 def run_property_checks(
     sm: StateModel, properties: Iterable[str], *, bound: int | None = None
 ) -> PropertyReport:
     """Run the requested subset of {omega1,omega2,omega3,psi,we,ic}."""
     wanted = list(properties)
-    unknown = sorted(set(wanted) - {"omega1", "omega2", "omega3", "psi", "we", "ic"})
+    unknown = sorted(set(wanted) - set(PROPERTIES))
     if unknown:
         raise ModelError(f"unknown properties {unknown}")
     kw: dict[str, Verdict] = {}

@@ -87,13 +87,15 @@ def _element_list(data: Mapping[str, Any]) -> list[str]:
     return elements
 
 
+def _chain_lists(value: Any) -> list[list[str]]:
+    _require(isinstance(value, list), "'chains' must be a list")
+    return [_string_list(c, "chain") for c in value]
+
+
 def parse_poset(data: Mapping[str, Any]) -> tuple[Poset, list[list[str]] | None]:
     elements = _element_list(data)
     relations = _pair_list(data.get("relations", []), "'relations'")
-    chains = None
-    if "chains" in data:
-        _require(isinstance(data["chains"], list), "'chains' must be a list")
-        chains = [_string_list(c, "chain") for c in data["chains"]]
+    chains = _chain_lists(data["chains"]) if "chains" in data else None
     return build_poset(elements, relations), chains
 
 
@@ -101,7 +103,7 @@ def parse_state(data: Mapping[str, Any]) -> StateModel:
     _require("chains" in data, "state traces require 'chains'")
     elements = _element_list(data)
     relations = _pair_list(data.get("relations", []), "'relations'")
-    chains = [_string_list(c, "chain") for c in data["chains"]]
+    chains = _chain_lists(data["chains"])
     for chain in chains:
         relations.extend(zip(chain, chain[1:]))
     attrs = data.get("attrs", {})

@@ -104,6 +104,16 @@ def test_duplicate_element_ids_rejected(tmp_path, kind):
         load_trace(bad)
 
 
+@pytest.mark.parametrize("kind", ["poset", "state"])
+@pytest.mark.parametrize("chains", [5, None, "ab"])
+def test_chains_must_be_a_list_of_lists(tmp_path, kind, chains):
+    bad = tmp_path / "chains.json"
+    data = {"kind": kind, "version": 1, "elements": ["a", "b"], "chains": chains}
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        load_trace(bad)
+
+
 def _event_trace(n=1, proc=1, idx=1):
     return {
         "kind": "event", "version": 1, "n": n,
@@ -395,3 +405,30 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, fixtures_dir):
     )
     assert code == 4 and out == "" and not target.exists()
     assert err.count("\n") == 1 and str(target) in err
+
+
+@pytest.mark.parametrize("mode", ["--first", "--count", None])
+@pytest.mark.parametrize(
+    "expr",
+    [
+        {"op": "attr", "proc": 99, "attr": "x", "cmp": "==", "value": 1},
+        {"op": "and", "args": [
+            {"op": "index", "proc": 1, "cmp": ">=", "value": 0},
+            {"op": "index", "proc": 99, "cmp": "==", "value": 0},
+        ]},
+    ],
+    ids=["attr", "index"],
+)
+def test_predicate_process_out_of_range_is_a_parse_error(
+    capsys, tmp_path, fixtures_dir, expr, mode
+):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"kind": "predicate", "version": 1, "expr": expr}))
+    argv = [
+        "analyze", "predicate",
+        "--model", str(fixtures_dir / "message_pair_state.json"), "--pred", str(pred),
+    ]
+    code, out, err = run_cli(capsys, *argv, *([mode] if mode else []))
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "process 99" in err and "Traceback" not in err
