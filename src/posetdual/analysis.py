@@ -49,20 +49,17 @@ from .errors import (
 # enumerate_width_antichains is not called here any more; the name stays bound
 # in this module because perfbench/tracing.py wraps it by this binding.
 from .lattice import enumerate_width_antichains, frontier_vectors  # noqa: F401
-from .poset import (
-    Comparability,
-    build_poset,
-    chain_clocks,
-    comparable,
-    oracle_bound,
-    width,
-)
-from .statemodel import (
+from .poset import Comparability, build_poset, comparable, oracle_bound, width
+
+# check_width_extensible is only called through decide_width_extensible; the
+# name stays bound here because perfbench/tracing.py wraps it by this binding.
+from .statemodel import (  # noqa: F401
     StateModel,
     build_state_model,
     check_omega1,
     check_omega2,
     check_width_extensible,
+    decide_width_extensible,
 )
 from .transforms import strongly_connected_components, transition_graph
 
@@ -459,11 +456,14 @@ def _spans_processes(sm: StateModel) -> bool:
 
     Raises NotWidthExtensible when the poset is not width-extensible; False
     (and a log line) when its width is below the process count, so that no
-    global state spans every process.
+    global state spans every process.  The width is only computed when the
+    initial states are not concurrent, since concurrent ones span it.
     """
-    verdict = check_width_extensible(sm.poset)
+    verdict, minimal = decide_width_extensible(sm)
     if not verdict.ok:
         raise NotWidthExtensible(verdict.witness)
+    if minimal:
+        return True
     w, _ = width(sm.poset)
     if sm.poset.elements and w != sm.n:
         log.info(
@@ -566,7 +566,7 @@ def _least_frontier(
     admissible and pairwise concurrent, or None when a chain runs out: each
     state is passed at most once, O(states x n^2) steps.
     """
-    clocks = chain_clocks(sm.poset, sm.chains)
+    clocks = sm.clocks()
     below = [[clocks[s][0] for s in chain] for chain in sm.chains]
     tops = [len(chain) for chain in sm.chains]
     # first[i][k]: the first admissible position >= k on chain i (tops[i]: none)
@@ -654,7 +654,7 @@ def induced_checkpoint_model(sm: StateModel, marking: CheckpointMarking) -> Stat
     # One pair per kept state and chain: to the lowest kept state above it
     # there, found from the state's chain clock.  The kept states above it on
     # that chain follow by chain pairs, so the closure is the inherited order.
-    clocks = chain_clocks(sm.poset, sm.chains)
+    clocks = sm.clocks()
     pairs = []
     for s in kept:
         for idxs, chain, up in zip(marking.marks, chains, clocks[s][1]):

@@ -42,6 +42,7 @@ from .poset import Poset, _bits, bitset_decoder, minimum_chain_partition, width
 from .statemodel import (
     StateModel,
     check_width_extensible,
+    decide_width_extensible,
     require_width_antichain,
 )
 from .transforms import se_transform
@@ -179,10 +180,10 @@ def antichain_to_cut(m: EventModel, antichain: Iterable[str]) -> frozenset[str]:
     return cut
 
 
-def _working_chains(target: StateModel | Poset) -> StateModel:
+def _working_chains(target: StateModel | Poset, minimal: bool) -> StateModel:
+    """*target* when its chains are a minimum chain partition, else one."""
     if isinstance(target, StateModel):
-        w, _ = width(target.poset)
-        if target.n == w:
+        if minimal or target.n == width(target.poset)[0]:
             return target
         poset = target.poset
     else:
@@ -219,16 +220,20 @@ def width_frontiers(
     Returns the chain-partitioned view whose chains the vectors index (the
     target itself when its chain count is the poset width, else a minimum
     chain partition) and the lazy stream of :func:`frontier_vectors`, in
-    the order of :func:`enumerate_width_antichains`.
+    the order of :func:`enumerate_width_antichains`.  A state model whose
+    initial states are concurrent is decided on its own chains, with no
+    chain matching (:func:`~posetdual.statemodel.decide_width_extensible`).
 
     Raises:
         NotWidthExtensible: the input fails the precondition (with witness).
     """
-    poset = target.poset if isinstance(target, StateModel) else target
-    verdict = check_width_extensible(poset)
+    if isinstance(target, StateModel):
+        verdict, minimal = decide_width_extensible(target)
+    else:
+        verdict, minimal = check_width_extensible(target), False
     if not verdict.ok:
         raise NotWidthExtensible(verdict.witness)
-    sm = _working_chains(target)
+    sm = _working_chains(target, minimal)
     return sm, frontier_vectors(sm)
 
 

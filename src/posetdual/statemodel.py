@@ -15,13 +15,22 @@ all:
 * interleaving-consistency: every non-top maximum antichain has a successor
   maximum antichain differing in exactly one state.
 
-The chain-structured checks read one table of the order,
-:func:`~posetdual.poset.chain_clocks`: per state and chain, the highest
-position below the state and the lowest above it.  With ``n`` chains,
-``omega3`` costs O(states x n^2), ``psi`` O(states x n), and
-width-extensibility O(states x n) bitset operations on top of the minimum
-chain partition.  :func:`run_property_checks` decides width-extensibility
-once when both it and interleaving-consistency are asked for.
+The chain-structured checks read one table of the order, the model's
+:func:`~posetdual.poset.chain_clocks` (:meth:`StateModel.clocks`, computed
+once per model): per state and chain, the highest position below the state
+and the lowest above it.  With ``n`` chains, ``omega3``, ``psi`` and
+width-extensibility each cost O(states x n) bitset operations.
+
+Width-extensibility and interleaving-consistency are defined against a
+minimum chain partition, which :func:`check_width_extensible` finds with
+Kuhn's matching, O(states^2) search steps in the worst case.  A model whose
+initial states are pairwise concurrent (``omega1``) needs none: its own
+chains are already a minimum partition (:func:`decide_width_extensible`).
+Both verdicts are the same on any minimum partition, but a failure's witness
+names the partition's chains, so only a failing width-extensibility or
+interleaving-consistency verdict is decided again on Kuhn's partition.
+:func:`run_property_checks` decides width-extensibility once when both it
+and interleaving-consistency are asked for.
 
 All checks are pure functions over immutable models and safe to call from
 multiple threads.
@@ -90,6 +99,17 @@ class StateModel:
 
     def partition(self) -> ChainPartition:
         return ChainPartition(self.chains)
+
+    def clocks(self) -> dict[str, tuple[list[int], list[int]]]:
+        """The poset's :func:`~posetdual.poset.chain_clocks` against ``chains``.
+
+        Computed on first use and kept, like the coordinates.
+        """
+        cache = getattr(self, "_clocks_cache", None)
+        if cache is None:
+            cache = chain_clocks(self.poset, self.chains)
+            object.__setattr__(self, "_clocks_cache", cache)
+        return cache
 
 
 def build_state_model(
@@ -178,40 +198,65 @@ def check_omega3(sm: StateModel) -> Verdict:
 
     For all chains ``i != j`` and ``j != k`` (``i == k`` allowed):
     ``[i,s] < [j,t]`` and ``[j,t-1] < [k,u]`` imply ``[i,s] < [k,u]``.
-    The premise only weakens as ``s`` falls or ``u`` rises, so per ``(j,t)``
-    it suffices to test the highest ``[i,s]`` below ``[j,t]`` against the
-    lowest ``[k,u]`` above ``[j,t-1]``, both read off the chain clocks:
-    O(states x chains^2).  The witness is the first failing ``(i,s,k,u)`` in
-    lexicographic order.
+    The conclusion only weakens as ``u`` rises, so per ``(j,t)`` it suffices
+    to take, on each chain ``k``, the lowest ``[k,u]`` above ``[j,t-1]``
+    (its chain clock), and to ask that the down-set of ``[j,t]`` lie inside
+    the down-set of each: O(states x chains) bitset operations.  (Its
+    states on chain ``j`` are at most ``[j,t-1]`` and pass; on chain ``j``
+    the lowest state is ``[j,t]`` itself.)  Only the first failing
+    ``(j,t)`` is scanned state by state, for the witness: the first failing
+    ``(i,s,k,u)`` in lexicographic order.
     """
-    clocks = chain_clocks(sm.poset, sm.chains)
+    clocks = sm.clocks()
     chains = sm.chains
+    p = sm.poset
+    down = [[p.down_mask(s) for s in chain] for chain in chains]
+    for j, chain in enumerate(chains):
+        for t in range(1, len(chain)):
+            below = down[j][t]
+            above = clocks[chain[t - 1]][1]
+            if any(
+                below & ~down[k][u]
+                for k, u in enumerate(above)
+                if u < len(chains[k])
+            ):
+                return _omega3_witness(sm, j, t)
+    return Verdict(True)
+
+
+def _omega3_witness(sm: StateModel, j: int, t: int) -> Verdict:
+    """The failing verdict of ``omega3`` at ``(j,t)``, which must fail.
+
+    The premise only weakens as ``s`` falls, so each ``i`` is first tested
+    at the highest ``[i,s]`` below ``[j,t]``; the failing ``i`` is scanned
+    for its lowest ``s``, and that for its first ``k``.
+    """
+    clocks = sm.clocks()
+    chains = sm.chains
+    chain = chains[j]
 
     def less(i: int, s: int, k: int, u: int) -> bool:
         return s < u if i == k else u >= clocks[chains[i][s]][1][k]
 
-    for j, chain in enumerate(chains):
-        for t in range(1, len(chain)):
-            below = clocks[chain[t]][0]
-            above = clocks[chain[t - 1]][1]
-            ks = [k for k in range(sm.n) if k != j and above[k] < len(chains[k])]
+    below = clocks[chain[t]][0]
+    above = clocks[chain[t - 1]][1]
+    ks = [k for k in range(sm.n) if k != j and above[k] < len(chains[k])]
 
-            def fails(i: int, s: int) -> bool:
-                return not all(less(i, s, k, above[k]) for k in ks)
+    def fails(i: int, s: int) -> bool:
+        return not all(less(i, s, k, above[k]) for k in ks)
 
-            for i in range(sm.n):
-                if i == j or below[i] < 0 or not fails(i, below[i]):
-                    continue
-                s = next(s for s in range(below[i] + 1) if fails(i, s))
-                k = next(k for k in ks if not less(i, s, k, above[k]))
-                u = above[k]
-                return Verdict(
-                    False,
-                    (chains[i][s], chain[t], chains[k][u]),
-                    f"[{i + 1},{s}] < [{j + 1},{t}] and [{j + 1},{t - 1}] < "
-                    f"[{k + 1},{u}] but not [{i + 1},{s}] < [{k + 1},{u}]",
-                )
-    return Verdict(True)
+    i = next(
+        i for i in range(sm.n) if i != j and below[i] >= 0 and fails(i, below[i])
+    )
+    s = next(s for s in range(below[i] + 1) if fails(i, s))
+    k = next(k for k in ks if not less(i, s, k, above[k]))
+    u = above[k]
+    return Verdict(
+        False,
+        (chains[i][s], chain[t], chains[k][u]),
+        f"[{i + 1},{s}] < [{j + 1},{t}] and [{j + 1},{t - 1}] < "
+        f"[{k + 1},{u}] but not [{i + 1},{s}] < [{k + 1},{u}]",
+    )
 
 
 def check_psi(sm: StateModel) -> Verdict:
@@ -221,7 +266,7 @@ def check_psi(sm: StateModel) -> Verdict:
     the chain clock of ``[i,s-1]``; it is the only candidate that can cross,
     since ``[j,t-1] < [i,s]`` holds for a prefix of ``t``: O(states x chains).
     """
-    clocks = chain_clocks(sm.poset, sm.chains)
+    clocks = sm.clocks()
     chains = sm.chains
     for i, j in itertools.permutations(range(sm.n), 2):
         ci, cj = chains[i], chains[j]
@@ -279,26 +324,31 @@ def check_width_extensible(p: Poset) -> Verdict:
     ``s`` on chain ``c`` is ``down[c]+1 .. up[c]-1`` of its chain clock, and
     another element misses it iff it lies below the run's first element or
     above its last, so each element's failing partners are one OR of two
-    bitsets per chain: O(states x chains) bitset operations.  On failure the
-    witness is the offending antichain; among several failures the
-    lexicographically greatest is reported.
+    bitsets per chain: O(states x chains) bitset operations after Kuhn's
+    matching, which finds the partition.  On failure the witness is the
+    offending antichain; among several failures the lexicographically
+    greatest is reported.  :func:`decide_width_extensible` skips the
+    matching for state models whose initial states are concurrent.
     """
     if not p.elements:
         return Verdict(True)
-    cp = minimum_chain_partition(p)
-    clocks = chain_clocks(p, cp.chains)
+    chains = minimum_chain_partition(p).chains
+    return _width_extensible(p, chains, chain_clocks(p, chains))
 
-    # Elements come in sorted order, so the last failure is the greatest.
-    failing_singleton: str | None = None
-    for s in p.elements:
+
+def _width_extensible(
+    p: Poset,
+    chains: tuple[tuple[str, ...], ...],
+    clocks: Mapping[str, tuple[list[int], list[int]]],
+) -> Verdict:
+    """:func:`check_width_extensible` on the minimum chain partition *chains*."""
+    # An element's run on its own chain is the element itself (up - down is
+    # 2), so a singleton fails iff some chain leaves it an empty run.  The
+    # last failure in sorted order is the greatest.
+    for s in reversed(p.elements):
         down, up = clocks[s]
-        own = cp.position(s)[0]
-        if any(up[ci] - down[ci] < 2 for ci in range(cp.n) if ci != own):
-            failing_singleton = s
-    if failing_singleton is not None:
-        return Verdict(
-            False, frozenset({failing_singleton}), "no maximum antichain contains it"
-        )
+        if any(u - d < 2 for d, u in zip(down, up)):
+            return Verdict(False, frozenset({s}), "no maximum antichain contains it")
 
     # Pairs: b misses a's run [lo,hi] on chain c iff b < chain_c[lo] or
     # b > chain_c[hi].  OR those partners over all chains and keep the ones
@@ -306,7 +356,7 @@ def check_width_extensible(p: Poset) -> Verdict:
     # on a's own chain, whose run is a alone, are ordered with a).  The
     # greatest failing pair has the last such a and its last partner.
     els, up, down = p.elements, p._up, p._down
-    ids = [[p.index(e) for e in chain] for chain in cp.chains]
+    ids = [[p.index(e) for e in chain] for chain in chains]
     for a in range(len(els) - 1, -1, -1):
         da, ua = clocks[els[a]]
         failing = 0
@@ -319,6 +369,27 @@ def check_width_extensible(p: Poset) -> Verdict:
                 False, frozenset({els[a], els[b]}), "no maximum antichain contains both"
             )
     return Verdict(True)
+
+
+def decide_width_extensible(sm: StateModel) -> tuple[Verdict, bool]:
+    """Width-extensibility of ``sm.poset``, and whether ``sm.chains`` is a
+    minimum chain partition of it.
+
+    When the initial states are pairwise concurrent (``omega1``) they are an
+    antichain as large as the chain count, so by Dilworth the model's own
+    chains are a minimum partition, and the verdict is decided on them and
+    their cached clocks without Kuhn's matching.  A passing verdict is the
+    same on every minimum partition; a failing one names a witness that
+    depends on the partition, so it is decided again as
+    :func:`check_width_extensible` decides it.  Without ``omega1`` the
+    verdict is :func:`check_width_extensible`'s, and the flag is False.
+    """
+    minimal = check_omega1(sm).ok
+    if minimal:
+        verdict = _width_extensible(sm.poset, sm.chains, sm.clocks())
+        if verdict.ok:
+            return verdict, True
+    return check_width_extensible(sm.poset), minimal
 
 
 def width_extensible_bruteforce(p: Poset, *, bound: int | None = None) -> bool:
@@ -467,9 +538,16 @@ def run_property_checks(
     if "psi" in wanted:
         kw["psi"] = check_psi(sm)
     if "we" in wanted or "ic" in wanted:
-        we = check_width_extensible(sm.poset)
+        we, minimal = decide_width_extensible(sm)
     if "we" in wanted:
         kw["width_extensible"] = we
     if "ic" in wanted:
-        kw["interleaving_consistent"] = _interleaving_consistent(sm.poset, we, bound)
+        # On a minimum chain partition of a width-extensible poset, ic is psi,
+        # whichever the partition; only a failure names the partition's
+        # chains, so only a failure takes Kuhn's partition.
+        if we.ok and minimal and (kw["psi"] if "psi" in kw else check_psi(sm)).ok:
+            ic = Verdict(True)
+        else:
+            ic = _interleaving_consistent(sm.poset, we, bound)
+        kw["interleaving_consistent"] = ic
     return PropertyReport(**kw)

@@ -64,7 +64,7 @@ def es_transform(m: EventModel) -> StateModel:
     return build_state_model(poset, chains)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class OffendingComponent:
     """A strongly connected component that blocks the reverse transform."""
 
@@ -123,7 +123,7 @@ def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]
     ``j`` above ``[i,r-1]`` (its chain clock) upward.  Successor lists are
     sorted.
     """
-    clocks = chain_clocks(sm.poset, sm.chains)
+    clocks = sm.clocks()
     nodes: list[Node] = []
     succ: dict[Node, list[Node]] = {}
     for i, chain in enumerate(sm.chains, start=1):

@@ -221,6 +221,30 @@ def test_transform_se_invalid_reports(capsys, fixtures_dir, goldens_dir):
     assert data["components"][0]["nodes"] == [[1, 1], [1, 2], [2, 1]]
 
 
+def test_transform_se_reports_two_components(capsys, tmp_path):
+    trace = {
+        "kind": "state", "version": 1,
+        "elements": ["1.0", "1.1", "1.2", "2.0", "2.1", "2.2", "2.3",
+                     "3.0", "3.1", "4.0", "4.1", "4.2", "5.0", "5.1"],
+        "relations": [
+            ["1.0", "2.1"], ["1.0", "3.1"], ["1.1", "1.2"], ["2.0", "2.1"],
+            ["2.1", "1.1"], ["2.1", "2.2"], ["2.1", "4.2"], ["2.2", "2.3"],
+            ["2.3", "1.2"], ["3.0", "3.1"], ["4.0", "3.1"], ["4.0", "4.1"],
+            ["4.1", "4.2"], ["4.1", "5.1"], ["5.0", "4.1"],
+        ],
+        "chains": [["1.0", "1.1", "1.2"], ["2.0", "2.1", "2.2", "2.3"],
+                   ["3.0", "3.1"], ["4.0", "4.1", "4.2"], ["5.0", "5.1"]],
+    }
+    path = tmp_path / "two_pinches.json"
+    path.write_text(json.dumps(trace))
+    code, out, err = run_cli(capsys, "transform", str(path), "--direction", "se")
+    assert code == 2 and err == ""
+    assert json.loads(out)["components"] == [
+        {"chain": 2, "nodes": [[1, 1], [2, 1], [2, 2]]},
+        {"chain": 4, "nodes": [[4, 1], [4, 2], [5, 1]]},
+    ]
+
+
 def test_check_goldens(capsys, fixtures_dir, goldens_dir):
     code, out, _ = run_cli(
         capsys, "check", str(fixtures_dir / "triple_pinch_state.json"),

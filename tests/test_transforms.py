@@ -25,6 +25,7 @@ from builders import (
     message_pair_state,
     pinch_state,
     random_asc,
+    random_chain_poset,
     random_event_model,
 )
 
@@ -95,6 +96,32 @@ def test_se_pinch_reports_same_chain_cycle():
     # the tentative graph carries the event cycle
     edges = set(out.temp_edges)
     assert ((1, 2), (2, 1)) in edges and ((2, 1), (1, 1)) in edges
+
+
+def test_se_reports_every_offending_component_in_order():
+    # Half of the models carry a pinch gadget next to the random part, so
+    # reports with two or more offending components are common.
+    rng = random.Random(2014)
+    gadget = pinch_state()
+    several = 0
+    for _ in range(3000):
+        p, chains = random_chain_poset(
+            rng, max_elems=rng.choice([12, 24]), max_chains=rng.choice([4, 8])
+        )
+        elements, pairs = list(p.elements), list(p.covers)
+        if rng.random() < 0.5:
+            elements += [f"g{s}" for s in gadget.poset.elements]
+            pairs += [(f"g{a}", f"g{b}") for a, b in gadget.poset.covers]
+            chains = chains + [[f"g{s}" for s in c] for c in gadget.chains]
+        out = se_transform(build_state_model(build_poset(elements, pairs), chains))
+        if out.ok:
+            continue
+        comps = out.report.components
+        assert [c.nodes for c in comps] == sorted(c.nodes for c in comps)
+        for c in comps:
+            assert sum(i == c.chain for i, _ in c.nodes) >= 2
+        several += len(comps) >= 2
+    assert several >= 20, several
 
 
 def test_se_message_pair_has_no_nontrivial_component():
