@@ -41,7 +41,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .errors import (
     BadMarking,
     ModelError,
-    NotWidthExtensible,
     OracleBoundExceeded,
     PredicateError,
 )
@@ -49,17 +48,18 @@ from .errors import (
 # enumerate_width_antichains is not called here any more; the name stays bound
 # in this module because perfbench/tracing.py wraps it by this binding.
 from .lattice import enumerate_width_antichains, frontier_vectors  # noqa: F401
-from .poset import Comparability, build_poset, comparable, oracle_bound, width
 
-# check_width_extensible is only called through decide_width_extensible; the
-# name stays bound here because perfbench/tracing.py wraps it by this binding.
+# width and check_width_extensible are not called here any more; the names
+# stay bound in this module because perfbench/tracing.py wraps them by these
+# bindings.
+from .poset import Comparability, build_poset, comparable, oracle_bound, width  # noqa: F401
 from .statemodel import (  # noqa: F401
     StateModel,
     build_state_model,
     check_omega1,
     check_omega2,
     check_width_extensible,
-    decide_width_extensible,
+    require_width_extensible,
 )
 from .transforms import strongly_connected_components, transition_graph
 
@@ -366,22 +366,22 @@ def predicate_from_json(data: dict) -> Predicate:
     try:
         if op == "attr":
             return AttrCmp(
-                _check_proc(_int_field(data, "proc")),
-                str(data["attr"]),
+                _check_proc(_field(data, "proc", int)),
+                _field(data, "attr", str),
                 _cmp_name(data["cmp"]),
                 data["value"],
             )
         if op == "index":
             return IndexCmp(
-                _check_proc(_int_field(data, "proc")),
+                _check_proc(_field(data, "proc", int)),
                 _cmp_name(data["cmp"]),
-                _int_field(data, "value"),
+                _field(data, "value", int),
             )
         if op == "agg":
             fn = data["fn"]
             if fn not in ("sum", "count"):
                 raise PredicateError(f"unknown aggregate {fn!r}")
-            return AggCmp(fn, str(data["attr"]), _cmp_name(data["cmp"]), data["value"])
+            return AggCmp(fn, _field(data, "attr", str), _cmp_name(data["cmp"]), data["value"])
         if op == "and":
             return And(_args(data))
         if op == "or":
@@ -389,7 +389,7 @@ def predicate_from_json(data: dict) -> Predicate:
         if op == "not":
             return Not(predicate_from_json(data["arg"]))
         if op == "const":
-            return Const(bool(data["value"]))
+            return Const(_field(data, "value", bool))
     except KeyError as exc:
         raise PredicateError(f"predicate op {op!r} is missing field {exc}") from None
     raise PredicateError(f"unknown predicate op {op!r}")
@@ -402,11 +402,15 @@ def _args(data: dict) -> tuple[Predicate, ...]:
     return tuple(predicate_from_json(a) for a in args)
 
 
-def _int_field(data: dict, key: str) -> int:
-    # bool is an int subclass, but JSON true/false is not a number.
+_KINDS = {int: "an integer", str: "a string", bool: "a boolean"}
+
+
+def _field(data: dict, key: str, kind: type):
+    """``data[key]``, which must be a JSON value of *kind*."""
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PredicateError(f"predicate field {key!r} must be an integer, got {value!r}")
+    # bool is an int subclass, but JSON true/false is not a number.
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise PredicateError(f"predicate field {key!r} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -456,23 +460,18 @@ def _spans_processes(sm: StateModel) -> bool:
 
     Raises NotWidthExtensible when the poset is not width-extensible; False
     (and a log line) when its width is below the process count, so that no
-    global state spans every process.  The width is only computed when the
-    initial states are not concurrent, since concurrent ones span it.
+    global state spans every process.  That is when the minimum view is not
+    *sm* itself, since a width-extensible model's own chains are a minimum
+    partition iff its initial states are concurrent.
     """
-    verdict, minimal = decide_width_extensible(sm)
-    if not verdict.ok:
-        raise NotWidthExtensible(verdict.witness)
-    if minimal:
-        return True
-    w, _ = width(sm.poset)
-    if sm.poset.elements and w != sm.n:
+    view = require_width_extensible(sm)
+    if view is not sm:
         log.info(
             "width %d < process count %d: no frontier-spanning global states",
-            w,
+            view.n,
             sm.n,
         )
-        return False
-    return True
+    return view is sm
 
 
 def satisfying_frontiers(

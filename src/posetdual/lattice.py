@@ -34,16 +34,19 @@ from .errors import (
     GuardExceeded,
     InvalidStateModel,
     NotWidthAntichain,
-    NotWidthExtensible,
     UnknownElement,
 )
 from .eventmodel import EventModel, is_consistent_cut, require_consistent_cut
-from .poset import Poset, _bits, bitset_decoder, minimum_chain_partition, width
-from .statemodel import (
+
+# width and check_width_extensible are not called here any more; the names
+# stay bound in this module because perfbench/tracing.py wraps them by these
+# bindings.
+from .poset import Poset, _bits, bitset_decoder, minimum_chain_partition, width  # noqa: F401
+from .statemodel import (  # noqa: F401
     StateModel,
     check_width_extensible,
-    decide_width_extensible,
     require_width_antichain,
+    require_width_extensible,
 )
 from .transforms import se_transform
 
@@ -180,17 +183,6 @@ def antichain_to_cut(m: EventModel, antichain: Iterable[str]) -> frozenset[str]:
     return cut
 
 
-def _working_chains(target: StateModel | Poset, minimal: bool) -> StateModel:
-    """*target* when its chains are a minimum chain partition, else one."""
-    if isinstance(target, StateModel):
-        if minimal or target.n == width(target.poset)[0]:
-            return target
-        poset = target.poset
-    else:
-        poset = target
-    return StateModel(poset=poset, chains=minimum_chain_partition(poset).chains)
-
-
 def frontier_vectors(sm: StateModel) -> Iterator[tuple[int, ...]]:
     """The maximum antichains of *sm* as frontier vectors, lazily.
 
@@ -217,23 +209,16 @@ def width_frontiers(
 ) -> tuple[StateModel, Iterator[tuple[int, ...]]]:
     """All maximum antichains of a width-extensible poset, as frontier vectors.
 
-    Returns the chain-partitioned view whose chains the vectors index (the
-    target itself when its chain count is the poset width, else a minimum
-    chain partition) and the lazy stream of :func:`frontier_vectors`, in
-    the order of :func:`enumerate_width_antichains`.  A state model whose
-    initial states are concurrent is decided on its own chains, with no
-    chain matching (:func:`~posetdual.statemodel.decide_width_extensible`).
+    Returns the chain-partitioned view whose chains the vectors index,
+    :func:`~posetdual.statemodel.require_width_extensible`'s (the target
+    itself when its initial states are concurrent, with no chain matching,
+    else Kuhn's partition), and the lazy stream of :func:`frontier_vectors`,
+    in the order of :func:`enumerate_width_antichains`.
 
     Raises:
         NotWidthExtensible: the input fails the precondition (with witness).
     """
-    if isinstance(target, StateModel):
-        verdict, minimal = decide_width_extensible(target)
-    else:
-        verdict, minimal = check_width_extensible(target), False
-    if not verdict.ok:
-        raise NotWidthExtensible(verdict.witness)
-    sm = _working_chains(target, minimal)
+    sm = require_width_extensible(target)
     return sm, frontier_vectors(sm)
 
 
@@ -244,9 +229,9 @@ def enumerate_width_antichains(
 
     Works through the duality: reverse-transform a chain-partitioned view of
     the poset, enumerate consistent cuts of the event side, and map each cut
-    back through the bijection.  A state model whose chain count exceeds the
-    poset width is re-partitioned internally (maximum antichains do not
-    depend on the partition).
+    back through the bijection.  A state model whose initial states are
+    ordered is re-partitioned internally (maximum antichains do not depend
+    on the partition).
 
     Raises:
         NotWidthExtensible: the input fails the precondition (with witness).

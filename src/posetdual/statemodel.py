@@ -22,15 +22,19 @@ and the lowest above it.  With ``n`` chains, ``omega3``, ``psi`` and
 width-extensibility each cost O(states x n) bitset operations.
 
 Width-extensibility and interleaving-consistency are defined against a
-minimum chain partition, which :func:`check_width_extensible` finds with
-Kuhn's matching, O(states^2) search steps in the worst case.  A model whose
-initial states are pairwise concurrent (``omega1``) needs none: its own
-chains are already a minimum partition (:func:`decide_width_extensible`).
-Both verdicts are the same on any minimum partition, but a failure's witness
-names the partition's chains, so only a failing width-extensibility or
-interleaving-consistency verdict is decided again on Kuhn's partition.
-:func:`run_property_checks` decides width-extensibility once when both it
-and interleaving-consistency are asked for.
+minimum chain partition, and one policy picks it (:func:`minimum_view`): a
+model's own chains when its initial states are pairwise concurrent
+(``omega1``), else, and for a bare poset, Kuhn's partition
+(:func:`~posetdual.poset.minimum_chain_partition`, O(states^2) search steps
+in the worst case).  ``omega1`` makes the initial states an antichain as
+large as the chain count, so by Dilworth the own chains are minimum.
+Conversely, a width-extensible model whose own chains are minimum satisfies
+``omega1``: an initial state below another chain's initial state is below
+that whole chain, so no maximum antichain holds it.  Both verdicts are the
+same on any minimum partition, but a failure's witness names the
+partition's chains, so only a failure on the model's own chains is decided
+again on Kuhn's partition.  :func:`require_width_extensible` gives the
+partitioned view of a width-extensible model to enumeration and detection.
 
 All checks are pure functions over immutable models and safe to call from
 multiple threads.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     ModelError,
@@ -48,6 +52,7 @@ from .errors import (
     NotWidthAntichain,
     NotWidthExtensible,
     UnknownElement,
+    UsageError,
 )
 from .poset import (
     ChainPartition,
@@ -313,6 +318,39 @@ def extend_to_width_antichain(
     return frozenset(current)
 
 
+def minimum_view(target: StateModel | Poset) -> StateModel:
+    """*target* on a minimum chain partition.
+
+    A state model whose initial states are pairwise concurrent is its own
+    view; any other model, and a bare poset, is viewed on Kuhn's partition
+    (a new model without attributes).  On a width-extensible model, the view
+    is the model itself iff its chain count is the width (module docstring).
+    """
+    if isinstance(target, StateModel):
+        if check_omega1(target).ok:
+            return target
+        target = target.poset
+    return StateModel(poset=target, chains=minimum_chain_partition(target).chains)
+
+
+def _decide(
+    target: StateModel | Poset,
+    view: StateModel,
+    check: Callable[[StateModel], Verdict],
+    verdict: Verdict | None = None,
+) -> Verdict:
+    """*check* on ``view = minimum_view(target)``, or the *verdict* it gave.
+
+    A failure on the model's own chains is decided again on Kuhn's
+    partition, whose chains its witness names.
+    """
+    if verdict is None:
+        verdict = check(view)
+    if verdict.ok or view is not target:
+        return verdict
+    return check(minimum_view(view.poset))
+
+
 def check_width_extensible(p: Poset) -> Verdict:
     """Decide whether every antichain extends to a maximum antichain.
 
@@ -327,21 +365,16 @@ def check_width_extensible(p: Poset) -> Verdict:
     bitsets per chain: O(states x chains) bitset operations after Kuhn's
     matching, which finds the partition.  On failure the witness is the
     offending antichain; among several failures the lexicographically
-    greatest is reported.  :func:`decide_width_extensible` skips the
-    matching for state models whose initial states are concurrent.
+    greatest is reported.  :func:`require_width_extensible` and
+    :func:`run_property_checks` skip the matching for state models whose
+    initial states are concurrent.
     """
-    if not p.elements:
-        return Verdict(True)
-    chains = minimum_chain_partition(p).chains
-    return _width_extensible(p, chains, chain_clocks(p, chains))
+    return _width_extensible(minimum_view(p))
 
 
-def _width_extensible(
-    p: Poset,
-    chains: tuple[tuple[str, ...], ...],
-    clocks: Mapping[str, tuple[list[int], list[int]]],
-) -> Verdict:
-    """:func:`check_width_extensible` on the minimum chain partition *chains*."""
+def _width_extensible(sm: StateModel) -> Verdict:
+    """:func:`check_width_extensible` on ``sm.chains``, a minimum partition."""
+    p, clocks = sm.poset, sm.clocks()
     # An element's run on its own chain is the element itself (up - down is
     # 2), so a singleton fails iff some chain leaves it an empty run.  The
     # last failure in sorted order is the greatest.
@@ -356,7 +389,7 @@ def _width_extensible(
     # on a's own chain, whose run is a alone, are ordered with a).  The
     # greatest failing pair has the last such a and its last partner.
     els, up, down = p.elements, p._up, p._down
-    ids = [[p.index(e) for e in chain] for chain in chains]
+    ids = [[p.index(e) for e in chain] for chain in sm.chains]
     for a in range(len(els) - 1, -1, -1):
         da, ua = clocks[els[a]]
         failing = 0
@@ -371,25 +404,17 @@ def _width_extensible(
     return Verdict(True)
 
 
-def decide_width_extensible(sm: StateModel) -> tuple[Verdict, bool]:
-    """Width-extensibility of ``sm.poset``, and whether ``sm.chains`` is a
-    minimum chain partition of it.
+def require_width_extensible(target: StateModel | Poset) -> StateModel:
+    """:func:`minimum_view` of *target*, which must be width-extensible.
 
-    When the initial states are pairwise concurrent (``omega1``) they are an
-    antichain as large as the chain count, so by Dilworth the model's own
-    chains are a minimum partition, and the verdict is decided on them and
-    their cached clocks without Kuhn's matching.  A passing verdict is the
-    same on every minimum partition; a failing one names a witness that
-    depends on the partition, so it is decided again as
-    :func:`check_width_extensible` decides it.  Without ``omega1`` the
-    verdict is :func:`check_width_extensible`'s, and the flag is False.
+    Raises:
+        NotWidthExtensible: with the witness of :func:`check_width_extensible`.
     """
-    minimal = check_omega1(sm).ok
-    if minimal:
-        verdict = _width_extensible(sm.poset, sm.chains, sm.clocks())
-        if verdict.ok:
-            return verdict, True
-    return check_width_extensible(sm.poset), minimal
+    view = minimum_view(target)
+    verdict = _decide(target, view, _width_extensible)
+    if not verdict.ok:
+        raise NotWidthExtensible(verdict.witness)
+    return view
 
 
 def width_extensible_bruteforce(p: Poset, *, bound: int | None = None) -> bool:
@@ -479,18 +504,22 @@ def check_interleaving_consistent(
     Otherwise the definition is checked by enumerating maximum antichains,
     subject to the oracle bound.
     """
-    return _interleaving_consistent(p, check_width_extensible(p), bound)
+    view = minimum_view(p)
+    return _interleaving_consistent(p, view, _width_extensible(view), bound)
 
 
-def _interleaving_consistent(p: Poset, we: Verdict, bound: int | None) -> Verdict:
-    """Interleaving-consistency given *p*'s width-extensibility verdict."""
+def _interleaving_consistent(
+    target: StateModel | Poset,
+    view: StateModel,
+    we: Verdict,
+    bound: int | None,
+    psi: Verdict | None = None,
+) -> Verdict:
+    """Interleaving-consistency given the width-extensibility verdict *we*
+    and, when already found, the ``psi`` verdict on *view*."""
     if we.ok:
-        sm = StateModel(poset=p, chains=minimum_chain_partition(p).chains)
-        psi = check_psi(sm)
-        if psi.ok:
-            return Verdict(True)
-        return Verdict(False, psi.witness, psi.detail)
-    return interleaving_consistent_bruteforce(p, bound=bound)
+        return _decide(target, view, check_psi, psi)
+    return interleaving_consistent_bruteforce(view.poset, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -523,11 +552,15 @@ PROPERTIES = ("omega1", "omega2", "omega3", "psi", "we", "ic")
 def run_property_checks(
     sm: StateModel, properties: Iterable[str], *, bound: int | None = None
 ) -> PropertyReport:
-    """Run the requested subset of {omega1,omega2,omega3,psi,we,ic}."""
+    """Run the requested subset of {omega1,omega2,omega3,psi,we,ic}.
+
+    Raises:
+        UsageError: a name outside :data:`PROPERTIES`.
+    """
     wanted = list(properties)
     unknown = sorted(set(wanted) - set(PROPERTIES))
     if unknown:
-        raise ModelError(f"unknown properties {unknown}")
+        raise UsageError(f"unknown properties {unknown}")
     kw: dict[str, Verdict] = {}
     if "omega1" in wanted:
         kw["omega1"] = check_omega1(sm)
@@ -538,16 +571,11 @@ def run_property_checks(
     if "psi" in wanted:
         kw["psi"] = check_psi(sm)
     if "we" in wanted or "ic" in wanted:
-        we, minimal = decide_width_extensible(sm)
+        view = minimum_view(sm)
+        we = _decide(sm, view, _width_extensible)
     if "we" in wanted:
         kw["width_extensible"] = we
     if "ic" in wanted:
-        # On a minimum chain partition of a width-extensible poset, ic is psi,
-        # whichever the partition; only a failure names the partition's
-        # chains, so only a failure takes Kuhn's partition.
-        if we.ok and minimal and (kw["psi"] if "psi" in kw else check_psi(sm)).ok:
-            ic = Verdict(True)
-        else:
-            ic = _interleaving_consistent(sm.poset, we, bound)
-        kw["interleaving_consistent"] = ic
+        psi = kw.get("psi") if view is sm else None
+        kw["interleaving_consistent"] = _interleaving_consistent(sm, view, we, bound, psi)
     return PropertyReport(**kw)

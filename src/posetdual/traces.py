@@ -96,7 +96,10 @@ def parse_poset(data: Mapping[str, Any]) -> tuple[Poset, list[list[str]] | None]
     elements = _element_list(data)
     relations = _pair_list(data.get("relations", []), "'relations'")
     chains = _chain_lists(data["chains"]) if "chains" in data else None
-    return build_poset(elements, relations), chains
+    poset = build_poset(elements, relations)
+    if chains is not None:  # checked as a state trace's chains are
+        build_state_model(poset, chains)
+    return poset, chains
 
 
 def parse_state(data: Mapping[str, Any]) -> StateModel:

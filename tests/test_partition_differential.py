@@ -4,9 +4,11 @@ Width-extensibility and interleaving-consistency are decided on the model's
 process chains whenever its initial states are pairwise concurrent, and
 ``omega3`` is a subset test of down-set bitsets.  The reference below
 transcribes the path that always takes the minimum chain partition from
-Kuhn's matching and scans ``omega3`` state by state on the chain clocks.
-Reports, witnesses, detail strings and the chains that enumeration indexes
-must agree exactly.
+Kuhn's matching, without the library's partition policy: the pair-loop
+width-extensibility kernel, ``psi`` on the Kuhn-partitioned model and brute
+force when the poset is not width-extensible; ``omega3`` is scanned state by
+state on the chain clocks.  Reports, witnesses, detail strings and the
+chains that enumeration indexes must agree exactly.
 """
 
 import random
@@ -30,8 +32,8 @@ from posetdual.cli import main
 from posetdual.lattice import width_frontiers
 from posetdual.poset import chain_clocks, minimum_chain_partition, width
 from posetdual.statemodel import (
-    check_interleaving_consistent,
     check_width_extensible,
+    interleaving_consistent_bruteforce,
     run_property_checks,
 )
 
@@ -41,6 +43,7 @@ from builders import (
     random_event_model,
     triple_pinch_state,
 )
+from test_bitset_differential import we_by_pair_loop
 
 # Interleaving-consistency of a poset that is not width-extensible is decided
 # by enumeration on both paths; the bound keeps that enumeration small.
@@ -87,13 +90,22 @@ def omega3_by_clock_scan(sm):
     return Verdict(True)
 
 
+def ic_on_kuhn_partition(sm):
+    """``psi`` on Kuhn's partition of a width-extensible poset, else the
+    definition by enumeration."""
+    p = sm.poset
+    if we_by_pair_loop(p).ok:
+        return check_psi(build_state_model(p, minimum_chain_partition(p).chains))
+    return interleaving_consistent_bruteforce(p, bound=BOUND)
+
+
 REFERENCE = {
     "omega1": check_omega1,
     "omega2": check_omega2,
     "omega3": omega3_by_clock_scan,
     "psi": check_psi,
-    "we": lambda sm: check_width_extensible(sm.poset),
-    "ic": lambda sm: check_interleaving_consistent(sm.poset, bound=BOUND),
+    "we": lambda sm: we_by_pair_loop(sm.poset),
+    "ic": ic_on_kuhn_partition,
 }
 
 
@@ -145,7 +157,7 @@ def random_models(rng, count):
 
 def test_own_chain_decisions_equal_kuhn_path():
     rng = random.Random(1950)
-    concurrent_not_we = we_not_ic = 0
+    concurrent_not_we = we_not_ic = own_minimum = 0
     pred = predicate_from_json({"op": "index", "proc": 1, "cmp": ">=", "value": 1})
     for sm in random_models(rng, 3000):
         ref = reference_verdicts(sm)
@@ -162,7 +174,12 @@ def test_own_chain_decisions_equal_kuhn_path():
         we_not_ic += we["ok"] and not ref["ic"]["ok"]
         if we["ok"]:
             assert width_frontiers(sm)[0].chains == reference_chains(sm)
-            if sm.n != width(sm.poset)[0]:
+            # The converse of Dilworth's argument for omega1: the own chains
+            # of a width-extensible model are minimum only under omega1.
+            if sm.n == width(sm.poset)[0]:
+                assert ref["omega1"]["ok"], sm
+                own_minimum += 1
+            else:
                 assert first_width_predicate(sm, pred) is None
         else:
             for detect in (width_frontiers, lambda m: first_width_predicate(m, pred)):
@@ -172,6 +189,7 @@ def test_own_chain_decisions_equal_kuhn_path():
     # Both partition-dependent witnesses must have been compared often.
     assert concurrent_not_we >= 50, concurrent_not_we
     assert we_not_ic >= 500, we_not_ic
+    assert own_minimum >= 1000, own_minimum
 
 
 def test_check_runs_no_matching_on_concurrent_initial_states(

@@ -27,6 +27,7 @@ from posetdual import (
     extend_to_width_antichain,
     width,
 )
+from posetdual.errors import UsageError
 from posetdual.poset import incomparable_interval, is_antichain, minimum_chain_partition
 from posetdual.statemodel import (
     interleaving_consistent_bruteforce,
@@ -232,7 +233,7 @@ def test_property_report_selection():
     report = run_property_checks(sm, ["we", "ic"])
     data = report.as_json()
     assert data == {"ic": {"ok": True}, "we": {"ok": True}}
-    with pytest.raises(ModelError):
+    with pytest.raises(UsageError):
         run_property_checks(sm, ["bogus"])
 
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import posetdual
 from posetdual import SchemaError, es_transform
 from posetdual.cli import main
 from posetdual.traces import (
@@ -357,8 +360,10 @@ def test_cli_output_is_stable_across_runs(fixtures_dir):
         sys.executable, "-m", "posetdual", "cuts",
         str(fixtures_dir / "message_pair_event.json"), "--family", "downsets",
     ]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    src = str(Path(posetdual.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
@@ -391,8 +396,14 @@ def test_transform_roundtrip_through_files(tmp_path, capsys, fixtures_dir):
         {"op": "attr", "proc": True, "attr": "session", "cmp": "==", "value": 1},
         {"op": "index", "proc": 1, "cmp": "==", "value": True},
         {"op": "index", "proc": 1, "cmp": ["=="], "value": 1},
+        {"op": "const", "value": "false"},
+        {"op": "attr", "proc": 1, "attr": {"x": 1}, "cmp": "==", "value": 1},
+        {"op": "agg", "fn": "sum", "attr": {"x": 1}, "cmp": "==", "value": 1},
     ],
-    ids=["proc-string", "args-number", "proc-bool", "index-value-bool", "cmp-list"],
+    ids=[
+        "proc-string", "args-number", "proc-bool", "index-value-bool", "cmp-list",
+        "const-value-string", "attr-object", "agg-attr-object",
+    ],
 )
 def test_malformed_predicate_is_a_parse_error(capsys, tmp_path, fixtures_dir, expr):
     pred = tmp_path / "pred.json"
@@ -403,6 +414,44 @@ def test_malformed_predicate_is_a_parse_error(capsys, tmp_path, fixtures_dir, ex
     )
     assert code == 3 and out == ""
     assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_unknown_property_is_a_usage_error(capsys, fixtures_dir):
+    code, out, err = run_cli(
+        capsys, "check", str(fixtures_dir / "sessions_state.json"),
+        "--properties", "we,bogus",
+    )
+    assert code == 4 and out == ""
+    assert err == "error: unknown properties ['bogus']\n"
+
+
+@pytest.mark.parametrize(
+    "chains, error",
+    [
+        ([["zzz"], ["b", "a"], ["a"]], "UnknownElement"),
+        ([["b", "a"], ["c"]], "NotTotallyOrdered"),
+        ([["a", "b"], ["b", "c"]], "ModelError"),
+        ([["a", "b"]], "ModelError"),
+        ([["a", "b"], [], ["c"]], "ModelError"),
+    ],
+    ids=["unknown", "descending", "overlap", "uncovered", "empty"],
+)
+@pytest.mark.parametrize(
+    "command", [["validate"], ["cuts", "--family", "antichains"]], ids=["validate", "cuts"]
+)
+def test_poset_chains_are_validated(capsys, tmp_path, chains, error, command):
+    path = tmp_path / "poset.json"
+    data = {
+        "kind": "poset", "version": 1, "elements": ["a", "b", "c"],
+        "relations": [["a", "b"]], "chains": chains,
+    }
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+    data["chains"] = [["a", "b"], ["c"]]
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, command[0], str(path), *command[1:])[0] == 0
 
 
 def test_bad_oracle_bound_is_a_usage_error(capsys, monkeypatch, fixtures_dir):
