@@ -481,8 +481,8 @@ def satisfying_frontiers(
 ) -> Iterator[tuple[int, ...]]:
     """:func:`detect_width_predicate` as frontier vectors of ``sm.chains``.
 
-    Each global state costs one compiled evaluation on a vector read off the
-    cut enumeration by one popcount per process; no state names are built.
+    Each global state costs one compiled evaluation on a vector the cut
+    walk carries from the parent cut's; no state names are built.
     """
     test = compile_predicate(sm, pred)
     if not _spans_processes(sm):

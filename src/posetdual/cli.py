@@ -9,6 +9,7 @@ input file; human-oriented notes go to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Iterator
@@ -22,7 +23,7 @@ from .errors import (
     SchemaError,
     UsageError,
 )
-from .poset import bitset_decoder, oracle_bound
+from .poset import oracle_bound
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2
@@ -120,26 +121,24 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _cut_line(members: str) -> str:
-    return '{"cut": [' + members + "]}\n"
+def _cut_line(parts: list[str]) -> str:
+    return '{"cut": [' + "".join(parts)[2:] + "]}\n"
+
+
+def _encoded(names) -> list[str]:
+    """Each name as it follows another in a ``cuts`` line."""
+    return [", " + json.dumps(name) for name in names]
 
 
 def _downset_lines(poset) -> Iterator[str]:
-    """One ``cuts`` line per downset, from a table of JSON-encoded names."""
-    members = bitset_decoder([json.dumps(e) for e in poset.elements], ", ".join)
-    for mask in lattice.downset_masks(poset):
-        yield _cut_line(", ".join(members(mask)))
+    """One ``cuts`` line per downset, each byte of names rendered once."""
+    return map(_cut_line, lattice.downset_parts(poset, _encoded(poset.elements), "".join))
 
 
 def _antichain_lines(target) -> Iterator[str]:
-    """One ``cuts`` line per maximum antichain, from its frontier vector."""
-    sm, vectors = lattice.width_frontiers(target)
-    names = sm.poset.elements  # sorted, so sorting indices sorts the names
-    encoded = [json.dumps(s) for s in names]
-    columns = [[sm.poset.index(s) for s in chain] for chain in sm.chains]
-    for vector in vectors:
-        chosen = sorted([col[k] for col, k in zip(columns, vector)])
-        yield _cut_line(", ".join([encoded[j] for j in chosen]))
+    """One ``cuts`` line per maximum antichain, each byte of names rendered once."""
+    sm = statemodel.require_width_extensible(target)
+    return map(_cut_line, lattice.antichain_parts(sm, _encoded(sm.poset.elements), "".join))
 
 
 def cmd_cuts(args) -> int:
@@ -152,17 +151,19 @@ def cmd_cuts(args) -> int:
         _need(kind in ("state", "poset"), "antichains need a state or poset trace")
         lines = _antichain_lines(model if kind == "state" else model[0])
 
-    count = 0
+    cap, count = args.max_cuts, 0
     chunk: list[str] = []
     try:
-        for line in lines:
-            if count >= args.max_cuts:
-                raise GuardExceeded(f"more than {args.max_cuts} cuts")
-            chunk.append(line)
-            count += 1
-            if len(chunk) == _CHUNK:
-                sys.stdout.write("".join(chunk))
-                chunk.clear()
+        while True:
+            # extend keeps the lines taken before an error in the stream
+            chunk.extend(itertools.islice(lines, min(_CHUNK, cap - count)))
+            if not chunk:
+                break
+            count += len(chunk)
+            sys.stdout.write("".join(chunk))
+            chunk.clear()
+        if next(lines, None) is not None:
+            raise GuardExceeded(f"more than {cap} cuts")
     finally:  # the lines before a guard or an error are still written
         sys.stdout.write("".join(chunk))
     sys.stdout.write(json.dumps({"count": count}, sort_keys=True) + "\n")

@@ -7,17 +7,29 @@ together with everything above it.  Every leaf is a distinct downset, both
 branches of every interior node are productive, and each step is a few
 bitset operations of O(events / word size), so the delay between
 consecutive cuts is linear in the event count, comfortably inside the
-quadratic per-cut budget the enumeration contract allows.  The walk carries
-the cut as a bitset over the poset's sorted-id index (:func:`downset_masks`);
-names are built only at the edge, a byte of the bitset at a time.
+quadratic per-cut budget the enumeration contract allows.  The linear
+extension and the exclusion masks come from the covers, in O(covers)
+bitset operations before the first cut.
+
+Every cut is one earlier cut plus one event, so each output is rendered
+from its parent's (:func:`_walk`): a stack frame carries an image bitset,
+which including an event XORs with that event's flip, and the image's
+rendered parts, one per field.  Including an event re-reads only the
+fields its flip touches, from tables filled on first use, and reuses the
+parent's other parts.  For downsets the image is the cut over the sorted
+ids and the fields are its bytes; names are built only at the edge, once
+per byte position and value.
 
 Maximum antichains of a state model are enumerated through the duality:
-convert to the event side, enumerate consistent cuts there, and read each
-cut's frontier, one state index per process, as one popcount of the cut
-against each process's events (:func:`frontier_vectors`): O(n) popcounts
-per antichain and no per-cut set of event or state names.  The family of
-cuts can be exponential in the model size, so the CLI guards enumeration
-with an explicit cap.
+convert to the event side and walk its cuts, with the image of each cut
+under the bijection as the walk's image.  It starts at every chain's
+initial state, and an event moves each chain it has a slot on to the next
+state.  With a byte per field the parts are the antichain's names in
+sorted-id order (:func:`antichain_parts`); with a field per chain they are
+its frontier vector (:func:`frontier_vectors`).  Either way an antichain
+costs O(touched fields) table reads and no per-cut set of names.  The
+family of cuts can be exponential in the model size, so the CLI guards
+enumeration with an explicit cap.
 
 Streams are lazy and single-consumer; separate enumerations may run in
 parallel.  Materialized lattices are immutable.
@@ -28,7 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
     GuardExceeded,
@@ -41,7 +53,7 @@ from .eventmodel import EventModel, is_consistent_cut, require_consistent_cut
 # width and check_width_extensible are not called here any more; the names
 # stay bound in this module because perfbench/tracing.py wraps them by these
 # bindings.
-from .poset import Poset, _bits, bitset_decoder, minimum_chain_partition, width  # noqa: F401
+from .poset import Poset, minimum_chain_partition, width  # noqa: F401
 from .statemodel import (  # noqa: F401
     StateModel,
     check_width_extensible,
@@ -50,63 +62,138 @@ from .statemodel import (  # noqa: F401
 )
 from .transforms import se_transform
 
+T = TypeVar("T")
 
-def _linear_extension(p: Poset) -> list[int]:
-    """Element indices in topological order, the lowest index first on ties."""
-    n = len(p.elements)
-    indeg = [p._down[i].bit_count() for i in range(n)]
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
+
+def _upper_covers(p: Poset) -> list[list[int]]:
+    """Per element index, the indices of its upper covers, ascending."""
+    index = p._index
+    upper: list[list[int]] = [[] for _ in p.elements]
+    for a, b in p.covers:  # sorted, so each list comes out ascending
+        upper[index[a]].append(index[b])
+    return upper
+
+
+def _linear_extension(upper: list[list[int]]) -> list[int]:
+    """Element indices in topological order, the lowest index first on ties.
+
+    Kahn's heap over the lower-cover counts of *upper* (:func:`_upper_covers`).
+    The placed elements always form a down-set, so an element's lower covers
+    are all placed exactly when everything below it is: the order is the one
+    a heap over down-set counts gives, in O(covers) steps.
+    """
+    lower = [0] * len(upper)
+    for above in upper:
+        for w in above:
+            lower[w] += 1
+    ready = [v for v, count in enumerate(lower) if not count]  # sorted: a heap
     order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        mask = p._up[v]
-        while mask:
-            low = mask & -mask
-            w = low.bit_length() - 1
-            mask ^= low
-            indeg[w] -= 1
-            if indeg[w] == 0:
+        for w in upper[v]:
+            lower[w] -= 1
+            if not lower[w]:
                 heapq.heappush(ready, w)
     return order
 
 
 def linear_extension(p: Poset) -> tuple[str, ...]:
     """A topological order of the poset, lexicographically tie-broken."""
-    return tuple(p.elements[v] for v in _linear_extension(p))
+    return tuple(p.elements[v] for v in _linear_extension(_upper_covers(p)))
 
 
-def downset_masks(p: Poset) -> Iterator[int]:
-    """Every downset of the poset exactly once, as a bitset over ``p.elements``.
+class _Table(dict):
+    """Field value -> its rendered part, computed on first use."""
 
-    Bit ``i`` stands for ``p.elements[i]``, so the set bits, lowest first,
-    list the downset in sorted-id order.  The order of the stream is that of
-    :func:`enumerate_downsets`: the empty downset first, the full one last.
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[int], object]):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, value: int):
+        part = self[value] = self.render(value)
+        return part
+
+
+# A field of the walk's image: its lowest bit, its bit count, and its table.
+Field = tuple[int, int, Mapping[int, object]]
+
+
+def _byte_fields(items: Sequence, join: Callable[[list], T]) -> list[Field]:
+    """One field per byte of a bitset over *items* (bit ``i`` is ``items[i]``),
+    rendered as ``join`` of the byte's members in item order."""
+
+    def table(chunk: Sequence) -> _Table:
+        return _Table(lambda byte: join([x for b, x in enumerate(chunk) if byte >> b & 1]))
+
+    return [(b, 8, table(items[b:b + 8])) for b in range(0, len(items), 8)]
+
+
+def _walk(
+    p: Poset, image: int, toggles: Sequence[Iterable[int]], fields: Sequence[Field]
+) -> Iterator[list]:
+    """Every downset of *p* once, rendered through an image bitset.
+
+    The walk starts at the empty downset with *image*, and including element
+    ``v`` XORs the image with the bits ``toggles[v]``.  Each downset comes out
+    as its parts: part ``f`` is the table entry of ``fields[f]`` for that
+    field of the image.  A stack frame carries its image and its parts, so
+    including ``v`` re-reads only the fields ``toggles[v]`` touches and
+    reuses the parent's other parts (the ideal tree of Habib, Medina,
+    Nourine & Steiner, DAM 2001).  A yielded list is never changed later.
+
+    The walk is the binary include/exclude tree over the linear extension
+    (module docstring): the empty downset first, the full one last.  Its
+    setup is O(covers) bitset operations.
     """
-    order = _linear_extension(p)
+    upper = _upper_covers(p)
+    order = _linear_extension(upper)
     pos = [0] * len(order)
     for q, v in enumerate(order):
         pos[v] = q
-    # Per position q: the positions of everything outside order[q] and its
-    # up-set, and the element bit that including order[q] sets.
-    keep = []
-    for v in order:
-        above = 1 << pos[v]
-        for w in _bits(p._up[v]):
-            above |= 1 << pos[w]
-        keep.append(~above)
-    bit = [1 << v for v in order]
+    # Per position q, in one reverse sweep over the covers: order[q] and its
+    # up-set as positions, which excluding order[q] removes.
+    above = [0] * len(order)
+    for q in reversed(range(len(order))):
+        mask = 1 << q
+        for w in upper[order[q]]:
+            mask |= above[pos[w]]
+        above[q] = mask
+    keep = [~mask for mask in above]
+    reads = [(f, low, (1 << bits) - 1, table) for f, (low, bits, table) in enumerate(fields)]
+    field_of = [f for f, (_, bits, _) in enumerate(fields) for _ in range(bits)]
+    flip = [sum(1 << b for b in toggles[v]) for v in order]
+    touched = [[reads[f] for f in {field_of[b] for b in toggles[v]}] for v in order]
 
-    stack: list[tuple[int, int]] = [((1 << len(order)) - 1, 0)]
+    parts = [table[image >> low & mask] for _, low, mask, table in reads]
+    stack = [((1 << len(order)) - 1, image, parts)]
     while stack:
-        avail, included = stack.pop()
+        avail, image, parts = stack.pop()
         while avail:
             low = avail & -avail
             q = low.bit_length() - 1
-            stack.append((avail ^ low, included | bit[q]))  # include, explored later
+            child_image = image ^ flip[q]
+            child = parts.copy()
+            for f, shift, mask, table in touched[q]:
+                child[f] = table[child_image >> shift & mask]
+            stack.append((avail ^ low, child_image, child))  # include, explored later
             avail &= keep[q]  # exclude it and everything above it, explored first
-        yield included
+        yield parts
+
+
+def downset_parts(
+    p: Poset, items: Sequence, join: Callable[[list], T]
+) -> Iterator[list[T]]:
+    """Every downset of the poset once, as the parts of its bitset.
+
+    Bit ``i`` of the bitset is ``items[i]``, which stands for
+    ``p.elements[i]``; part ``b`` is ``join`` of the members of byte ``b``,
+    in sorted-id order, so the parts concatenate to the downset in that
+    order.  The order of the stream is that of :func:`enumerate_downsets`.
+    """
+    return _walk(p, 0, [(v,) for v in range(len(p.elements))], _byte_fields(items, join))
 
 
 def enumerate_downsets(p: Poset) -> Iterator[frozenset[str]]:
@@ -114,9 +201,8 @@ def enumerate_downsets(p: Poset) -> Iterator[frozenset[str]]:
 
     The empty cut comes first and the full cut last.
     """
-    members = bitset_decoder(p.elements, tuple)
-    for mask in downset_masks(p):
-        yield frozenset(itertools.chain.from_iterable(members(mask)))
+    for parts in downset_parts(p, p.elements, tuple):
+        yield frozenset(itertools.chain.from_iterable(parts))
 
 
 def enumerate_event_cuts(m: EventModel) -> Iterator[frozenset[str]]:
@@ -183,25 +269,62 @@ def antichain_to_cut(m: EventModel, antichain: Iterable[str]) -> frozenset[str]:
     return cut
 
 
+def _antichain_walk(
+    sm: StateModel, slots: Sequence[Sequence[int]], fields: Sequence[Field]
+) -> Iterator[list]:
+    """The maximum antichains of *sm* through its reverse transform.
+
+    Runs :func:`_walk` on the event side with the antichain as the image:
+    bit ``slots[i][k]`` stands for state ``k`` of ``sm.chains[i]``.  The
+    image starts at every chain's first state, and an event toggles the old
+    and the new state of each of its slots (a shared event flips two or
+    more chains).  The poset must be width-extensible and have as many
+    chains as its width; neither is checked here.
+    """
+    outcome = se_transform(sm)
+    if not outcome.ok:  # unreachable for width-extensible input
+        raise InvalidStateModel(outcome.report)
+    m = outcome.event_model
+    toggles = [
+        [b for i, k in m.labels[e] for b in slots[i - 1][k - 1:k + 1]]
+        for e in m.poset.elements
+    ]
+    image = sum(1 << chain[0] for chain in slots)
+    return _walk(m.poset, image, toggles, fields)
+
+
+def antichain_parts(
+    sm: StateModel, items: Sequence, join: Callable[[list], T]
+) -> Iterator[list[T]]:
+    """The maximum antichains of *sm* as the parts of their bitsets.
+
+    Bit ``i`` of the bitset is ``items[i]``, which stands for
+    ``sm.poset.elements[i]``; part ``b`` is ``join`` of the members of byte
+    ``b``, so the parts concatenate to the antichain in sorted-id order.
+    The order of the stream and the precondition are those of
+    :func:`frontier_vectors`.
+    """
+    slots = [[sm.poset.index(s) for s in chain] for chain in sm.chains]
+    return _antichain_walk(sm, slots, _byte_fields(items, join))
+
+
 def frontier_vectors(sm: StateModel) -> Iterator[tuple[int, ...]]:
     """The maximum antichains of *sm* as frontier vectors, lazily.
 
     Entry ``i`` of a vector is the position of the antichain's state on
     ``sm.chains[i]``.  The poset must be width-extensible and have as many
     chains as its width; neither is checked here.  The vectors come in the
-    order of the consistent cuts of the reverse transform: each is the
-    popcount of the cut's bitset against one process's events.
+    order of the consistent cuts of the reverse transform.  The image is
+    laid out chain by chain, one field per chain, so an event re-reads the
+    entries of the chains it moves.
     """
-    if not sm.poset.elements:
-        yield ()
-        return
-    outcome = se_transform(sm)
-    if not outcome.ok:  # unreachable for width-extensible input
-        raise InvalidStateModel(outcome.report)
-    m = outcome.event_model
-    masks = [m.poset.set_to_mask(events) for events in m.proc_events]
-    for cut in downset_masks(m.poset):
-        yield tuple([(cut & mask).bit_count() for mask in masks])
+    slots, fields, low = [], [], 0
+    position = _Table(lambda bit: bit.bit_length() - 1)  # one-hot -> index
+    for chain in sm.chains:
+        slots.append(range(low, low + len(chain)))
+        fields.append((low, len(chain), position))
+        low += len(chain)
+    yield from map(tuple, _antichain_walk(sm, slots, fields))
 
 
 def width_frontiers(
@@ -228,17 +351,17 @@ def enumerate_width_antichains(
     """All maximum antichains of a width-extensible poset, each exactly once.
 
     Works through the duality: reverse-transform a chain-partitioned view of
-    the poset, enumerate consistent cuts of the event side, and map each cut
-    back through the bijection.  A state model whose initial states are
-    ordered is re-partitioned internally (maximum antichains do not depend
-    on the partition).
+    the poset, enumerate consistent cuts of the event side, and carry each
+    cut's image under the bijection along the walk.  A state model whose
+    initial states are ordered is re-partitioned internally (maximum
+    antichains do not depend on the partition).
 
     Raises:
         NotWidthExtensible: the input fails the precondition (with witness).
     """
-    sm, vectors = width_frontiers(target)
-    for vector in vectors:
-        yield frozenset(map(tuple.__getitem__, sm.chains, vector))
+    sm = require_width_extensible(target)
+    for parts in antichain_parts(sm, sm.poset.elements, tuple):
+        yield frozenset(itertools.chain.from_iterable(parts))
 
 
 def lattice_meet_join(

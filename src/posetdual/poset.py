@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadChainIndex,
@@ -31,9 +31,6 @@ from .errors import (
     OracleBoundExceeded,
     UnknownElement,
 )
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 DEFAULT_ORACLE_BOUND = 20
 _ORACLE_BOUND_ENV = "POSETDUAL_ORACLE_BOUND"
@@ -63,41 +60,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-class _ByteTable(dict):
-    """Byte value -> the joined items of its set bits, filled on first use."""
-
-    __slots__ = ("items", "join")
-
-    def __init__(self, items: Sequence[T], join: Callable[[list[T]], U]):
-        super().__init__()
-        self.items, self.join = items, join
-
-    def __missing__(self, byte: int) -> U:
-        value = self[byte] = self.join(
-            [x for b, x in enumerate(self.items) if byte >> b & 1]
-        )
-        return value
-
-
-def bitset_decoder(
-    items: Sequence[T], join: Callable[[list[T]], U]
-) -> Callable[[int], list[U]]:
-    """Decode bitsets over *items* (bit ``i`` is ``items[i]``) a byte at a time.
-
-    The returned function maps a bitset to ``join`` of the members of each of
-    its nonzero bytes, lowest byte first; ``join`` of a byte is computed once
-    per byte position and value, so decoding costs O(bytes), not O(bits).
-    With ``join=tuple`` the chunks concatenate to the members in item order.
-    """
-    tables = [_ByteTable(items[b:b + 8], join) for b in range(0, len(items), 8)]
-    size = len(tables)
-
-    def decode(mask: int) -> list[U]:
-        return [t[v] for t, v in zip(tables, mask.to_bytes(size, "little")) if v]
-
-    return decode
 
 
 class Comparability(enum.Enum):

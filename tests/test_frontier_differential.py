@@ -42,7 +42,7 @@ from posetdual.analysis import (
 )
 from posetdual.cli import _antichain_lines, _downset_lines
 from posetdual.errors import PredicateError
-from posetdual.lattice import enumerate_downsets
+from posetdual.lattice import enumerate_downsets, width_frontiers
 from posetdual.poset import minimum_chain_partition, width
 from posetdual.statemodel import StateModel
 
@@ -99,21 +99,22 @@ def ref_frontier(m, cut):
     return tuple(tops)
 
 
-def ref_width_antichains(target):
+def ref_width_frontiers(target):
     poset = target.poset if isinstance(target, StateModel) else target
     verdict = check_width_extensible(poset)
     if not verdict.ok:
         raise NotWidthExtensible(verdict.witness)
-    if not poset.elements:
-        yield frozenset()
-        return
     if isinstance(target, StateModel) and target.n == width(poset)[0]:
         sm = target
     else:
         sm = StateModel(poset=poset, chains=minimum_chain_partition(poset).chains)
     m = se_transform(sm).event_model
-    for cut in ref_downsets(m.poset):
-        tops = ref_frontier(m, cut)
+    return sm, (ref_frontier(m, cut) for cut in ref_downsets(m.poset))
+
+
+def ref_width_antichains(target):
+    sm, vectors = ref_width_frontiers(target)
+    for tops in vectors:
         yield frozenset(sm.state_at(i + 1, k) for i, k in enumerate(tops))
 
 
@@ -157,10 +158,37 @@ def random_poset(rng):
 
 
 def random_events(rng):
-    m = random_event_model(rng, max_procs=4, max_events_per_proc=4)
+    return renamed_events(rng, random_event_model(rng, max_procs=4, max_events_per_proc=4))
+
+
+def renamed_events(rng, m):
     name = renamed(rng, m.poset.elements)
     poset = build_poset(name.values(), [(name[a], name[b]) for a, b in m.poset.covers])
     return build_event_model(poset, m.n, {name[e]: s for e, s in m.labels.items()})
+
+
+def large_events(rng):
+    """A renamed event model of 20 to 40 events, usually with shared events."""
+    while True:
+        m = random_event_model(rng, max_procs=5, max_events_per_proc=12, max_messages=40)
+        if 20 <= len(m.poset.elements) <= 40:
+            return renamed_events(rng, m)
+
+
+def renamed_states(rng, sm):
+    name = renamed(rng, sm.poset.elements)
+    poset = build_poset(name.values(), [(name[a], name[b]) for a, b in sm.poset.covers])
+    return build_state_model(poset, [[name[s] for s in chain] for chain in sm.chains])
+
+
+def split_chain(rng, sm):
+    """*sm* with one chain cut in two: the upper half starts above the lower
+    half's initial state, so the initial states are ordered."""
+    i = rng.choice([i for i, chain in enumerate(sm.chains) if len(chain) > 1])
+    j = rng.randrange(1, len(sm.chains[i]))
+    chains = list(sm.chains)
+    chains[i:i + 1] = [sm.chains[i][:j], sm.chains[i][j:]]
+    return build_state_model(sm.poset, chains)
 
 
 VALUES = [0, 1, 2, 3, 2.5, None, True, "s", [1]]
@@ -261,8 +289,54 @@ def test_antichain_lines_equal_reference():
             continue
         assert list(enumerate_width_antichains(target)) == reference
         assert list(_antichain_lines(target)) == [ref_line(c) for c in reference]
+        assert_frontiers_equal_reference(target)
         compared += 1
     assert compared >= 250 and repartitioned >= 100, (compared, repartitioned)
+
+
+def assert_frontiers_equal_reference(target):
+    view, vectors = width_frontiers(target)
+    ref_view, ref_vectors = ref_width_frontiers(target)
+    assert view.chains == ref_view.chains
+    assert list(vectors) == list(ref_vectors)
+
+
+def straddling_events(sm):
+    """Shared events of *sm*'s event side whose flipped states lie in
+    different bytes of the antichain bitset over ``sm.poset.elements``."""
+    m = se_transform(sm).event_model
+    count = 0
+    for slots in m.labels.values():
+        states = [sm.chains[i - 1][j] for i, k in slots for j in (k - 1, k)]
+        count += len(slots) > 1 and len({sm.poset.index(s) // 8 for s in states}) > 1
+    return count
+
+
+def test_multibyte_streams_equal_reference():
+    """Bitsets of several bytes: 20 to 40 events, shared events whose flipped
+    states fall in different bytes, and models whose initial states are
+    ordered, which are viewed on Kuhn's partition."""
+    rng = random.Random(4107)
+    ordered = straddling = 0
+    for trial in range(60):
+        m = large_events(rng)
+        reference = list(ref_downsets(m.poset))
+        assert list(enumerate_downsets(m.poset)) == reference
+        assert list(_downset_lines(m.poset)) == [ref_line(c) for c in reference]
+
+        sm = es_transform(m)
+        if trial % 3:
+            sm = renamed_states(rng, sm)
+        if trial % 2:
+            sm = split_chain(rng, sm)
+        reference = list(ref_width_antichains(sm))  # es's posets are width-extensible
+        assert list(enumerate_width_antichains(sm)) == reference
+        assert list(_antichain_lines(sm)) == [ref_line(c) for c in reference]
+        assert_frontiers_equal_reference(sm)
+        view = width_frontiers(sm)[0]
+        ordered += view is not sm
+        straddling += straddling_events(view)
+    assert ordered == 30 and straddling >= 100, (ordered, straddling)
 
 
 # --- compiled evaluation -------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +8,17 @@ from pathlib import Path
 import pytest
 
 import posetdual
-from posetdual import SchemaError, es_transform
+from posetdual import SchemaError, cli, es_transform
 from posetdual.cli import main
+from posetdual.errors import ModelError
+from posetdual.lattice import enumerate_event_cuts
 from posetdual.traces import (
     dumps_canonical,
     event_to_json,
     load_marks,
     load_trace,
     state_to_json,
+    write_trace,
 )
 from posetdual.transforms import event_signature, state_signature
 
@@ -305,6 +309,53 @@ def test_cuts_guard_exit(capsys, fixtures_dir):
     assert code == 5
     assert len(out.strip().splitlines()) == 5
     assert "guard" in err
+
+
+def _many_cuts_traces(tmp_path):
+    """An event trace with more than 300 cuts, and its state trace."""
+    rng = random.Random(7301)
+    while True:
+        m = builders.random_event_model(rng, max_procs=4, max_events_per_proc=8, max_messages=6)
+        if 300 < sum(1 for _ in enumerate_event_cuts(m)) < 2000:
+            break
+    event, state = tmp_path / "many_event.json", tmp_path / "many_state.json"
+    write_trace(event, event_to_json(m))
+    write_trace(state, state_to_json(es_transform(m)))
+    return {"downsets": event, "antichains": state}
+
+
+@pytest.mark.parametrize("family", ["downsets", "antichains"])
+def test_cuts_guard_boundaries(capsys, tmp_path, family):
+    path = str(_many_cuts_traces(tmp_path)[family])
+    code, full, _ = run_cli(capsys, "cuts", path, "--family", family)
+    lines = full.splitlines(keepends=True)
+    n = len(lines) - 1
+    assert code == 0 and n > 300 and lines[-1] == json.dumps({"count": n}) + "\n"
+    # 256 lines make one write; 300 and n - 1 cross a chunk boundary.
+    for cap in (0, 1, 255, 256, 257, 300, n - 1, n, n + 1):
+        code, out, err = run_cli(
+            capsys, "cuts", path, "--family", family, "--max-cuts", str(cap)
+        )
+        assert code == (5 if n > cap else 0), cap
+        if code == 0:
+            assert out == full and err == ""
+        else:
+            assert out == "".join(lines[:cap]), cap
+            assert '"count"' not in out and "guard" in err
+
+
+def test_cuts_lines_before_an_error_are_written(capsys, monkeypatch, fixtures_dir):
+    def failing(poset):
+        for _ in range(300):
+            yield '{"cut": []}\n'
+        raise ModelError("stream broke")
+
+    monkeypatch.setattr(cli, "_downset_lines", failing)
+    path = str(fixtures_dir / "message_pair_event.json")
+    code, out, _ = run_cli(capsys, "cuts", path, "--family", "downsets")
+    written = '{"cut": []}\n' * 300
+    assert code == 2 and out.startswith(written)
+    assert json.loads(out[len(written):])["error"]["message"] == "stream broke"
 
 
 def test_cuts_antichains_rejects_pinch(capsys, fixtures_dir):
