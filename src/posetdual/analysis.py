@@ -5,6 +5,11 @@ that pick exactly one local state per process, i.e. on the maximum antichains
 of the state model.  The clause language is a small closed AST (per-process
 attribute and index comparisons, sum/count aggregates, boolean connectives)
 serialized as JSON; library callers may instead pass a plain callable.
+The language is declared once, in the table ``_OPS``: per op, the AST
+class and its fields in constructor order, each with the JSON type of its
+value and the parser of that value.  Parsing (:func:`predicate_from_json`)
+and emission (:meth:`Predicate.as_json`) both read it, so they cannot
+drift apart, and a field outside its op's row is rejected.
 
 Detection runs on frontier vectors (one state index per process) from the
 cut enumeration of :mod:`posetdual.lattice`.  A predicate is compiled once
@@ -95,7 +100,18 @@ class Predicate:
         raise NotImplementedError
 
     def as_json(self) -> dict:
-        raise NotImplementedError
+        """The node in the JSON clause language, fields in :data:`_OPS` order."""
+        op = _OP_NAMES[type(self)]
+        return {"op": op, **{key: _emit(getattr(self, key)) for key in _OPS[op][1]}}
+
+
+def _emit(value):
+    """A field value as JSON: nodes as objects, tuples of them as lists."""
+    if isinstance(value, Predicate):
+        return value.as_json()
+    if isinstance(value, tuple):
+        return [_emit(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -145,12 +161,6 @@ def _compare(cmp: str, got, value, warn: Warn) -> bool:
         return False
 
 
-def _check_proc(proc: int) -> int:
-    if proc < 1:
-        raise PredicateError(f"process numbers are 1-based, got {proc}")
-    return proc
-
-
 class _LocalClause(Predicate):
     """A clause on the chosen state of one process ``proc``."""
 
@@ -197,15 +207,6 @@ class AttrCmp(_LocalClause):
             return False
         return ctx.compare(self.cmp, got, self.value)
 
-    def as_json(self):
-        return {
-            "op": "attr",
-            "proc": self.proc,
-            "attr": self.attr,
-            "cmp": self.cmp,
-            "value": self.value,
-        }
-
 
 @dataclass(frozen=True)
 class IndexCmp(_LocalClause):
@@ -218,9 +219,6 @@ class IndexCmp(_LocalClause):
     def evaluate(self, ctx):
         _, k = ctx.sm.coords(ctx.chosen[self.proc])
         return ctx.compare(self.cmp, k, self.value)
-
-    def as_json(self):
-        return {"op": "index", "proc": self.proc, "cmp": self.cmp, "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -275,15 +273,6 @@ class AggCmp(Predicate):
 
         return test
 
-    def as_json(self):
-        return {
-            "op": "agg",
-            "fn": self.fn,
-            "attr": self.attr,
-            "cmp": self.cmp,
-            "value": self.value,
-        }
-
 
 @dataclass(frozen=True)
 class And(Predicate):
@@ -302,9 +291,6 @@ class And(Predicate):
             return True
 
         return test
-
-    def as_json(self):
-        return {"op": "and", "args": [a.as_json() for a in self.args]}
 
 
 @dataclass(frozen=True)
@@ -325,9 +311,6 @@ class Or(Predicate):
 
         return test
 
-    def as_json(self):
-        return {"op": "or", "args": [a.as_json() for a in self.args]}
-
 
 @dataclass(frozen=True)
 class Not(Predicate):
@@ -340,9 +323,6 @@ class Not(Predicate):
         inner = self.arg.compile(sm)
         return lambda vector, warn: not inner(vector, warn)
 
-    def as_json(self):
-        return {"op": "not", "arg": self.arg.as_json()}
-
 
 @dataclass(frozen=True)
 class Const(Predicate):
@@ -354,70 +334,82 @@ class Const(Predicate):
     def compile(self, sm):
         return lambda vector, warn: self.value
 
-    def as_json(self):
-        return {"op": "const", "value": self.value}
-
 
 def predicate_from_json(data: dict) -> Predicate:
-    """Parse the JSON clause language into the AST; raises PredicateError."""
+    """Parse the JSON clause language into the AST; raises PredicateError.
+
+    The node's ``op`` picks its row of :data:`_OPS`.  No field outside the
+    row may be present; each field of the row must be, with a value of the
+    row's JSON type that passes the row's parser, checked in row order.
+    """
     if not isinstance(data, dict) or "op" not in data:
         raise PredicateError("predicate node must be an object with an 'op'")
     op = data["op"]
-    try:
-        if op == "attr":
-            return AttrCmp(
-                _check_proc(_field(data, "proc", int)),
-                _field(data, "attr", str),
-                _cmp_name(data["cmp"]),
-                data["value"],
-            )
-        if op == "index":
-            return IndexCmp(
-                _check_proc(_field(data, "proc", int)),
-                _cmp_name(data["cmp"]),
-                _field(data, "value", int),
-            )
-        if op == "agg":
-            fn = data["fn"]
-            if fn not in ("sum", "count"):
-                raise PredicateError(f"unknown aggregate {fn!r}")
-            return AggCmp(fn, _field(data, "attr", str), _cmp_name(data["cmp"]), data["value"])
-        if op == "and":
-            return And(_args(data))
-        if op == "or":
-            return Or(_args(data))
-        if op == "not":
-            return Not(predicate_from_json(data["arg"]))
-        if op == "const":
-            return Const(_field(data, "value", bool))
-    except KeyError as exc:
-        raise PredicateError(f"predicate op {op!r} is missing field {exc}") from None
-    raise PredicateError(f"unknown predicate op {op!r}")
+    if not isinstance(op, str) or op not in _OPS:  # op may be unhashable
+        raise PredicateError(f"unknown predicate op {op!r}")
+    cls, fields = _OPS[op]
+    unknown = [key for key in data if key != "op" and key not in fields]
+    if unknown:
+        raise PredicateError(f"unknown fields {unknown} for predicate op {op!r}")
+    # A loop, not a comprehension: a `not` costs one stack frame per level,
+    # so any nesting the JSON decoder accepts parses.
+    values = []
+    for key, (kind, parse) in fields.items():
+        if key not in data:
+            raise PredicateError(f"predicate op {op!r} is missing field {key!r}")
+        value = data[key]
+        # bool is an int subclass, but JSON true/false is not a number.
+        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+            raise PredicateError(f"predicate field {key!r} must be {_KINDS[kind]}, got {value!r}")
+        values.append(value if parse is None else parse(value))
+    return cls(*values)
 
 
-def _args(data: dict) -> tuple[Predicate, ...]:
-    args = data["args"]
-    if not isinstance(args, list):
-        raise PredicateError(f"predicate field 'args' must be a list, got {args!r}")
-    return tuple(predicate_from_json(a) for a in args)
+_KINDS = {int: "an integer", str: "a string", bool: "a boolean", list: "a list"}
 
 
-_KINDS = {int: "an integer", str: "a string", bool: "a boolean"}
+def _proc(proc: int) -> int:
+    if proc < 1:
+        raise PredicateError(f"process numbers are 1-based, got {proc}")
+    return proc
 
 
-def _field(data: dict, key: str, kind: type):
-    """``data[key]``, which must be a JSON value of *kind*."""
-    value = data[key]
-    # bool is an int subclass, but JSON true/false is not a number.
-    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-        raise PredicateError(f"predicate field {key!r} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _cmp_name(name: str) -> str:
+def _cmp_name(name) -> str:
     if not isinstance(name, str) or name not in _CMP:
         raise PredicateError(f"unknown comparator {name!r}")
     return name
+
+
+def _aggregate(fn) -> str:
+    if fn not in ("sum", "count"):
+        raise PredicateError(f"unknown aggregate {fn!r}")
+    return fn
+
+
+def _nodes(args: list) -> tuple[Predicate, ...]:
+    return tuple(map(predicate_from_json, args))
+
+
+# A field: the JSON type its value must have (object: any) and the parser
+# of that value (None: kept as it is).
+_PROC, _CMP_FIELD, _ANY = (int, _proc), (object, _cmp_name), (object, None)
+
+#: The clause language, declared once: per op, the AST class and its fields
+#: in constructor order.  :func:`predicate_from_json` and
+#: :meth:`Predicate.as_json` both read it.
+_OPS: dict[str, tuple[type, dict[str, tuple[type, Callable | None]]]] = {
+    "attr": (AttrCmp, {"proc": _PROC, "attr": (str, None), "cmp": _CMP_FIELD, "value": _ANY}),
+    "index": (IndexCmp, {"proc": _PROC, "cmp": _CMP_FIELD, "value": (int, None)}),
+    "agg": (
+        AggCmp,
+        {"fn": (object, _aggregate), "attr": (str, None), "cmp": _CMP_FIELD, "value": _ANY},
+    ),
+    "and": (And, {"args": (list, _nodes)}),
+    "or": (Or, {"args": (list, _nodes)}),
+    "not": (Not, {"arg": (object, predicate_from_json)}),
+    "const": (Const, {"value": (bool, None)}),
+}
+_OP_NAMES = {cls: op for op, (cls, _) in _OPS.items()}
 
 
 PredicateLike = Predicate | Callable[[StateModel, frozenset[str]], bool]

@@ -99,14 +99,16 @@ def build_event_model(
         if e not in poset:
             raise UnknownElement(f"label for undeclared event {e!r}")
 
-    per_proc: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    # Keyed by process, so that a huge declared n costs nothing before the
+    # first empty process stops the loop below.
+    per_proc: dict[int, list[tuple[int, str]]] = {}
     for e, slots in norm.items():
         for i, k in slots:
-            per_proc[i - 1].append((k, e))
+            per_proc.setdefault(i, []).append((k, e))
 
     chains: list[tuple[str, ...]] = []
     for i in range(1, n + 1):
-        entries = sorted(per_proc[i - 1])
+        entries = sorted(per_proc.get(i, ()))
         if not entries:
             if not allow_empty_process:
                 raise EmptyProcess(i)

@@ -400,21 +400,34 @@ class CutLattice:
 
 
 def materialize_cut_lattice(m: EventModel, max_cuts: int | None = None) -> CutLattice:
-    """Collect all cuts plus links to the cuts one added event above."""
-    cuts: list[frozenset[str]] = []
-    for cut in enumerate_event_cuts(m):
-        cuts.append(cut)
-        if max_cuts is not None and len(cuts) > max_cuts:
+    """Collect all cuts plus links to the cuts one added event above.
+
+    Each cut is kept under its bitset over the sorted event ids.  An event
+    that extends a cut is the first event of one of its processes outside
+    the cut, found by a popcount per process, and the extended cut is the
+    key ``mask | bit``: links come in sorted-id order, as the same objects
+    as in ``cuts``.
+    """
+    p = m.poset
+    items = [(1 << v, e) for v, e in enumerate(p.elements)]
+    chains = [[1 << p.index(e) for e in events] for events in m.proc_events]
+    owns = [sum(bits) for bits in chains]
+
+    def join(members: list) -> tuple[int, list[str]]:  # a byte's bits and names
+        return sum(bit for bit, _ in members), [e for _, e in members]
+
+    by_mask: dict[int, frozenset[str]] = {}
+    for parts in downset_parts(p, items, join):
+        mask = sum(bits for bits, _ in parts)
+        by_mask[mask] = frozenset(itertools.chain.from_iterable(names for _, names in parts))
+        if max_cuts is not None and len(by_mask) > max_cuts:
             raise GuardExceeded(f"cut count exceeds cap {max_cuts}")
     succ: dict[frozenset[str], tuple[frozenset[str], ...]] = {}
-    for cut in cuts:
-        mask = m.poset.set_to_mask(cut)
-        nexts = []
-        for e in m.poset.elements:
-            if e in cut:
-                continue
-            if m.poset.down_mask(e) & ~mask:
-                continue
-            nexts.append(cut | {e})
-        succ[cut] = tuple(nexts)
-    return CutLattice(cuts=tuple(cuts), successors=succ)
+    for mask, cut in by_mask.items():
+        nexts = set()
+        for own, bits in zip(owns, chains):
+            k = (mask & own).bit_count()  # the cut holds a prefix of each chain
+            if k < len(bits) and mask | bits[k] in by_mask:
+                nexts.add(bits[k])
+        succ[cut] = tuple(by_mask[mask | bit] for bit in sorted(nexts))
+    return CutLattice(cuts=tuple(by_mask.values()), successors=succ)

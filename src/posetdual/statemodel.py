@@ -55,7 +55,6 @@ from .errors import (
     UsageError,
 )
 from .poset import (
-    ChainPartition,
     Comparability,
     Poset,
     chain_clocks,
@@ -101,9 +100,6 @@ class StateModel:
             }
             object.__setattr__(self, "_coords_cache", cache)
         return cache
-
-    def partition(self) -> ChainPartition:
-        return ChainPartition(self.chains)
 
     def clocks(self) -> dict[str, tuple[list[int], list[int]]]:
         """The poset's :func:`~posetdual.poset.chain_clocks` against ``chains``.

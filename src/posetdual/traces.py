@@ -208,18 +208,8 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def poset_to_json(p: Poset, chains: list[list[str]] | None = None) -> dict:
-    data: dict[str, Any] = {
-        "kind": "poset",
-        "version": VERSION,
-        "elements": sorted(p.elements),
-        "relations": [list(c) for c in sorted(p.covers)],
-    }
-    if chains is not None:
-        data["chains"] = [list(c) for c in chains]
-    return data
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise SchemaError(f"{path} is nested too deeply") from None
 
 
 def state_to_json(sm: StateModel) -> dict:

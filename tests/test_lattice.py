@@ -211,6 +211,45 @@ def test_materialized_lattice_links():
         materialize_cut_lattice(m, max_cuts=5)
 
 
+def ref_materialize_cut_lattice(m, max_cuts=None):
+    """Transcription of the earlier per-cut, per-event successor scan."""
+    cuts = []
+    for cut in enumerate_event_cuts(m):
+        cuts.append(cut)
+        if max_cuts is not None and len(cuts) > max_cuts:
+            raise GuardExceeded(f"cut count exceeds cap {max_cuts}")
+    succ = {}
+    for cut in cuts:
+        mask = m.poset.set_to_mask(cut)
+        nexts = []
+        for e in m.poset.elements:
+            if e in cut:
+                continue
+            if m.poset.down_mask(e) & ~mask:
+                continue
+            nexts.append(cut | {e})
+        succ[cut] = tuple(nexts)
+    return cuts, succ
+
+
+def test_materialized_lattice_equals_reference():
+    rng = random.Random(8)
+    for _ in range(300):
+        m = random_event_model(rng, max_procs=4, max_events_per_proc=4)
+        cuts, succ = ref_materialize_cut_lattice(m)
+        lat = materialize_cut_lattice(m)
+        assert list(lat.cuts) == cuts
+        assert list(lat.successors) == cuts
+        assert all(lat.successors[c] == succ[c] for c in cuts)
+        # the links are the cut objects themselves, not copies
+        ids = {id(c) for c in lat.cuts}
+        assert all(id(n) in ids for nexts in lat.successors.values() for n in nexts)
+        cap = rng.randrange(len(cuts))
+        with pytest.raises(GuardExceeded, match=f"^cut count exceeds cap {cap}$"):
+            materialize_cut_lattice(m, max_cuts=cap)
+        assert materialize_cut_lattice(m, max_cuts=len(cuts)).cuts == lat.cuts
+
+
 def test_per_cut_delay_stays_modest():
     # loose sanity bound on amortized work, not a hard benchmark
     import time

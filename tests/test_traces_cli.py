@@ -450,10 +450,14 @@ def test_transform_roundtrip_through_files(tmp_path, capsys, fixtures_dir):
         {"op": "const", "value": "false"},
         {"op": "attr", "proc": 1, "attr": {"x": 1}, "cmp": "==", "value": 1},
         {"op": "agg", "fn": "sum", "attr": {"x": 1}, "cmp": "==", "value": 1},
+        {"op": "index", "proc": 1, "cmp": "==", "value": 1, "extra": "x"},
+        {"op": "and", "args": [{"op": "const", "value": True}], "extra": "x"},
+        {"op": ["and"], "args": []},
     ],
     ids=[
         "proc-string", "args-number", "proc-bool", "index-value-bool", "cmp-list",
-        "const-value-string", "attr-object", "agg-attr-object",
+        "const-value-string", "attr-object", "agg-attr-object", "leaf-unknown-field",
+        "and-unknown-field", "op-list",
     ],
 )
 def test_malformed_predicate_is_a_parse_error(capsys, tmp_path, fixtures_dir, expr):
@@ -465,6 +469,57 @@ def test_malformed_predicate_is_a_parse_error(capsys, tmp_path, fixtures_dir, ex
     )
     assert code == 3 and out == ""
     assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["--count", "--first"])
+def test_deeply_nested_predicate_is_a_parse_error(capsys, tmp_path, fixtures_dir, mode):
+    depth = 5000
+    expr = '{"op": "not", "arg": ' * depth + '{"op": "const", "value": true}' + "}" * depth
+    pred = tmp_path / "pred.json"
+    pred.write_text('{"kind": "predicate", "version": 1, "expr": ' + expr + "}")
+    code, out, err = run_cli(
+        capsys, "analyze", "predicate",
+        "--model", str(fixtures_dir / "sessions_state.json"), "--pred", str(pred), mode,
+    )
+    assert code == 3 and out == ""
+    assert err == f"parse error: {pred} is nested too deeply\n"
+
+
+def test_deeply_nested_attrs_are_a_parse_error(capsys, tmp_path):
+    depth = 3000
+    path = tmp_path / "state.json"
+    path.write_text(
+        '{"kind": "state", "version": 1, "elements": ["a"], "chains": [["a"]], '
+        '"attrs": {"a": {"x": ' + "[" * depth + "]" * depth + "}}}"
+    )
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 3 and out == ""
+    assert err == f"parse error: {path} is nested too deeply\n"
+
+
+def test_huge_declared_process_count_fails_at_the_first_empty_process(tmp_path):
+    # The loader must not allocate per declared process: run in a child
+    # with a 1 GB address-space cap, so a regression fails instead of
+    # exhausting memory.
+    path = tmp_path / "event.json"
+    path.write_text(json.dumps({
+        "kind": "event", "version": 1, "n": 10**12,
+        "events": [{"id": "a", "slots": [{"proc": 1, "idx": 1}]}],
+    }))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from posetdual.cli import main\n"
+        f"sys.exit(main(['validate', {str(path)!r}]))\n"
+    )
+    src = str(Path(posetdual.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 2, run.stderr
+    error = json.loads(run.stdout)["error"]
+    assert error == {"type": "EmptyProcess", "message": "process 2 has no events", "process": 2}
 
 
 def test_unknown_property_is_a_usage_error(capsys, fixtures_dir):
