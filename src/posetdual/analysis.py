@@ -29,10 +29,13 @@ i.e. of some size-n antichain of the restriction) or useless.  Two engines
 are provided: a definitional oracle that scans all one-per-process tuples,
 and a fast engine that reads the verdicts off the cycle structure of the
 tentative event graph of the restriction - a checkpoint is useless exactly
-when the transitions entering and leaving it are strongly connected.  The
-fast engine runs in time linear in that graph and must agree with the oracle
-everywhere; disagreement is a bug by definition.  The restriction's order is
-closed from one pair per marked state and chain, read off the chain clocks.
+when the transitions entering and leaving it are strongly connected.  That
+graph is sparse, O(states x n) edges, so the fast engine finds its
+components in O(states x n) and then names each useful checkpoint's witness
+with one search over its ancestors, O(checkpoints x states x n) in all.  It
+must agree with the oracle everywhere; disagreement is a bug by definition.
+The restriction's order is closed from one pair per marked state and chain,
+read off the chain clocks.
 """
 
 from __future__ import annotations
@@ -282,7 +285,11 @@ class And(Predicate):
         return all(a.evaluate(ctx) for a in self.args)
 
     def compile(self, sm):
-        tests = [a.compile(sm) for a in self.args]
+        # A loop, not a comprehension: one stack frame per level, so any
+        # nesting the parser accepts compiles.
+        tests = []
+        for a in self.args:
+            tests.append(a.compile(sm))
 
         def test(vector, warn):
             for t in tests:
@@ -301,7 +308,10 @@ class Or(Predicate):
         return any(a.evaluate(ctx) for a in self.args)
 
     def compile(self, sm):
-        tests = [a.compile(sm) for a in self.args]
+        # A loop, as in And.compile.
+        tests = []
+        for a in self.args:
+            tests.append(a.compile(sm))
 
         def test(vector, warn):
             for t in tests:
@@ -706,9 +716,13 @@ def _oracle_usefulness(
     combos = 1
     for chain in induced.chains:
         combos *= len(chain)
-    cap = 2 ** oracle_bound(bound)
-    if combos > cap:
-        raise OracleBoundExceeded(f"{combos} tuples exceed oracle cap {cap}")
+    # The cap is 2 ** bound.  It is built only when combos is at least that
+    # large, so a huge bound allocates nothing.
+    limit = oracle_bound(bound)
+    if combos.bit_length() > limit:
+        cap = 1 << limit
+        if combos > cap:
+            raise OracleBoundExceeded(f"{combos} tuples exceed oracle cap {cap}")
     witness: dict[str, frozenset[str] | None] = {
         s: None for chain in induced.chains for s in chain
     }
@@ -736,7 +750,8 @@ def _fast_usefulness(
     since endpoints are marked).  A checkpoint ``[i,k]`` is useless iff the
     tentative events ``(i,k)`` and ``(i,k+1)`` are strongly connected; a
     witness for a useful checkpoint is the frontier of the ancestor set of
-    ``(i,k)``.
+    ``(i,k)``.  The sparse tentative graph has the full graph's ancestor
+    sets, and each witness costs one search of it, O(states x n) steps.
     """
     if not check_omega1(induced).ok or not check_omega2(induced).ok:
         return None
@@ -789,7 +804,7 @@ def find_useless_checkpoints(
 ) -> CheckpointReport:
     """Classify every marked checkpoint as useful or useless.
 
-    ``engine`` selects ``fast`` (cycle structure, linear in the restriction's
+    ``engine`` selects ``fast`` (cycle structure of the restriction's sparse
     tentative graph), ``oracle`` (definition scan), or ``both`` (run both and
     record agreement).  The fast engine silently defers to the oracle when
     the restriction's endpoints are not pairwise concurrent, which cannot

@@ -85,8 +85,7 @@ def cmd_validate(args) -> int:
         summary["states"] = len(model.poset.elements)
         summary["n"] = model.n
     else:
-        poset, _ = model
-        summary["elements"] = len(poset.elements)
+        summary["elements"] = len(model.elements)
     _emit(summary)
     return EXIT_OK
 
@@ -146,10 +145,10 @@ def cmd_cuts(args) -> int:
     kind, model = traces.load_trace(args.path)
     if args.family == "downsets":
         _need(kind in ("event", "poset"), "downsets need an event or poset trace")
-        lines = _downset_lines(model.poset if kind == "event" else model[0])
+        lines = _downset_lines(model.poset if kind == "event" else model)
     else:
         _need(kind in ("state", "poset"), "antichains need a state or poset trace")
-        lines = _antichain_lines(model if kind == "state" else model[0])
+        lines = _antichain_lines(model)
 
     cap, count = args.max_cuts, 0
     chunk: list[str] = []

@@ -92,14 +92,14 @@ def _chain_lists(value: Any) -> list[list[str]]:
     return [_string_list(c, "chain") for c in value]
 
 
-def parse_poset(data: Mapping[str, Any]) -> tuple[Poset, list[list[str]] | None]:
+def parse_poset(data: Mapping[str, Any]) -> Poset:
     elements = _element_list(data)
     relations = _pair_list(data.get("relations", []), "'relations'")
     chains = _chain_lists(data["chains"]) if "chains" in data else None
     poset = build_poset(elements, relations)
-    if chains is not None:  # checked as a state trace's chains are
+    if chains is not None:  # checked as a state trace's chains are, then dropped
         build_state_model(poset, chains)
-    return poset, chains
+    return poset
 
 
 def parse_state(data: Mapping[str, Any]) -> StateModel:

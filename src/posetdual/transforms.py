@@ -11,14 +11,15 @@ down one tentative event per non-initial state, adds a cross edge
 strongly connected component of the tentative graph into a single shared
 event.  A component with two nodes on the same chain cannot be collapsed;
 such inputs do not model any computation and are reported rather than
-converted.
+converted.  Only reachability in that graph matters, so it is stored
+sparse: each node keeps its chain edge and, per other chain, the cross edge
+to the lowest such ``(j,s)``; the chain edges imply the rest.
 
 Both directions read the order from :func:`~posetdual.poset.chain_clocks`
 instead of testing pairs: the forward transform emits one pair per state and
 other process, O(events x processes) before the closure, and the tentative
-graph takes each node's cross edges from one clock, in time linear in its
-edges.  The collapsed event order is closed from one pair per tentative node
-and chain, and the tentative edge list is only built when read.
+graph takes each node's edges from one clock, O(states x processes) edges.
+The collapsed event order is closed from the edges between components.
 
 Both transforms are pure; parallel invocation is safe.
 """
@@ -92,8 +93,10 @@ class InvalidityReport:
 class SETransformOutcome:
     """Either the rebuilt event model or an invalidity report.
 
-    ``temp_edges`` exposes the tentative pre-collapse graph (including any
-    cycles) for diagnostics; it is listed from the stored graph when read.
+    ``temp_edges`` exposes the stored tentative pre-collapse graph for
+    diagnostics, listed when read: per node, its chain edge and its lowest
+    edge to each other chain.  The edges it leaves out follow from these by
+    chain edges, so its reachability and cycles are those of the full graph.
     """
 
     event_model: EventModel | None
@@ -115,13 +118,16 @@ class SETransformOutcome:
 
 
 def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]]:
-    """Tentative event graph of a state model (may contain cycles).
+    """Tentative event graph of a state model (may contain cycles), sparse.
 
-    Nodes ``(i,k)`` stand for the transition into state ``[i,k]``; edges are
-    the per-chain successions plus a cross edge ``(i,r) -> (j,s)`` whenever
-    ``[i,r-1] < [j,s]``, i.e. for every ``s`` from the lowest state of chain
-    ``j`` above ``[i,r-1]`` (its chain clock) upward.  Successor lists are
-    sorted.
+    Nodes ``(i,k)`` stand for the transition into state ``[i,k]``.  The full
+    graph has the chain edges and a cross edge ``(i,r) -> (j,s)`` whenever
+    ``[i,r-1] < [j,s]``; on chain ``j`` those ``s`` run from the lowest
+    state above ``[i,r-1]`` (its chain clock) to the top.  Each node keeps
+    its chain edge and only the first cross edge per other chain: chain
+    edges reach the rest, so reachability and the components are the same
+    with O(states x processes) edges.  Successor lists are sorted, at most
+    one node per chain.
     """
     clocks = sm.clocks()
     nodes: list[Node] = []
@@ -131,10 +137,9 @@ def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]
             up = clocks[chain[r - 1]][1]
             out: list[Node] = []
             for j, other in enumerate(sm.chains, start=1):
-                if j != i:
-                    out.extend((j, s) for s in range(max(1, up[j - 1]), len(other)))
-                elif r + 1 < len(chain):
-                    out.append((i, r + 1))
+                s = r + 1 if j == i else max(1, up[j - 1])
+                if s < len(other):
+                    out.append((j, s))
             nodes.append((i, r))
             succ[(i, r)] = out
     return nodes, succ
@@ -200,9 +205,10 @@ def _shared_id(members: Sequence[Node]) -> str:
 def se_transform(sm: StateModel) -> SETransformOutcome:
     """State model -> event model, or an invalidity report.
 
-    Runs in time linear in the tentative graph.  Collapsed shared events get
-    deterministic ids so that round-trips compare equal; plain events are
-    named ``e<i>.<k>``.
+    Up to the closure of the collapsed order, runs in time linear in the
+    sparse tentative graph: O(states x processes).  Collapsed shared events
+    get deterministic ids so that round-trips compare equal; plain events
+    are named ``e<i>.<k>``.
     """
     nodes, succ = transition_graph(sm)
     components = strongly_connected_components(nodes, succ)
@@ -233,18 +239,12 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
         eid = f"e{i}.{k}" if len(comp) == 1 else _shared_id(comp)
         ids[comp] = eid
         labels[eid] = frozenset(comp)
-    # Only the closure of the pairs matters.  A node's successors on one chain
-    # run up to its top, and the run's first node reaches the rest by chain
-    # edges (no component holds two nodes of a chain), so each node gives
-    # one pair per chain.
-    pairs = []
-    for a in nodes:
-        src, chain = comp_of[a], None
-        for b in succ[a]:
-            if b[0] != chain:
-                chain = b[0]
-                if comp_of[b] is not src:
-                    pairs.append((ids[src], ids[comp_of[b]]))
+    pairs = [
+        (ids[comp_of[a]], ids[comp_of[b]])
+        for a in nodes
+        for b in succ[a]
+        if comp_of[b] is not comp_of[a]
+    ]
     poset = build_poset(labels.keys(), pairs)
     # The component screening makes this validation unreachable-by-failure.
     model = build_event_model(poset, sm.n, labels, allow_empty_process=True)

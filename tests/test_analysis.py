@@ -7,6 +7,7 @@ from posetdual import (
     BadMarking,
     Comparability,
     NotWidthExtensible,
+    OracleBoundExceeded,
     build_poset,
     build_state_model,
     comparable,
@@ -189,6 +190,25 @@ def test_zigzag_reports_exactly_the_pinched_checkpoint():
             # witness re-validates as a global checkpoint of the restriction
             for a, b in itertools.combinations(v.witness, 2):
                 assert comparable(rep.induced.poset, a, b) is Comparability.CONCURRENT
+
+
+@pytest.mark.parametrize(
+    "marks, bound, error",
+    [
+        (((0, 1, 2), (0, 2, 3)), 3, "9 tuples exceed oracle cap 8"),
+        (((0, 1, 2), (0, 2, 3)), 4, None),
+        (((0, 2), (0, 3)), 1, "4 tuples exceed oracle cap 2"),
+        (((0, 2), (0, 3)), 2, None),
+    ],
+)
+def test_oracle_takes_at_most_two_to_the_bound_tuples(marks, bound, error):
+    marking = CheckpointMarking(marks)
+    if error is None:
+        assert find_useless_checkpoints(zigzag_state(), marking, "oracle", bound=bound).verdicts
+    else:
+        with pytest.raises(OracleBoundExceeded) as exc:
+            find_useless_checkpoints(zigzag_state(), marking, "oracle", bound=bound)
+        assert str(exc.value) == error
 
 
 def test_no_cross_edges_means_no_useless_checkpoints():

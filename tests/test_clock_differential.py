@@ -3,7 +3,10 @@
 The reference functions below ask ``Poset.less`` or ``EventModel.state_less``
 about every pair of states, exactly as the definitions read.  The library
 answers the same questions from ``chain_clocks``; verdicts, witnesses, detail
-strings, tentative edges and emitted state traces must agree.
+strings, tentative edges and emitted state traces must agree.  The library's
+tentative graph is the sparse one, so it is compared with the lowest edge
+per node and chain of the full graph, and the full graph must give the same
+components, transforms and checkpoint reports.
 """
 
 import itertools
@@ -17,10 +20,16 @@ from posetdual import (
     check_psi,
     es_transform,
 )
-from posetdual.traces import state_to_json
-from posetdual.transforms import transition_graph
+from posetdual import analysis, transforms
+from posetdual.analysis import find_useless_checkpoints
+from posetdual.traces import event_to_json, state_to_json
+from posetdual.transforms import (
+    se_transform,
+    strongly_connected_components,
+    transition_graph,
+)
 
-from builders import random_chain_poset, random_event_model
+from builders import pinch_state, random_chain_poset, random_event_model, random_marking
 
 
 def omega3_by_pairs(sm):
@@ -85,6 +94,25 @@ def tentative_edges_by_pairs(sm):
     return edges
 
 
+def lowest_per_chain(edges):
+    """Per node and target chain, the edge to the lowest target."""
+    lowest = {}
+    for a, (j, s) in edges:
+        lowest[a, j] = min(s, lowest.get((a, j), s))
+    return {(a, (j, s)) for (a, j), s in lowest.items()}
+
+
+def dense_transition_graph(sm):
+    """The full tentative graph, in the node order of ``transition_graph``."""
+    nodes = [(i, r) for i in range(1, sm.n + 1) for r in range(1, sm.chain_top_index(i) + 1)]
+    succ = {a: [] for a in nodes}
+    for a, b in tentative_edges_by_pairs(sm):
+        succ[a].append(b)
+    for out in succ.values():
+        out.sort()
+    return nodes, succ
+
+
 def es_transform_by_pairs(m):
     chains = [
         [f"{i}.{k}" for k in range(m.chain_length(i) + 1)] for i in range(1, m.n + 1)
@@ -126,7 +154,52 @@ def test_clock_results_equal_pair_scans():
             failures[name] += not verdict["ok"]
         nodes, succ = transition_graph(sm)
         edges = {(a, b) for a in nodes for b in succ[a]}
-        assert edges == tentative_edges_by_pairs(sm)
+        assert edges == lowest_per_chain(tentative_edges_by_pairs(sm))
         assert all(succ[a] == sorted(succ[a]) for a in nodes)
     # Both checks must fail often enough for their witnesses to be compared.
     assert min(failures.values()) >= 100, failures
+
+
+def se_and_checkpoint_outputs(models):
+    out = []
+    for sm, marking in models:
+        se = se_transform(sm)
+        out.append(event_to_json(se.event_model) if se.ok else se.report.as_json())
+        if marking is not None:
+            out.append(find_useless_checkpoints(sm, marking, engine="both").as_json())
+    return out
+
+
+def test_sparse_tentative_graph_equals_full_graph(monkeypatch):
+    rng = random.Random(1972)
+    gadget = pinch_state()
+    models = []
+    for _ in range(600):
+        p, chains = random_chain_poset(
+            rng, max_elems=rng.choice([12, 24]), max_chains=rng.choice([3, 5])
+        )
+        elements, pairs = list(p.elements), list(p.covers)
+        if rng.random() < 0.5:  # beside the pinch gadget, so se often fails
+            elements += [f"g{s}" for s in gadget.poset.elements]
+            pairs += [(f"g{a}", f"g{b}") for a, b in gadget.poset.covers]
+            chains = chains + [[f"g{s}" for s in c] for c in gadget.chains]
+        models.append((build_state_model(build_poset(elements, pairs), chains), None))
+    for _ in range(400):
+        sm = es_transform(random_event_model(
+            rng, max_procs=rng.choice([3, 5]), max_events_per_proc=5, max_messages=8
+        ))
+        models.append((sm, random_marking(rng, sm, max_marks=rng.choice([3, 5]))))
+
+    shared = 0
+    for sm, _ in models:
+        sparse = strongly_connected_components(*transition_graph(sm))
+        dense = strongly_connected_components(*dense_transition_graph(sm))
+        assert set(sparse) == set(dense), state_to_json(sm)
+        shared += any(len(c) > 1 for c in sparse)
+    # Enough models carry cycles for the components to be compared.
+    assert shared >= 200, shared
+
+    expected = se_and_checkpoint_outputs(models)
+    for module in (transforms, analysis):
+        monkeypatch.setattr(module, "transition_graph", dense_transition_graph)
+    assert se_and_checkpoint_outputs(models) == expected

@@ -485,6 +485,33 @@ def test_deeply_nested_predicate_is_a_parse_error(capsys, tmp_path, fixtures_dir
     assert err == f"parse error: {pred} is nested too deeply\n"
 
 
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_deepest_parsed_connective_chain_runs_in_every_mode(capsys, tmp_path, fixtures_dir, op):
+    # Compiling must take no more stack per level than parsing: the deepest
+    # one-argument chain that is not a parse error runs in all three modes.
+    model = str(fixtures_dir / "sessions_state.json")
+    pred = tmp_path / "pred.json"
+    leaf = '{"op": "attr", "proc": 1, "attr": "session", "cmp": "==", "value": 1}'
+
+    def run(depth, *mode):
+        expr = f'{{"op": "{op}", "args": [' * depth + leaf + "]}" * depth
+        pred.write_text('{"kind": "predicate", "version": 1, "expr": ' + expr + "}")
+        return run_cli(capsys, "analyze", "predicate", "--model", model, "--pred", str(pred), *mode)
+
+    lo, hi = 1, 5000  # parsed, parse error
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        code, _, err = run(mid, "--count")
+        if code == 3:
+            assert err == f"parse error: {pred} is nested too deeply\n"
+            hi = mid
+        else:
+            lo = mid
+    for mode in (["--count"], ["--first"], []):
+        code, out, err = run(lo, *mode)
+        assert code == 0 and out and "Traceback" not in err, (lo, mode)
+
+
 def test_deeply_nested_attrs_are_a_parse_error(capsys, tmp_path):
     depth = 3000
     path = tmp_path / "state.json"
@@ -520,6 +547,32 @@ def test_huge_declared_process_count_fails_at_the_first_empty_process(tmp_path):
     assert run.returncode == 2, run.stderr
     error = json.loads(run.stdout)["error"]
     assert error == {"type": "EmptyProcess", "message": "process 2 has no events", "process": 2}
+
+
+def test_huge_oracle_bound_allocates_no_cap(capsys, monkeypatch, tmp_path, fixtures_dir):
+    # 2 ** 10**12 does not fit in 1 GB: the child fails unless the oracle
+    # compares the tuple count with the bound before it builds the cap.
+    argv = [
+        "analyze", "checkpoints", "--engine", "oracle",
+        "--model", str(fixtures_dir / "zigzag_state.json"),
+        "--marks", str(fixtures_dir / "zigzag_marks.json"),
+    ]
+    monkeypatch.delenv("POSETDUAL_ORACLE_BOUND", raising=False)
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from posetdual.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(posetdual.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, POSETDUAL_ORACLE_BOUND=str(10**12))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == expected
 
 
 def test_unknown_property_is_a_usage_error(capsys, fixtures_dir):
