@@ -12,9 +12,12 @@ and emission (:meth:`Predicate.as_json`) both read it, so they cannot
 drift apart, and a field outside its op's row is rejected.
 
 Detection runs on frontier vectors (one state index per process) from the
-cut enumeration of :mod:`posetdual.lattice`.  A predicate is compiled once
-into per-process columns of verdicts, values and warnings, so evaluating it
-on a global state costs O(clauses) lookups and builds no names.  The first
+cut enumeration of :mod:`posetdual.lattice`, tested as the walk's own lists.
+A predicate is compiled once into per-process columns of verdicts, values
+and warnings, so evaluating it on a global state costs O(clauses) lookups
+and builds no names.  A clause no state of whose columns warns compiles to
+a lean closure: a verdict lookup, or for ``agg`` one ``sum`` of per-state
+contributions; the others replay each state's warnings.  The first
 match of a conjunction of per-process clauses (Garg & Waldecker, 1994) is
 found without enumerating: it is the least global state all of whose states
 pass their clauses, found by advancing per-process indices along the chain
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
@@ -55,7 +59,7 @@ from .errors import (
 
 # enumerate_width_antichains is not called here any more; the name stays bound
 # in this module because perfbench/tracing.py wraps it by this binding.
-from .lattice import enumerate_width_antichains, frontier_vectors  # noqa: F401
+from .lattice import enumerate_width_antichains, frontier_parts  # noqa: F401
 
 # width and check_width_extensible are not called here any more; the names
 # stay bound in this module because perfbench/tracing.py wraps them by these
@@ -74,17 +78,18 @@ from .transforms import strongly_connected_components, transition_graph
 log = logging.getLogger(__name__)
 
 _CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
 }
 
 
 Warn = Callable[[str], None]
-#: A compiled predicate: (frontier vector, warning sink) -> verdict.
+#: A compiled predicate: (frontier vector, warning sink) -> verdict.  A
+#: vector is any sequence of state indices, a list when it comes from the walk.
 Test = Callable[[Sequence[int], Warn], bool]
 
 
@@ -185,14 +190,21 @@ class _LocalClause(Predicate):
 
     def compile(self, sm):
         col, i = self.column(sm), self.proc - 1
+        if not any(msgs for _, msgs in col):  # no state warns: a verdict lookup
+            truth = [verdict for verdict, _ in col]
 
-        def test(vector, warn):
+            def lean(vector, warn):
+                return truth[vector[i]]
+
+            return lean
+
+        def replay(vector, warn):
             truth, msgs = col[vector[i]]
             for msg in msgs:
                 warn(msg)
             return truth
 
-        return test
+        return replay
 
 
 @dataclass(frozen=True)
@@ -261,9 +273,25 @@ class AggCmp(Predicate):
             [_probe(sm, i, s, lambda ctx: ctx.attr(i, self.attr)) for s in chain]
             for i, chain in enumerate(sm.chains, start=1)
         ]
+        if self.fn == "sum":
+            contrib = [[got for got, _ in col] for col in cols]
+            summable = all(type(v) in (int, float, bool) for row in contrib for v in row)
+        else:
+            contrib = [[1 if got else 0 for got, _ in col] for col in cols]
+            summable = all(got is not None for col in cols for got, _ in col)
+        if summable:
+            # Every state has a value (so none warns) and the sum cannot fail:
+            # the aggregate is one sum of per-state contributions, in chain
+            # order as in _holds.
+            cmp, value = self.cmp, self.value
+
+            def lean(vector, warn):
+                return _compare(cmp, sum(map(operator.getitem, contrib, vector)), value, warn)
+
+            return lean
         holds = self._holds
 
-        def test(vector, warn):
+        def replay(vector, warn):
             values = []
             for col, k in zip(cols, vector):
                 got, msgs = col[k]
@@ -274,7 +302,7 @@ class AggCmp(Predicate):
                 values.append(got)
             return holds(values, warn)
 
-        return test
+        return replay
 
 
 @dataclass(frozen=True)
@@ -445,8 +473,10 @@ def compile_predicate(sm: StateModel, pred: PredicateLike) -> Test:
     AST predicates are compiled once into per-process columns: a verdict and
     any warnings per state for ``attr`` and ``index`` clauses, a value per
     state for ``agg``; the verdict and the warnings of each global state are
-    those of the reference evaluation.  A callable is called on the named
-    antichain.
+    those of the reference evaluation.  A clause on which no state warns
+    keeps only its verdicts, and an ``agg`` whose values are all present
+    (and, for ``sum``, all numbers) only each state's contribution to the
+    sum.  A callable is called on the named antichain.
 
     Raises:
         PredicateError: a clause names a process *sm* does not have.
@@ -483,8 +513,9 @@ def satisfying_frontiers(
 ) -> Iterator[tuple[int, ...]]:
     """:func:`detect_width_predicate` as frontier vectors of ``sm.chains``.
 
-    Each global state costs one compiled evaluation on a vector the cut
-    walk carries from the parent cut's; no state names are built.
+    Each global state costs one compiled evaluation on the list the cut
+    walk carries from the parent cut's (:func:`~posetdual.lattice.frontier_parts`);
+    no state names are built, and a tuple only for a match.
     """
     test = compile_predicate(sm, pred)
     if not _spans_processes(sm):
@@ -495,9 +526,9 @@ def satisfying_frontiers(
         sink.append(msg)
         log.warning(msg)
 
-    for vector in frontier_vectors(sm):
+    for vector in frontier_parts(sm):
         if test(vector, warn):
-            yield vector
+            yield tuple(vector)
 
 
 def detect_width_predicate(

@@ -120,24 +120,31 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _cut_line(parts: list[str]) -> str:
-    return '{"cut": [' + "".join(parts)[2:] + "]}\n"
-
-
 def _encoded(names) -> list[str]:
     """Each name as it follows another in a ``cuts`` line."""
     return [", " + json.dumps(name) for name in names]
 
 
-def _downset_lines(poset) -> Iterator[str]:
-    """One ``cuts`` line per downset, each byte of names rendered once."""
-    return map(_cut_line, lattice.downset_parts(poset, _encoded(poset.elements), "".join))
+def _downset_cuts(poset) -> Iterator[list[str]]:
+    """Per downset, its names as parts of a ``cuts`` line, each byte rendered once."""
+    return lattice.downset_parts(poset, _encoded(poset.elements), "".join)
 
 
-def _antichain_lines(target) -> Iterator[str]:
-    """One ``cuts`` line per maximum antichain, each byte of names rendered once."""
+def _antichain_cuts(target) -> Iterator[list[str]]:
+    """Per maximum antichain, its names as parts of a ``cuts`` line."""
     sm = statemodel.require_width_extensible(target)
-    return map(_cut_line, lattice.antichain_parts(sm, _encoded(sm.poset.elements), "".join))
+    return lattice.antichain_parts(sm, _encoded(sm.poset.elements), "".join)
+
+
+def _cut_lines(cuts: list[list[str]]) -> str:
+    """The ``cuts`` lines of a nonempty chunk of cuts, in one string.
+
+    A cut's parts concatenate to its names, each after ", " (:func:`_encoded`);
+    the first separator is cut off, and one join puts the line breaks and
+    brackets between the cuts.
+    """
+    names = ']}\n{"cut": ['.join([text[2:] for text in map("".join, cuts)])
+    return '{"cut": [' + names + "]}\n"
 
 
 def cmd_cuts(args) -> int:
@@ -145,26 +152,27 @@ def cmd_cuts(args) -> int:
     kind, model = traces.load_trace(args.path)
     if args.family == "downsets":
         _need(kind in ("event", "poset"), "downsets need an event or poset trace")
-        lines = _downset_lines(model.poset if kind == "event" else model)
+        cuts = _downset_cuts(model.poset if kind == "event" else model)
     else:
         _need(kind in ("state", "poset"), "antichains need a state or poset trace")
-        lines = _antichain_lines(model)
+        cuts = _antichain_cuts(model)
 
     cap, count = args.max_cuts, 0
-    chunk: list[str] = []
+    chunk: list[list[str]] = []
     try:
         while True:
-            # extend keeps the lines taken before an error in the stream
-            chunk.extend(itertools.islice(lines, min(_CHUNK, cap - count)))
+            # extend keeps the cuts taken before an error in the stream
+            chunk.extend(itertools.islice(cuts, min(_CHUNK, cap - count)))
             if not chunk:
                 break
             count += len(chunk)
-            sys.stdout.write("".join(chunk))
+            sys.stdout.write(_cut_lines(chunk))
             chunk.clear()
-        if next(lines, None) is not None:
+        if next(cuts, None) is not None:
             raise GuardExceeded(f"more than {cap} cuts")
     finally:  # the lines before a guard or an error are still written
-        sys.stdout.write("".join(chunk))
+        if chunk:
+            sys.stdout.write(_cut_lines(chunk))
     sys.stdout.write(json.dumps({"count": count}, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -26,7 +26,7 @@ under the bijection as the walk's image.  It starts at every chain's
 initial state, and an event moves each chain it has a slot on to the next
 state.  With a byte per field the parts are the antichain's names in
 sorted-id order (:func:`antichain_parts`); with a field per chain they are
-its frontier vector (:func:`frontier_vectors`).  Either way an antichain
+its frontier vector (:func:`frontier_parts`).  Either way an antichain
 costs O(touched fields) table reads and no per-cut set of names.  The
 family of cuts can be exponential in the model size, so the CLI guards
 enumeration with an explicit cap.
@@ -302,21 +302,22 @@ def antichain_parts(
     ``sm.poset.elements[i]``; part ``b`` is ``join`` of the members of byte
     ``b``, so the parts concatenate to the antichain in sorted-id order.
     The order of the stream and the precondition are those of
-    :func:`frontier_vectors`.
+    :func:`frontier_parts`.
     """
     slots = [[sm.poset.index(s) for s in chain] for chain in sm.chains]
     return _antichain_walk(sm, slots, _byte_fields(items, join))
 
 
-def frontier_vectors(sm: StateModel) -> Iterator[tuple[int, ...]]:
-    """The maximum antichains of *sm* as frontier vectors, lazily.
+def frontier_parts(sm: StateModel) -> Iterator[list[int]]:
+    """The maximum antichains of *sm* as frontier vectors in the walk's lists.
 
     Entry ``i`` of a vector is the position of the antichain's state on
     ``sm.chains[i]``.  The poset must be width-extensible and have as many
     chains as its width; neither is checked here.  The vectors come in the
     order of the consistent cuts of the reverse transform.  The image is
     laid out chain by chain, one field per chain, so an event re-reads the
-    entries of the chains it moves.
+    entries of the chains it moves.  A yielded list is never changed later
+    (:func:`_walk`), so a consumer may keep it, or test it and drop it.
     """
     slots, fields, low = [], [], 0
     position = _Table(lambda bit: bit.bit_length() - 1)  # one-hot -> index
@@ -324,7 +325,13 @@ def frontier_vectors(sm: StateModel) -> Iterator[tuple[int, ...]]:
         slots.append(range(low, low + len(chain)))
         fields.append((low, len(chain), position))
         low += len(chain)
-    yield from map(tuple, _antichain_walk(sm, slots, fields))
+    return _antichain_walk(sm, slots, fields)
+
+
+def frontier_vectors(sm: StateModel) -> Iterator[tuple[int, ...]]:
+    """:func:`frontier_parts` as tuples, lazily: nothing runs before the
+    first vector is asked for."""
+    yield from map(tuple, frontier_parts(sm))
 
 
 def width_frontiers(

@@ -297,37 +297,45 @@ def _maximum_matching(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
     Deterministic: vertices and neighbors are scanned in sorted-id order.
     """
     up = p._up
-    everything = (1 << len(up)) - 1
-    match_l: dict[int, int] = {}
-    match_r: dict[int, int] = {}
-    for root in range(len(up)):
+    n = len(up)
+    everything = (1 << n) - 1
+    mate_l = [-1] * n  # partners, -1 for none
+    mate_r = [-1] * n
+    for root in range(n):
         # Kuhn's augmenting-path search as an explicit-stack DFS: path[d] is
         # the right vertex tried from stack[d], so depth is not bounded by
         # the recursion limit.  Every neighbor a frame has tried is visited,
         # and visited only grows, so the frame's next neighbor in sorted
-        # order is the lowest bit of its up-set still in ``unvisited``.
+        # order is the lowest bit of its up-set (``top`` for the top frame)
+        # still in ``unvisited``.
         unvisited = everything
         stack = [root]
         path: list[int] = []
-        while stack:
-            free = up[stack[-1]] & unvisited
+        top = up[root]
+        while True:
+            free = top & unvisited
             if not free:
                 stack.pop()
-                if path:
-                    path.pop()
+                if not stack:
+                    break
+                path.pop()
+                top = up[stack[-1]]
                 continue
             low = free & -free
             unvisited ^= low
             v = low.bit_length() - 1
             path.append(v)
-            w = match_r.get(v)
-            if w is not None:
+            w = mate_r[v]
+            if w >= 0:
                 stack.append(w)
+                top = up[w]
                 continue
-            for u, x in reversed(list(zip(stack, path))):
-                match_l[u] = x
-                match_r[x] = u
+            for u, x in zip(stack, path):
+                mate_l[u] = x
+                mate_r[x] = u
             break
+    match_l = {u: x for u, x in enumerate(mate_l) if x >= 0}
+    match_r = {x: u for x, u in enumerate(mate_r) if u >= 0}
     return match_l, match_r
 
 

@@ -3,10 +3,10 @@ element-at-a-time loops they replaced.
 
 The reference functions transcribe the earlier implementations: the cover
 relation found by testing every closure pair, Kuhn's matching over explicit
-neighbour lists, the width-extensibility pair loop over chain clocks, and
-the checkpoint restriction built from every closure pair between marked
-states.  Orders, matchings, partitions, witnesses and verdicts must agree
-exactly.
+neighbour lists and over bitsets with partners in dicts, the
+width-extensibility pair loop over chain clocks, and the checkpoint
+restriction built from every closure pair between marked states.  Orders,
+matchings, partitions, witnesses and verdicts must agree exactly.
 """
 
 import itertools
@@ -27,6 +27,7 @@ from posetdual.poset import (
     minimum_chain_partition,
     width,
 )
+from posetdual.traces import load_trace
 
 from builders import (
     random_chain_poset,
@@ -97,6 +98,38 @@ def kuhn_by_lists(p):
                 stack.append((w, iter(neighbors[w])))
                 continue
             for (u, _), x in reversed(list(zip(stack, path))):
+                match_l[u] = x
+                match_r[x] = u
+            break
+    return match_l, match_r
+
+
+def kuhn_by_dicts(p):
+    """Kuhn's matching on up-set bitsets with partners in dicts: the loop
+    before partners moved to ``-1``-filled lists."""
+    up = p._up
+    everything = (1 << len(up)) - 1
+    match_l, match_r = {}, {}
+    for root in range(len(up)):
+        unvisited = everything
+        stack = [root]
+        path = []
+        while stack:
+            free = up[stack[-1]] & unvisited
+            if not free:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            low = free & -free
+            unvisited ^= low
+            v = low.bit_length() - 1
+            path.append(v)
+            w = match_r.get(v)
+            if w is not None:
+                stack.append(w)
+                continue
+            for u, x in reversed(list(zip(stack, path))):
                 match_l[u] = x
                 match_r[x] = u
             break
@@ -222,3 +255,26 @@ def test_checkpoint_restriction_equals_filtered_closure():
         )
         assert induced.poset.covers == p.covers
         assert induced.chains == tuple(tuple(c) for c in chains)
+
+
+def test_list_partner_matching_equals_dict_loop(fixtures_dir):
+    rng = random.Random(1956)
+    posets = []
+    for trial in range(600):
+        if trial % 3 == 0:
+            posets.append(build_poset(*random_relation_list(rng)))
+        elif trial % 3 == 1:
+            posets.append(random_chain_poset(rng, max_elems=24, max_chains=5)[0])
+        else:
+            posets.append(es_transform(random_event_model(rng, max_events_per_proc=6)).poset)
+    for kind in ("event", "state", "poset"):
+        for path in sorted(fixtures_dir.glob(f"*_{kind}.json")):
+            model = load_trace(path)[1]
+            posets.append(model if kind == "poset" else model.poset)
+    assert len(posets) >= 610, len(posets)
+    matched = 0
+    for p in posets:
+        expected = kuhn_by_dicts(p)
+        assert _maximum_matching(p) == expected, p.elements
+        matched += bool(expected[0])
+    assert matched >= 500, matched

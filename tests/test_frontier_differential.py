@@ -40,7 +40,7 @@ from posetdual.analysis import (
     compile_predicate,
     first_width_predicate,
 )
-from posetdual.cli import _antichain_lines, _downset_lines
+from posetdual.cli import _CHUNK, _antichain_cuts, _cut_lines, _downset_cuts
 from posetdual.errors import PredicateError
 from posetdual.lattice import enumerate_downsets, width_frontiers
 from posetdual.poset import minimum_chain_partition, width
@@ -120,6 +120,27 @@ def ref_width_antichains(target):
 
 def ref_line(cut):
     return json.dumps({"cut": sorted(cut)}, sort_keys=True) + "\n"
+
+
+# --- the CLI's lines -------------------------------------------------------------
+
+
+def cli_lines(cuts):
+    """The ``cuts`` lines of a stream, rendered in chunks as ``cmd_cuts`` does."""
+    cuts, lines = list(cuts), []
+    for start in range(0, len(cuts), _CHUNK):
+        *chunk, tail = _cut_lines(cuts[start:start + _CHUNK]).split("\n")
+        assert tail == ""
+        lines += [line + "\n" for line in chunk]
+    return lines
+
+
+def _downset_lines(poset):
+    return cli_lines(_downset_cuts(poset))
+
+
+def _antichain_lines(target):
+    return cli_lines(_antichain_cuts(target))
 
 
 def ref_detect(sm, pred, warnings):
@@ -220,7 +241,9 @@ def random_state_model(rng, missing=True):
     return build_state_model(poset, chains, random_attrs(rng, sm, missing))
 
 
-def random_predicate(rng, n, depth=0):
+def random_predicate(rng, n, depth=0, names=("x", "y", "ghost"), values=VALUES):
+    """A random AST; ``attr`` clauses read *names*, ``agg`` clauses the
+    attributes x and y, and both compare with *values*."""
     kinds = ["attr", "index", "agg", "const"]
     if depth < 3:
         kinds += ["and", "or", "not"] * 2
@@ -228,16 +251,18 @@ def random_predicate(rng, n, depth=0):
     cmp = rng.choice(["<", "<=", "==", "!=", ">=", ">"])
     proc = rng.randint(1, n)
     if kind == "attr":
-        return AttrCmp(proc, rng.choice(["x", "y", "ghost"]), cmp, rng.choice(VALUES))
+        return AttrCmp(proc, rng.choice(names), cmp, rng.choice(values))
     if kind == "index":
         return IndexCmp(proc, cmp, rng.choice([0, 1, 2, 3, "s"]))
     if kind == "agg":
-        return AggCmp(rng.choice(["sum", "count"]), rng.choice(["x", "y"]), cmp, rng.choice(VALUES))
+        return AggCmp(rng.choice(["sum", "count"]), rng.choice(["x", "y"]), cmp, rng.choice(values))
     if kind == "const":
         return Const(rng.random() < 0.5)
     if kind == "not":
-        return Not(random_predicate(rng, n, depth + 1))
-    args = tuple(random_predicate(rng, n, depth + 1) for _ in range(rng.randint(0, 3)))
+        return Not(random_predicate(rng, n, depth + 1, names, values))
+    args = tuple(
+        random_predicate(rng, n, depth + 1, names, values) for _ in range(rng.randint(0, 3))
+    )
     return And(args) if kind == "and" else Or(args)
 
 
@@ -366,6 +391,107 @@ def test_compiled_predicates_equal_evaluate():
         assert list(detect_width_predicate(sm, pred, warnings_new)) == reference
         assert warnings_new == warnings_ref
     assert warned >= 200, warned
+
+
+# Attribute values of models where every state has both attributes.  Sums
+# of the floats depend on the order of the terms (1e16 + 1.0 - 1e16 is 0.0
+# without compensation); "text" values can only be counted, and summing
+# them warns.
+COMPLETE_VALUES = {
+    "int": [-2, 0, 1, 3, 7],
+    "float": [0.1, 0.2, 0.7, 1.0, 1e16, -1e16],
+    "bool": [True, False],
+    "mixed": [0, 2, 0.1, 0.7, True, False],
+    "text": ["", "s", "ab", [], [1], 0],
+}
+# Compared values: numbers a sum may hit, and a string and None, which
+# warn through the comparison unless it is == or !=.
+COMPARED = [0, 1, 2, 3, 0.3, 1.0, 2.5, True, "s", None]
+
+
+def complete_state_model(rng, kind):
+    """A width-extensible state model with values of *kind* for x and y on
+    every state."""
+    while True:
+        sm = random_state_model(rng)
+        if check_width_extensible(sm.poset).ok:
+            break
+    attrs = {
+        s: {name: rng.choice(COMPLETE_VALUES[kind]) for name in ("x", "y")}
+        for s in sm.poset.elements
+    }
+    return build_state_model(sm.poset, sm.chains, attrs)
+
+
+def clauses(pred):
+    """The ``attr``, ``index`` and ``agg`` nodes of an AST."""
+    if isinstance(pred, (And, Or)):
+        return [c for arg in pred.args for c in clauses(arg)]
+    if isinstance(pred, Not):
+        return clauses(pred.arg)
+    return [] if isinstance(pred, Const) else [pred]
+
+
+def takes_lean_closure(sm, clause):
+    """Whether no state warns on the clause and, for ``agg``, every state
+    has a value the aggregate cannot fail on."""
+    if not isinstance(clause, AggCmp):
+        return not any(msgs for _, msgs in clause.column(sm))
+    values = [sm.attrs.get(s, {}).get(clause.attr) for s in sm.poset.elements]
+    if clause.fn == "count":
+        return None not in values
+    return all(type(v) in (int, float, bool) for v in values)
+
+
+def test_lean_closures_equal_evaluate():
+    """Complete attributes: most clauses compile to the lean closures, whose
+    verdicts, warnings and detected states equal the reference's."""
+    rng = random.Random(4108)
+    taken = {(kind, closure): 0 for kind in ("local", "agg") for closure in ("lean", "replay")}
+    warned = 0
+    for trial in range(400):
+        sm = complete_state_model(rng, list(COMPLETE_VALUES)[trial % len(COMPLETE_VALUES)])
+        pred = random_predicate(rng, sm.n, names=("x", "y"), values=COMPARED)
+        for clause in clauses(pred):
+            closure = clause.compile(sm).__name__
+            assert closure == ("lean" if takes_lean_closure(sm, clause) else "replay"), clause
+            taken["agg" if isinstance(clause, AggCmp) else "local", closure] += 1
+        test = compile_predicate(sm, pred)
+        for antichain in ref_width_antichains(sm):
+            if len(antichain) != sm.n:
+                break  # width below the process count: no spanning states
+            vector = [sm.coords(s)[1] for s in sorted(antichain, key=sm.coords)]
+            want, got = [], []
+            assert test(vector, got.append) == _evaluate(sm, pred, antichain, want), pred
+            assert got == want, pred
+            warned += bool(want)
+        warnings_ref, warnings_new = [], []
+        reference = list(ref_detect(sm, pred, warnings_ref))
+        assert list(detect_width_predicate(sm, pred, warnings_new)) == reference
+        assert warnings_new == warnings_ref
+    # At least three in four clauses of each kind are lean, and both kinds
+    # still replay where a state warns or a sum would fail.
+    for kind in ("local", "agg"):
+        lean, replay = taken[kind, "lean"], taken[kind, "replay"]
+        assert lean >= 3 * replay and replay >= 15, taken
+    assert warned >= 300, warned
+
+
+def test_missing_attributes_take_the_replaying_closure():
+    rng = random.Random(4109)
+    replayed = 0
+    for _ in range(300):
+        sm = random_state_model(rng)
+        for clause in clauses(random_predicate(rng, sm.n)):
+            if isinstance(clause, IndexCmp):
+                continue
+            procs = range(1, sm.n + 1) if isinstance(clause, AggCmp) else [clause.proc]
+            if any(
+                clause.attr not in sm.attrs.get(s, {}) for i in procs for s in sm.chains[i - 1]
+            ):
+                assert clause.compile(sm).__name__ == "replay", clause
+                replayed += 1
+    assert replayed >= 150, replayed
 
 
 def test_compile_rejects_processes_the_model_lacks():

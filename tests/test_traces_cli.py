@@ -347,15 +347,36 @@ def test_cuts_guard_boundaries(capsys, tmp_path, family):
 def test_cuts_lines_before_an_error_are_written(capsys, monkeypatch, fixtures_dir):
     def failing(poset):
         for _ in range(300):
-            yield '{"cut": []}\n'
+            yield []
         raise ModelError("stream broke")
 
-    monkeypatch.setattr(cli, "_downset_lines", failing)
+    monkeypatch.setattr(cli, "_downset_cuts", failing)
     path = str(fixtures_dir / "message_pair_event.json")
     code, out, _ = run_cli(capsys, "cuts", path, "--family", "downsets")
     written = '{"cut": []}\n' * 300
     assert code == 2 and out.startswith(written)
     assert json.loads(out[len(written):])["error"]["message"] == "stream broke"
+
+
+def test_cuts_chunks_may_start_with_the_empty_cut(capsys, monkeypatch, fixtures_dir):
+    # Cuts 0, _CHUNK and 2 * _CHUNK are empty: each opens a chunk, and the
+    # last is a chunk of its own.  The others hold zero to three names, two
+    # of which json.dumps escapes, between empty parts.
+    names = []
+    for k in range(2 * cli._CHUNK + 1):
+        names.append([] if k % cli._CHUNK == 0 else [f"s{k}", 'q"', "é"][: k % 4])
+
+    def cuts(poset):
+        for cut in names:
+            yield ["", "".join(", " + json.dumps(name) for name in cut), ""]
+
+    monkeypatch.setattr(cli, "_downset_cuts", cuts)
+    path = str(fixtures_dir / "message_pair_event.json")
+    code, out, _ = run_cli(capsys, "cuts", path, "--family", "downsets")
+    assert code == 0
+    assert out == "".join(json.dumps({"cut": cut}) + "\n" for cut in names) + (
+        json.dumps({"count": len(names)}) + "\n"
+    )
 
 
 def test_cuts_antichains_rejects_pinch(capsys, fixtures_dir):
