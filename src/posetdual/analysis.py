@@ -34,8 +34,9 @@ and a fast engine that reads the verdicts off the cycle structure of the
 tentative event graph of the restriction - a checkpoint is useless exactly
 when the transitions entering and leaving it are strongly connected.  That
 graph is sparse, O(states x n) edges, so the fast engine finds its
-components in O(states x n) and then names each useful checkpoint's witness
-with one search over its ancestors, O(checkpoints x states x n) in all.  It
+components in O(states x n).  It then names every useful checkpoint's
+witness, the least global checkpoint that contains it, in one sweep over
+the components in topological order, O(states x n^2) after the graph.  It
 must agree with the oracle everywhere; disagreement is a bug by definition.
 The restriction's order is closed from one pair per marked state and chain,
 read off the chain clocks.
@@ -781,48 +782,39 @@ def _fast_usefulness(
     since endpoints are marked).  A checkpoint ``[i,k]`` is useless iff the
     tentative events ``(i,k)`` and ``(i,k+1)`` are strongly connected; a
     witness for a useful checkpoint is the frontier of the ancestor set of
-    ``(i,k)``.  The sparse tentative graph has the full graph's ancestor
-    sets, and each witness costs one search of it, O(states x n) steps.
+    ``(i,k)``, the least global checkpoint that contains it.  Tarjan lists
+    a component after every component it reaches, so in reverse each comes
+    after all its ancestors: one pass in that order carries each
+    component's frontier, per chain the top index among its ancestors, to
+    its successors with one ``max`` per chain and edge, O(states x n^2).
     """
     if not check_omega1(induced).ok or not check_omega2(induced).ok:
         return None
     nodes, succ = transition_graph(induced)
-    comp_index: dict[tuple[int, int], int] = {}
-    for ci, comp in enumerate(strongly_connected_components(nodes, succ)):
-        for node in comp:
-            comp_index[node] = ci
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {n: [] for n in nodes}
-    for a in nodes:
-        for b in succ[a]:
-            preds[b].append(a)
+    comps = strongly_connected_components(nodes, succ)
+    comp_index = {node: ci for ci, comp in enumerate(comps) for node in comp}
+    tops = [[0] * induced.n for _ in comps]
+    for ci in reversed(range(len(comps))):
+        top = tops[ci]
+        for i, k in comps[ci]:
+            top[i - 1] = max(top[i - 1], k)
+        for node in comps[ci]:
+            for nxt in succ[node]:
+                cj = comp_index[nxt]
+                if cj != ci:
+                    tops[cj] = list(map(max, tops[cj], top))
 
-    def frontier_witness(anchor: tuple[int, int] | None) -> frozenset[str]:
-        tops = [0] * induced.n
-        if anchor is not None:
-            seen = {anchor}
-            queue = [anchor]
-            while queue:
-                node = queue.pop()
-                for prev in preds[node]:
-                    if prev not in seen:
-                        seen.add(prev)
-                        queue.append(prev)
-            for i, k in seen:
-                if k > tops[i - 1]:
-                    tops[i - 1] = k
-        return frozenset(
-            induced.state_at(i + 1, k) for i, k in enumerate(tops)
-        )
-
+    chains = induced.chains
+    base = frozenset(chain[0] for chain in chains)
     out: dict[str, frozenset[str] | None] = {}
-    for i in range(1, induced.n + 1):
-        top = induced.chain_top_index(i)
-        for k in range(top + 1):
-            state = induced.state_at(i, k)
-            if 1 <= k <= top - 1 and comp_index[(i, k)] == comp_index[(i, k + 1)]:
-                out[state] = None
+    for i, chain in enumerate(chains, start=1):
+        out[chain[0]] = base
+        for k in range(1, len(chain)):
+            ci = comp_index[(i, k)]
+            if k < len(chain) - 1 and ci == comp_index[(i, k + 1)]:
+                out[chain[k]] = None
             else:
-                out[state] = frontier_witness((i, k) if k >= 1 else None)
+                out[chain[k]] = frozenset(map(tuple.__getitem__, chains, tops[ci]))
     return out
 
 

@@ -328,30 +328,6 @@ def frontier_parts(sm: StateModel) -> Iterator[list[int]]:
     return _antichain_walk(sm, slots, fields)
 
 
-def frontier_vectors(sm: StateModel) -> Iterator[tuple[int, ...]]:
-    """:func:`frontier_parts` as tuples, lazily: nothing runs before the
-    first vector is asked for."""
-    yield from map(tuple, frontier_parts(sm))
-
-
-def width_frontiers(
-    target: StateModel | Poset,
-) -> tuple[StateModel, Iterator[tuple[int, ...]]]:
-    """All maximum antichains of a width-extensible poset, as frontier vectors.
-
-    Returns the chain-partitioned view whose chains the vectors index,
-    :func:`~posetdual.statemodel.require_width_extensible`'s (the target
-    itself when its initial states are concurrent, with no chain matching,
-    else Kuhn's partition), and the lazy stream of :func:`frontier_vectors`,
-    in the order of :func:`enumerate_width_antichains`.
-
-    Raises:
-        NotWidthExtensible: the input fails the precondition (with witness).
-    """
-    sm = require_width_extensible(target)
-    return sm, frontier_vectors(sm)
-
-
 def enumerate_width_antichains(
     target: StateModel | Poset,
 ) -> Iterator[frozenset[str]]:

@@ -40,6 +40,7 @@ from builders import (
     permits_predicate,
     pinch_poset,
     random_asc,
+    random_event_model,
     random_marking,
     sessions_model,
     zigzag_marking,
@@ -268,3 +269,37 @@ def test_usefulness_is_definitional():
                 )
             ]
             assert bool(combos) == v.useful
+
+
+def test_fast_witness_is_the_least_global_checkpoint_containing_the_state():
+    # Every global checkpoint of the restriction is enumerated, as the
+    # oracle does; the fast witness must be one of them, and below every
+    # other one that contains the checkpoint, chain by chain.
+    rng = random.Random(44)
+    checked = 0
+    for _ in range(400):
+        sm = es_transform(random_event_model(
+            rng, max_procs=4, max_events_per_proc=5, max_messages=8
+        ))
+        rep = find_useless_checkpoints(sm, random_marking(rng, sm), engine="fast")
+        assert rep.engine == "fast"
+        ind = rep.induced
+        position = {s: k for chain in ind.chains for k, s in enumerate(chain)}
+        checkpoints = [
+            combo
+            for combo in itertools.product(*ind.chains)
+            if all(
+                comparable(ind.poset, a, b) is Comparability.CONCURRENT
+                for a, b in itertools.combinations(combo, 2)
+            )
+        ]
+        for v in rep.verdicts:
+            if not v.useful:
+                continue
+            least = tuple(s for chain in ind.chains for s in chain if s in v.witness)
+            assert len(v.witness) == ind.n and least in checkpoints
+            for combo in checkpoints:
+                if v.state in combo:
+                    assert all(position[a] <= position[b] for a, b in zip(least, combo))
+            checked += 1
+    assert checked >= 1500, checked

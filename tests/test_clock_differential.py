@@ -6,7 +6,9 @@ answers the same questions from ``chain_clocks``; verdicts, witnesses, detail
 strings, tentative edges and emitted state traces must agree.  The library's
 tentative graph is the sparse one, so it is compared with the lowest edge
 per node and chain of the full graph, and the full graph must give the same
-components, transforms and checkpoint reports.
+components, transforms and checkpoint reports.  The fast checkpoint engine's
+one sweep over the components must name the witnesses that one ancestor
+search per checkpoint named.
 """
 
 import itertools
@@ -16,6 +18,8 @@ from posetdual import (
     Verdict,
     build_poset,
     build_state_model,
+    check_omega1,
+    check_omega2,
     check_omega3,
     check_psi,
     es_transform,
@@ -127,6 +131,61 @@ def es_transform_by_pairs(m):
     return build_state_model(poset, chains)
 
 
+def fast_usefulness_by_search(induced):
+    """The fast checkpoint engine with one ancestor search per witness."""
+    if not check_omega1(induced).ok or not check_omega2(induced).ok:
+        return None
+    nodes, succ = transition_graph(induced)
+    comp_index = {}
+    for ci, comp in enumerate(strongly_connected_components(nodes, succ)):
+        for node in comp:
+            comp_index[node] = ci
+    preds = {n: [] for n in nodes}
+    for a in nodes:
+        for b in succ[a]:
+            preds[b].append(a)
+
+    def frontier_witness(anchor):
+        tops = [0] * induced.n
+        if anchor is not None:
+            seen = {anchor}
+            queue = [anchor]
+            while queue:
+                node = queue.pop()
+                for prev in preds[node]:
+                    if prev not in seen:
+                        seen.add(prev)
+                        queue.append(prev)
+            for i, k in seen:
+                if k > tops[i - 1]:
+                    tops[i - 1] = k
+        return frozenset(induced.state_at(i + 1, k) for i, k in enumerate(tops))
+
+    out = {}
+    for i in range(1, induced.n + 1):
+        top = induced.chain_top_index(i)
+        for k in range(top + 1):
+            state = induced.state_at(i, k)
+            if 1 <= k <= top - 1 and comp_index[(i, k)] == comp_index[(i, k + 1)]:
+                out[state] = None
+            else:
+                out[state] = frontier_witness((i, k) if k >= 1 else None)
+    return out
+
+
+def chain_poset_model(rng, gadget, max_elems):
+    """A random chain poset's state model, half the time beside *gadget*."""
+    p, chains = random_chain_poset(
+        rng, max_elems=max_elems, max_chains=rng.choice([3, 5])
+    )
+    elements, pairs = list(p.elements), list(p.covers)
+    if rng.random() < 0.5:
+        elements += [f"g{s}" for s in gadget.poset.elements]
+        pairs += [(f"g{a}", f"g{b}") for a, b in gadget.poset.covers]
+        chains = chains + [[f"g{s}" for s in c] for c in gadget.chains]
+    return build_state_model(build_poset(elements, pairs), chains)
+
+
 def test_clock_results_equal_pair_scans():
     rng = random.Random(1988)
     models = []
@@ -175,15 +234,8 @@ def test_sparse_tentative_graph_equals_full_graph(monkeypatch):
     gadget = pinch_state()
     models = []
     for _ in range(600):
-        p, chains = random_chain_poset(
-            rng, max_elems=rng.choice([12, 24]), max_chains=rng.choice([3, 5])
-        )
-        elements, pairs = list(p.elements), list(p.covers)
-        if rng.random() < 0.5:  # beside the pinch gadget, so se often fails
-            elements += [f"g{s}" for s in gadget.poset.elements]
-            pairs += [(f"g{a}", f"g{b}") for a, b in gadget.poset.covers]
-            chains = chains + [[f"g{s}" for s in c] for c in gadget.chains]
-        models.append((build_state_model(build_poset(elements, pairs), chains), None))
+        # half of them beside the pinch gadget, so se often fails
+        models.append((chain_poset_model(rng, gadget, rng.choice([12, 24])), None))
     for _ in range(400):
         sm = es_transform(random_event_model(
             rng, max_procs=rng.choice([3, 5]), max_events_per_proc=5, max_messages=8
@@ -203,3 +255,36 @@ def test_sparse_tentative_graph_equals_full_graph(monkeypatch):
     for module in (transforms, analysis):
         monkeypatch.setattr(module, "transition_graph", dense_transition_graph)
     assert se_and_checkpoint_outputs(models) == expected
+
+
+def fast_reports(cases):
+    return [
+        find_useless_checkpoints(sm, marking, engine="fast").as_json()
+        for sm, marking in cases
+    ]
+
+
+def test_one_sweep_witnesses_equal_ancestor_searches(monkeypatch):
+    rng = random.Random(1997)
+    gadget = pinch_state()
+    cases = []
+    for _ in range(800):
+        sm = es_transform(random_event_model(
+            rng, max_procs=rng.choice([3, 5]), max_events_per_proc=8, max_messages=20
+        ))
+        cases.append((sm, random_marking(rng, sm, max_marks=rng.choice([5, 7]))))
+    for _ in range(400):
+        sm = chain_poset_model(rng, gadget, rng.choice([12, 20]))
+        cases.append((sm, random_marking(rng, sm, max_marks=rng.choice([3, 4]))))
+
+    got = fast_reports(cases)
+    monkeypatch.setattr(analysis, "_fast_usefulness", fast_usefulness_by_search)
+    want = fast_reports(cases)
+    counts = {"useful": 0, "useless": 0}
+    for (sm, marking), report, expected in zip(cases, got, want):
+        assert report == expected, (state_to_json(sm), marking.as_json())
+        if report["engine"] == "fast":
+            for verdict in report["verdicts"]:
+                counts["useful" if verdict["useful"] else "useless"] += 1
+    # Enough verdicts of each kind come from the fast engine to compare.
+    assert counts["useful"] >= 6000 and counts["useless"] >= 500, counts

@@ -29,11 +29,11 @@ from posetdual import (
 from posetdual import poset as poset_module
 from posetdual.analysis import first_width_predicate, predicate_from_json
 from posetdual.cli import main
-from posetdual.lattice import width_frontiers
 from posetdual.poset import chain_clocks, minimum_chain_partition, width
 from posetdual.statemodel import (
     check_width_extensible,
     interleaving_consistent_bruteforce,
+    require_width_extensible,
     run_property_checks,
 )
 
@@ -173,7 +173,7 @@ def test_own_chain_decisions_equal_kuhn_path():
         concurrent_not_we += ref["omega1"]["ok"] and not we["ok"]
         we_not_ic += we["ok"] and not ref["ic"]["ok"]
         if we["ok"]:
-            assert width_frontiers(sm)[0].chains == reference_chains(sm)
+            assert require_width_extensible(sm).chains == reference_chains(sm)
             # The converse of Dilworth's argument for omega1: the own chains
             # of a width-extensible model are minimum only under omega1.
             if sm.n == width(sm.poset)[0]:
@@ -182,7 +182,7 @@ def test_own_chain_decisions_equal_kuhn_path():
             else:
                 assert first_width_predicate(sm, pred) is None
         else:
-            for detect in (width_frontiers, lambda m: first_width_predicate(m, pred)):
+            for detect in (require_width_extensible, lambda m: first_width_predicate(m, pred)):
                 with pytest.raises(NotWidthExtensible) as err:
                     detect(sm)
                 assert sorted(err.value.witness) == we["witness"]
