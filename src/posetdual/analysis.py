@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import logging
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -687,16 +687,27 @@ def induced_checkpoint_model(sm: StateModel, marking: CheckpointMarking) -> Stat
     # One pair per kept state and chain: to the lowest kept state above it
     # there, found from the state's chain clock.  The kept states above it on
     # that chain follow by chain pairs, so the closure is the inherited order.
+    # The same bisections give the restriction's own clocks: the highest kept
+    # position at or below the full clock's down entry, and the lowest at or
+    # above its up entry.
     clocks = sm.clocks()
     pairs = []
+    induced_clocks = {}
     for s in kept:
-        for idxs, chain, up in zip(marking.marks, chains, clocks[s][1]):
-            r = bisect_left(idxs, up)
+        down, up = clocks[s]
+        below, above = [], []
+        for idxs, chain, d, u in zip(marking.marks, chains, down, up):
+            r = bisect_left(idxs, u)
             if r < len(idxs):
                 pairs.append((s, chain[r]))
+            above.append(r)
+            below.append(bisect_right(idxs, d) - 1)
+        induced_clocks[s] = (below, above)
     poset = build_poset(kept, pairs)
     attrs = {s: sm.attrs[s] for s in kept if s in sm.attrs}
-    return build_state_model(poset, chains, attrs)
+    induced = build_state_model(poset, chains, attrs)
+    object.__setattr__(induced, "_clocks_cache", induced_clocks)
+    return induced
 
 
 @dataclass(frozen=True)

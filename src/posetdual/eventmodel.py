@@ -22,7 +22,7 @@ from .errors import (
     NotTotallyOrdered,
     UnknownElement,
 )
-from .poset import Poset, is_downset
+from .poset import Poset, chain_break, is_downset
 
 Slot = tuple[int, int]
 
@@ -106,6 +106,7 @@ def build_event_model(
         for i, k in slots:
             per_proc.setdefault(i, []).append((k, e))
 
+    index = poset._index
     chains: list[tuple[str, ...]] = []
     for i in range(1, n + 1):
         entries = sorted(per_proc.get(i, ()))
@@ -115,24 +116,24 @@ def build_event_model(
             chains.append(())
             continue
         indices = [k for k, _ in entries]
-        for (k1, e1), (k2, e2) in zip(entries, entries[1:]):
-            if k1 == k2:
-                # Two events at the same position: concurrent unless the
-                # caller ordered them explicitly (then the indexing is off).
-                if poset.less(e1, e2) or poset.less(e2, e1):
-                    raise IndexGap(i, f"process {i} repeats index {k1}")
-                raise NotTotallyOrdered(i)
         if indices != list(range(1, len(entries) + 1)):
+            # Exactly 1..n_i repeats no index, so only a failing list is
+            # scanned for repeats, which take precedence over gaps.
+            for (k1, e1), (k2, e2) in zip(entries, entries[1:]):
+                if k1 == k2:
+                    # Two events at the same position: concurrent unless the
+                    # caller ordered them explicitly (then the indexing is off).
+                    if poset.less(e1, e2) or poset.less(e2, e1):
+                        raise IndexGap(i, f"process {i} repeats index {k1}")
+                    raise NotTotallyOrdered(i)
             raise IndexGap(i, f"process {i} indices {indices} are not 1..n_i")
-        ordered = [e for _, e in entries]
-        for a, b in zip(ordered, ordered[1:]):
-            if not poset.less(a, b):
-                if poset.less(b, a):
-                    raise IndexGap(
-                        i, f"process {i} index order contradicts causal order"
-                    )
-                raise NotTotallyOrdered(i)
-        chains.append(tuple(ordered))
+        ordered = tuple(e for _, e in entries)
+        k = chain_break(poset, [index[e] for e in ordered])
+        if k >= 0:
+            if poset.less(ordered[k + 1], ordered[k]):
+                raise IndexGap(i, f"process {i} index order contradicts causal order")
+            raise NotTotallyOrdered(i)
+        chains.append(ordered)
 
     return EventModel(poset=poset, n=n, labels=norm, proc_events=tuple(chains))
 

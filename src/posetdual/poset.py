@@ -1,14 +1,17 @@
 """Finite strict partial orders: closure, width, chain partitions, oracles.
 
 A :class:`Poset` stores a finite irreflexive strict order over opaque string
-ids.  Input relations may be any subset of the intended order; construction
-takes the transitive closure and recomputes the cover relation by transitive
+ids.  Input relations may be any subset of the intended order, with
+duplicates; construction keeps each pair at its first occurrence, takes the
+transitive closure and recomputes the cover relation by transitive
 reduction.  Each element keeps its strict up- and down-set as an int bitset
-(bit ``i`` is the ``i``-th element in sorted-id order); closure, reduction
-and matching work on whole bitsets, so their Python-level steps grow with
-the input edges and the matching's search steps, not with the closure's
-pairs.  Instances are immutable after construction and safe to share between
-threads; enumeration generators are single-consumer.
+(bit ``i`` is the ``i``-th element in sorted-id order).  Closure and
+reduction walk per-element successor lists built in one pass over the unique
+pairs, with one bitset union per pair; matching works on whole bitsets.  So
+their Python-level steps grow with the unique input pairs and the matching's
+search steps, not with the closure's pairs.  Instances are immutable after
+construction and safe to share between threads; enumeration generators are
+single-consumer.
 
 Besides the optimized operations (width and minimum chain partition via
 maximum bipartite matching), the module provides deliberately unsophisticated
@@ -140,9 +143,10 @@ class Poset:
         up: tuple[int, ...],
         down: tuple[int, ...],
         covers: tuple[tuple[str, str], ...],
+        index: dict[str, int] | None = None,
     ):
         self.elements = elements
-        self._index = {e: i for i, e in enumerate(elements)}
+        self._index = {e: i for i, e in enumerate(elements)} if index is None else index
         self._up = up
         self._down = down
         self.covers = covers
@@ -201,9 +205,9 @@ class Poset:
     def restrict(self, subset: Iterable[str]) -> "Poset":
         """Sub-poset induced on *subset* (inherits the closed order)."""
         keep = sorted(set(subset))
-        for e in keep:
-            self.index(e)
-        pairs = [(a, b) for a in keep for b in keep if a != b and self.less(a, b)]
+        kept = self.set_to_mask(keep)
+        els, index, up = self.elements, self._index, self._up
+        pairs = [(a, els[j]) for a in keep for j in _bits(up[index[a]] & kept)]
         return build_poset(keep, pairs)
 
 
@@ -213,12 +217,14 @@ def build_poset(
     """Build a poset from element ids and (any subset of) its order relation.
 
     The relation is transitively closed; the stored cover relation is the
-    transitive reduction of the closure.  After a topological sort, one
-    reverse sweep over the direct successors gives the up-sets and the
-    covers, and one forward sweep over the covers gives the down-sets:
-    O(elements + edges) bitset unions of O(elements / word size) each.
-    Duplicate and transitively implied pairs are accepted and change
-    nothing.
+    transitive reduction of the closure.  One pass over the unique pairs,
+    each kept at its first occurrence, checks them in input order and fills
+    per-element successor lists.  Those lists drive a topological sort, then
+    one reverse sweep that gives the up-sets and the covers, and one forward
+    sweep over the covers that gives the down-sets (Aho, Garey & Ullman
+    1972): a few list steps and one bitset union of O(elements / word size)
+    per unique pair.  Duplicate and transitively implied pairs are accepted
+    and change nothing; a pair may be any 2-item iterable, a list included.
 
     Raises:
         CycleError: the induced relation has a cycle (including a reflexive
@@ -228,54 +234,76 @@ def build_poset(
     els = tuple(sorted(set(elements)))
     index = {e: i for i, e in enumerate(els)}
     n = len(els)
-    adj: list[int] = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    for a, b in relation_pairs:
-        if a not in index:
+    get = index.get
+    # Deduplicated in first-occurrence order, so the first bad pair is the
+    # one a scan of the input would meet first.
+    for a, b in dict.fromkeys(map(tuple, relation_pairs)):
+        ia = get(a)
+        if ia is None:
             raise UnknownElement(f"relation names undeclared element {a!r}")
-        if b not in index:
+        ib = get(b)
+        if ib is None:
             raise UnknownElement(f"relation names undeclared element {b!r}")
-        if a == b:
+        if ia == ib:
             raise CycleError(f"reflexive pair {a!r} -> {b!r} is not allowed")
-        ia, ib = index[a], index[b]
-        if not adj[ia] >> ib & 1:
-            adj[ia] |= 1 << ib
-            indeg[ib] += 1
+        succ[ia].append(ib)
+        indeg[ib] += 1
 
-    # Kahn topological order; leftovers mean a cycle.
-    order: list[int] = []
-    ready = [i for i in range(n) if indeg[i] == 0]
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in _bits(adj[v]):
+    # Kahn topological order, grown while it is walked; leftovers mean a
+    # cycle, and which elements are left does not depend on the walk order.
+    order = [v for v in range(n) if not indeg[v]]
+    for v in order:
+        for w in succ[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
+            if not indeg[w]:
+                order.append(w)
     if len(order) != n:
         cyclic = sorted(els[i] for i in range(n) if indeg[i] > 0)
         raise CycleError(f"relation has a cycle through {cyclic}")
 
-    # Reverse sweep: everything above v is a direct successor or above one,
-    # and the covers of v are the direct successors above none of the others.
+    # Reverse sweep: everything above v is above a direct successor or is a
+    # direct successor, and the covers of v are the direct successors above
+    # none of the others, so only they need their own bit.
     up = [0] * n
-    cover = [0] * n
     for v in reversed(order):
-        above_succ = 0
-        for w in _bits(adj[v]):
-            above_succ |= up[w]
-        up[v] = adj[v] | above_succ
-        cover[v] = adj[v] & ~above_succ
+        ws = succ[v]
+        if not ws:
+            continue
+        above = 0
+        for w in ws:
+            above |= up[w]
+        covers_v = [w for w in ws if not above >> w & 1]
+        covers_v.sort()
+        for w in covers_v:
+            above |= 1 << w
+        up[v] = above
+        succ[v] = covers_v
     # Forward sweep over the covers, which carry the whole order.
     down = [0] * n
     for v in order:
-        below = down[v] | 1 << v
-        for w in _bits(cover[v]):
-            down[w] |= below
+        ws = succ[v]
+        if ws:
+            below = down[v] | 1 << v
+            for w in ws:
+                down[w] |= below
 
     # Index order is sorted-id order, so the covers come out sorted.
-    covers = tuple((els[v], els[w]) for v in range(n) for w in _bits(cover[v]))
-    return Poset(els, tuple(up), tuple(down), covers)
+    covers = tuple((els[v], els[w]) for v in range(n) for w in succ[v])
+    return Poset(els, tuple(up), tuple(down), covers, index)
+
+
+def chain_break(p: Poset, ids: Sequence[int]) -> int:
+    """First ``k`` with ``ids[k]`` not below ``ids[k + 1]``, or -1 if none.
+
+    *ids* are element indices; one bit test of an up-set per step.
+    """
+    up = p._up
+    for k, (a, b) in enumerate(zip(ids, ids[1:])):
+        if not up[a] >> b & 1:
+            return k
+    return -1
 
 
 def comparable(p: Poset, a: str, b: str) -> Comparability:

@@ -57,6 +57,7 @@ from .errors import (
 from .poset import (
     Comparability,
     Poset,
+    chain_break,
     chain_clocks,
     comparable,
     enumerate_antichains,
@@ -124,26 +125,31 @@ def build_state_model(
     in ascending existed-before order.
     """
     chs = tuple(tuple(c) for c in chains)
+    index = poset._index
     seen: set[str] = set()
     for i, chain in enumerate(chs, start=1):
         if not chain:
             raise ModelError(f"chain {i} is empty; every process has an initial state")
-        for s in chain:
-            if s not in poset:
-                raise UnknownElement(f"chain {i} names unknown state {s!r}")
-            if s in seen:
-                raise ModelError(f"state {s!r} appears on more than one chain")
-            seen.add(s)
-        for a, b in zip(chain, chain[1:]):
-            if not poset.less(a, b):
-                raise NotTotallyOrdered(
-                    i, f"chain {i} is not ascending at {a!r} -> {b!r}"
-                )
+        ids = list(map(index.get, chain))
+        if None in ids or len(set(chain)) != len(chain) or not seen.isdisjoint(chain):
+            # Name the first bad state, in chain order.
+            for s in chain:
+                if s not in poset:
+                    raise UnknownElement(f"chain {i} names unknown state {s!r}")
+                if s in seen:
+                    raise ModelError(f"state {s!r} appears on more than one chain")
+                seen.add(s)
+        seen.update(chain)
+        k = chain_break(poset, ids)
+        if k >= 0:
+            raise NotTotallyOrdered(
+                i, f"chain {i} is not ascending at {chain[k]!r} -> {chain[k + 1]!r}"
+            )
     if len(seen) != len(poset.elements):
         missing = sorted(set(poset.elements) - seen)
         raise ModelError(f"states {missing} are not assigned to any chain")
-    bad_attrs = sorted(set(attrs or ()) - seen)
-    if bad_attrs:
+    if attrs and not seen.issuperset(attrs):
+        bad_attrs = sorted(set(attrs) - seen)
         raise UnknownElement(f"attrs reference unknown states {bad_attrs}")
     return StateModel(poset=poset, chains=chs, attrs=dict(attrs or {}))
 

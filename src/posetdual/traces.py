@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -34,6 +35,8 @@ _FIELDS = {
     "marks": {"marks"},
     "predicate": {"expr"},
 }
+_EVENT_FIELDS = frozenset({"id", "slots"})
+_SLOT_FIELDS = frozenset({"proc", "idx"})
 
 
 def _require(cond: bool, message: str) -> None:
@@ -61,29 +64,36 @@ def _check_envelope(data: Any, kinds: tuple[str, ...]) -> str:
     return kind
 
 
+# The entry checks below run as C-level passes (``map`` over ``isinstance``
+# and ``len``); a failure does not say which entry, so none is looked for.
+
+
 def _string_list(value: Any, what: str) -> list[str]:
-    _require(isinstance(value, list), f"{what} must be a list")
-    _require(all(isinstance(v, str) for v in value), f"{what} entries must be strings")
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list")
+    if not all(map(isinstance, value, repeat(str))):
+        raise SchemaError(f"{what} entries must be strings")
     return value
 
 
-def _pair_list(value: Any, what: str) -> list[tuple[str, str]]:
-    _require(isinstance(value, list), f"{what} must be a list")
-    out = []
-    for entry in value:
-        _require(
-            isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(v, str) for v in entry),
-            f"{what} entries must be [from, to] string pairs",
-        )
-        out.append((entry[0], entry[1]))
-    return out
+def _pair_list(value: Any, what: str) -> list[list[str]]:
+    """A copy of the ``[from, to]`` pairs, which the caller may extend."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list")
+    if not (
+        all(map(isinstance, value, repeat(list)))
+        and all(map((2).__eq__, map(len, value)))
+        and all(map(isinstance, chain.from_iterable(value), repeat(str)))
+    ):
+        raise SchemaError(f"{what} entries must be [from, to] string pairs")
+    return value.copy()
 
 
 def _element_list(data: Mapping[str, Any]) -> list[str]:
     elements = _string_list(data.get("elements", []), "'elements'")
-    dupes = sorted(e for e, count in Counter(elements).items() if count > 1)
-    _require(not dupes, f"duplicate element ids {dupes}")
+    if len(set(elements)) != len(elements):
+        dupes = sorted(e for e, count in Counter(elements).items() if count > 1)
+        raise SchemaError(f"duplicate element ids {dupes}")
     return elements
 
 
@@ -127,24 +137,29 @@ def parse_event(data: Mapping[str, Any]) -> EventModel:
     labels: dict[str, set[tuple[int, int]]] = {}
     per_proc: dict[int, list[tuple[int, str]]] = {}
     for entry in raw_events:
-        _require(isinstance(entry, dict), "event entries must be objects")
-        unknown = sorted(set(entry) - {"id", "slots"})
-        _require(not unknown, f"unknown event fields {unknown}")
+        if not isinstance(entry, dict):
+            raise SchemaError("event entries must be objects")
+        if not _EVENT_FIELDS.issuperset(entry):
+            unknown = sorted(set(entry) - _EVENT_FIELDS)
+            raise SchemaError(f"unknown event fields {unknown}")
         eid = entry.get("id")
-        _require(isinstance(eid, str), "event 'id' must be a string")
-        _require(eid not in labels, f"duplicate event id {eid!r}")
+        if not isinstance(eid, str):
+            raise SchemaError("event 'id' must be a string")
+        if eid in labels:
+            raise SchemaError(f"duplicate event id {eid!r}")
         slots = entry.get("slots")
-        _require(isinstance(slots, list) and slots, f"event {eid!r} needs slots")
+        if not (isinstance(slots, list) and slots):
+            raise SchemaError(f"event {eid!r} needs slots")
         parsed = set()
         for slot in slots:
-            _require(isinstance(slot, dict), "slots must be objects")
-            bad = sorted(set(slot) - {"proc", "idx"})
-            _require(not bad, f"unknown slot fields {bad}")
+            if not isinstance(slot, dict):
+                raise SchemaError("slots must be objects")
+            if not _SLOT_FIELDS.issuperset(slot):
+                bad = sorted(set(slot) - _SLOT_FIELDS)
+                raise SchemaError(f"unknown slot fields {bad}")
             proc, idx = slot.get("proc"), slot.get("idx")
-            _require(
-                _is_int(proc) and _is_int(idx),
-                "slot 'proc' and 'idx' must be integers",
-            )
+            if not (_is_int(proc) and _is_int(idx)):
+                raise SchemaError("slot 'proc' and 'idx' must be integers")
             parsed.add((proc, idx))
             per_proc.setdefault(proc, []).append((idx, eid))
         labels[eid] = parsed

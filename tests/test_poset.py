@@ -152,6 +152,22 @@ def test_restrict_inherits_order():
     assert comparable(sub, "c", "e") is Comparability.CONCURRENT
     with pytest.raises(UnknownElement):
         p.restrict(["a", "zz"])
+    # The first unknown id in sorted order is named, as the pair scan did.
+    with pytest.raises(UnknownElement, match="'yy'"):
+        p.restrict(["zz", "a", "yy"])
+
+
+def test_restrict_equals_pairwise_restriction():
+    rng = random.Random(1979)
+    for _ in range(500):
+        p, _ = random_chain_poset(rng, max_elems=16, max_chains=4)
+        keep = rng.sample(p.elements, rng.randint(0, len(p)))
+        pairs = [(a, b) for a in keep for b in keep if a != b and p.less(a, b)]
+        expected = build_poset(keep, pairs)
+        sub = p.restrict(keep + keep[:2])
+        assert (sub.elements, sub._up, sub._down, sub.covers) == (
+            expected.elements, expected._up, expected._down, expected.covers
+        )
 
 
 def test_downset_oracle_counts():
