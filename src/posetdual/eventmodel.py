@@ -12,6 +12,7 @@ Models are immutable after validation and safe for concurrent reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -66,8 +67,17 @@ def build_event_model(
     labels: Mapping[str, Iterable[Slot]],
     *,
     allow_empty_process: bool = False,
+    _per_proc: Mapping[int, list[tuple[int, str]]] | None = None,
 ) -> EventModel:
     """Validate and freeze an event model.
+
+    ``_per_proc`` is the loader's private path
+    (:func:`~posetdual.traces.parse_event`): the sorted ``(index, event)``
+    list of each process, one entry per slot as listed, for *labels* that
+    map exactly the poset's elements to nonempty sets of ``int`` pairs.
+    When those lists show that every slot passes the per-event checks
+    below, the labels are frozen as given and the lists used as they are;
+    otherwise the labels are checked one event at a time, as without them.
 
     Raises:
         NotTotallyOrdered: two events labeled with the same process are
@@ -77,39 +87,16 @@ def build_event_model(
             ``allow_empty_process`` is false.
         ModelError: labels missing/malformed.
     """
-    if n < 0:
-        raise ModelError("process count must be non-negative")
-    norm: dict[str, frozenset[Slot]] = {}
-    for e in poset.elements:
-        if e not in labels:
-            raise ModelError(f"event {e!r} has no label")
-        slots = frozenset((int(i), int(k)) for i, k in labels[e])
-        if not slots:
-            raise ModelError(f"event {e!r} has an empty label set")
-        procs = [i for i, _ in slots]
-        if len(procs) != len(set(procs)):
-            raise ModelError(f"event {e!r} carries two slots on one process")
-        for i, k in slots:
-            if not 1 <= i <= n:
-                raise ModelError(f"event {e!r} labeled with unknown process {i}")
-            if k < 1:
-                raise IndexGap(i, f"event {e!r} has non-positive index {k}")
-        norm[e] = slots
-    for e in labels:
-        if e not in poset:
-            raise UnknownElement(f"label for undeclared event {e!r}")
-
-    # Keyed by process, so that a huge declared n costs nothing before the
-    # first empty process stops the loop below.
-    per_proc: dict[int, list[tuple[int, str]]] = {}
-    for e, slots in norm.items():
-        for i, k in slots:
-            per_proc.setdefault(i, []).append((k, e))
+    if _per_proc is not None and _slots_pass(n, _per_proc):
+        norm = {e: frozenset(labels[e]) for e in poset.elements}
+        per_proc = _per_proc
+    else:
+        norm, per_proc = _normalize(poset, n, labels)
 
     index = poset._index
     chains: list[tuple[str, ...]] = []
     for i in range(1, n + 1):
-        entries = sorted(per_proc.get(i, ()))
+        entries = per_proc.get(i)
         if not entries:
             if not allow_empty_process:
                 raise EmptyProcess(i)
@@ -136,6 +123,55 @@ def build_event_model(
         chains.append(ordered)
 
     return EventModel(poset=poset, n=n, labels=norm, proc_events=tuple(chains))
+
+
+def _slots_pass(n: int, per_proc: Mapping[int, list[tuple[int, str]]]) -> bool:
+    """True when every listed slot names a process in ``1..n`` and a
+    positive index, and no event is listed twice on one process."""
+    return n >= 0 and all(
+        1 <= i <= n
+        and entries[0][0] >= 1
+        and len(set(map(itemgetter(1), entries))) == len(entries)
+        for i, entries in per_proc.items()
+    )
+
+
+def _normalize(
+    poset: Poset, n: int, labels: Mapping[str, Iterable[Slot]]
+) -> tuple[dict[str, frozenset[Slot]], dict[int, list[tuple[int, str]]]]:
+    """The labels as frozen sets of int pairs, checked one event at a time,
+    and each process's ``(index, event)`` list, sorted."""
+    if n < 0:
+        raise ModelError("process count must be non-negative")
+    norm: dict[str, frozenset[Slot]] = {}
+    for e in poset.elements:
+        if e not in labels:
+            raise ModelError(f"event {e!r} has no label")
+        slots = frozenset((int(i), int(k)) for i, k in labels[e])
+        if not slots:
+            raise ModelError(f"event {e!r} has an empty label set")
+        procs = [i for i, _ in slots]
+        if len(procs) != len(set(procs)):
+            raise ModelError(f"event {e!r} carries two slots on one process")
+        for i, k in slots:
+            if not 1 <= i <= n:
+                raise ModelError(f"event {e!r} labeled with unknown process {i}")
+            if k < 1:
+                raise IndexGap(i, f"event {e!r} has non-positive index {k}")
+        norm[e] = slots
+    for e in labels:
+        if e not in poset:
+            raise UnknownElement(f"label for undeclared event {e!r}")
+
+    # Keyed by process, so that a huge declared n costs nothing before the
+    # first empty process stops the loop that reads them.
+    per_proc: dict[int, list[tuple[int, str]]] = {}
+    for e, slots in norm.items():
+        for i, k in slots:
+            per_proc.setdefault(i, []).append((k, e))
+    for entries in per_proc.values():
+        entries.sort()
+    return norm, per_proc
 
 
 def is_asc(m: EventModel) -> bool:

@@ -65,19 +65,11 @@ from .transforms import se_transform
 T = TypeVar("T")
 
 
-def _upper_covers(p: Poset) -> list[list[int]]:
-    """Per element index, the indices of its upper covers, ascending."""
-    index = p._index
-    upper: list[list[int]] = [[] for _ in p.elements]
-    for a, b in p.covers:  # sorted, so each list comes out ascending
-        upper[index[a]].append(index[b])
-    return upper
-
-
 def _linear_extension(upper: list[list[int]]) -> list[int]:
     """Element indices in topological order, the lowest index first on ties.
 
-    Kahn's heap over the lower-cover counts of *upper* (:func:`_upper_covers`).
+    Kahn's heap over the lower-cover counts of *upper*, a poset's upper-cover
+    index lists (``Poset._upper``), which it does not change.
     The placed elements always form a down-set, so an element's lower covers
     are all placed exactly when everything below it is: the order is the one
     a heap over down-set counts gives, in O(covers) steps.
@@ -100,7 +92,7 @@ def _linear_extension(upper: list[list[int]]) -> list[int]:
 
 def linear_extension(p: Poset) -> tuple[str, ...]:
     """A topological order of the poset, lexicographically tie-broken."""
-    return tuple(p.elements[v] for v in _linear_extension(_upper_covers(p)))
+    return tuple(p.elements[v] for v in _linear_extension(p._upper))
 
 
 class _Table(dict):
@@ -148,7 +140,7 @@ def _walk(
     (module docstring): the empty downset first, the full one last.  Its
     setup is O(covers) bitset operations.
     """
-    upper = _upper_covers(p)
+    upper = p._upper
     order = _linear_extension(upper)
     pos = [0] * len(order)
     for q, v in enumerate(order):

@@ -9,9 +9,11 @@ reduction.  Each element keeps its strict up- and down-set as an int bitset
 reduction walk per-element successor lists built in one pass over the unique
 pairs, with one bitset union per pair; matching works on whole bitsets.  So
 their Python-level steps grow with the unique input pairs and the matching's
-search steps, not with the closure's pairs.  Instances are immutable after
-construction and safe to share between threads; enumeration generators are
-single-consumer.
+search steps, not with the closure's pairs.  The covers stay as per-element
+index lists, with the topological order they were found in, and chain clocks
+are one sweep over them in each direction: O(covers x chains) integer
+steps.  Instances are immutable after construction and safe to share
+between threads; enumeration generators are single-consumer.
 
 Besides the optimized operations (width and minimum chain partition via
 maximum bipartite matching), the module provides deliberately unsophisticated
@@ -124,7 +126,11 @@ class Poset:
     """Immutable finite strict partial order.
 
     Use :func:`build_poset` to construct one; the constructor assumes its
-    arguments already describe a valid closed order.
+    arguments already describe a valid closed order.  Besides the bitsets
+    and the sorted ``covers``, it keeps the covers as index lists: ``_upper[v]``
+    lists the upper covers of element ``v`` in ascending order, and ``_order``
+    lists every index in a topological order (Kahn's, as :func:`build_poset`
+    found it).  Readers must not change them.
     """
 
     __slots__ = (
@@ -133,6 +139,8 @@ class Poset:
         "_up",
         "_down",
         "covers",
+        "_upper",
+        "_order",
         "_width_cache",
         "_partition_cache",
     )
@@ -143,6 +151,8 @@ class Poset:
         up: tuple[int, ...],
         down: tuple[int, ...],
         covers: tuple[tuple[str, str], ...],
+        upper: list[list[int]],
+        order: list[int],
         index: dict[str, int] | None = None,
     ):
         self.elements = elements
@@ -150,6 +160,8 @@ class Poset:
         self._up = up
         self._down = down
         self.covers = covers
+        self._upper = upper
+        self._order = order
         self._width_cache: tuple[int, frozenset[str]] | None = None
         self._partition_cache: ChainPartition | None = None
 
@@ -223,8 +235,10 @@ def build_poset(
     one reverse sweep that gives the up-sets and the covers, and one forward
     sweep over the covers that gives the down-sets (Aho, Garey & Ullman
     1972): a few list steps and one bitset union of O(elements / word size)
-    per unique pair.  Duplicate and transitively implied pairs are accepted
-    and change nothing; a pair may be any 2-item iterable, a list included.
+    per unique pair.  The poset keeps the covers' index lists and the
+    topological order as they were built.  Duplicate and transitively
+    implied pairs are accepted and change nothing; a pair may be any 2-item
+    iterable, a list included.
 
     Raises:
         CycleError: the induced relation has a cycle (including a reflexive
@@ -291,7 +305,7 @@ def build_poset(
 
     # Index order is sorted-id order, so the covers come out sorted.
     covers = tuple((els[v], els[w]) for v in range(n) for w in succ[v])
-    return Poset(els, tuple(up), tuple(down), covers, index)
+    return Poset(els, tuple(up), tuple(down), covers, succ, order, index)
 
 
 def chain_break(p: Poset, ids: Sequence[int]) -> int:
@@ -526,19 +540,64 @@ def chain_clocks(
     For each element ``e`` returns ``(down, up)``: ``down[c]`` is the highest
     position on ``chains[c]`` strictly below ``e`` (-1 if none) and ``up[c]``
     the lowest position strictly above it (``len(chains[c])`` if none).  Each
-    chain must list its elements from low to high; it then meets the strict
-    downset of ``e`` in a prefix and the strict upset in a suffix, so both
-    numbers are popcounts of the element's bitsets against the chain's mask.
-    Cost is O(elements x chains) bitset intersections.
+    chain must list its elements from low to high; an element may sit on
+    several chains (a shared event) or on none.
+
+    Everything below ``e`` is at or below one of its lower covers, so
+    ``down`` is the elementwise max of the lower covers' inclusive clocks: a
+    clock with the element's own position set on every chain that holds it.
+    One sweep over the covers in topological order pushes each element's
+    inclusive clock to its upper covers; the first cover it reaches shares
+    the vector, and each later one takes the max into a new vector.  ``up``
+    is the elementwise min over the upper covers, in one reverse sweep,
+    copied from the first cover's only when an own position lowers an
+    entry.  So the cost is O(covers x chains) integer steps, and vectors may
+    be shared between elements: readers must not change them.
     """
-    masks = [p.set_to_mask(c) for c in chains]
-    return {
-        e: (
-            [(d & m).bit_count() - 1 for m in masks],
-            [len(c) - (u & m).bit_count() for c, m in zip(chains, masks)],
-        )
-        for e, d, u in zip(p.elements, p._down, p._up)
-    }
+    n = len(p.elements)
+    own: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    index = p._index
+    for c, chain in enumerate(chains):
+        for pos, e in enumerate(chain):
+            own[index[e]].append((c, pos))
+    upper, order = p._upper, p._order
+
+    down: list = [None] * n
+    bottom = [-1] * len(chains)
+    for v in order:
+        d = down[v]
+        if d is None:
+            d = down[v] = bottom
+        ws = upper[v]
+        if not ws:
+            continue
+        if own[v]:
+            d = d.copy()
+            for c, pos in own[v]:
+                d[c] = pos
+        for w in ws:
+            low = down[w]
+            down[w] = d if low is None else [x if x > y else y for x, y in zip(low, d)]
+
+    up: list = [None] * n
+    top = [len(chain) for chain in chains]
+    for v in reversed(order):
+        ws = upper[v]
+        if not ws:
+            up[v] = top
+            continue
+        first = up[ws[0]]
+        u = first
+        for w in ws[1:]:
+            u = [x if x < y else y for x, y in zip(u, up[w])]
+        for w in ws:
+            for c, pos in own[w]:
+                if pos < u[c]:
+                    if u is first:
+                        u = first.copy()
+                    u[c] = pos
+        up[v] = u
+    return dict(zip(p.elements, zip(down, up)))
 
 
 def incomparable_interval(

@@ -17,9 +17,13 @@ all:
 
 The chain-structured checks read one table of the order, the model's
 :func:`~posetdual.poset.chain_clocks` (:meth:`StateModel.clocks`, computed
-once per model): per state and chain, the highest position below the state
-and the lowest above it.  With ``n`` chains, ``omega3``, ``psi`` and
-width-extensibility each cost O(states x n) bitset operations.
+once per model by one sweep over the covers in each direction): per state
+and chain, the highest position below the state and the lowest above it.
+With ``n`` chains, ``omega3`` compares one pair of clocks per cover,
+O(covers x n) integer steps, and ``psi`` costs O(states x n).  On a minimum
+partition width-extensibility is ``omega1`` and ``omega2`` and ``omega3``
+(:func:`check_width_extensible`), so only a failing verdict pays
+O(states x n) bitset operations, to name its witness.
 
 Width-extensibility and interleaving-consistency are defined against a
 minimum chain partition, and one policy picks it (:func:`minimum_view`): a
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import le
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -205,29 +210,36 @@ def check_omega3(sm: StateModel) -> Verdict:
 
     For all chains ``i != j`` and ``j != k`` (``i == k`` allowed):
     ``[i,s] < [j,t]`` and ``[j,t-1] < [k,u]`` imply ``[i,s] < [k,u]``.
-    The conclusion only weakens as ``u`` rises, so per ``(j,t)`` it suffices
-    to take, on each chain ``k``, the lowest ``[k,u]`` above ``[j,t-1]``
-    (its chain clock), and to ask that the down-set of ``[j,t]`` lie inside
-    the down-set of each: O(states x chains) bitset operations.  (Its
-    states on chain ``j`` are at most ``[j,t-1]`` and pass; on chain ``j``
-    the lowest state is ``[j,t]`` itself.)  Only the first failing
-    ``(j,t)`` is scanned state by state, for the witness: the first failing
-    ``(i,s,k,u)`` in lexicographic order.
+    Per ``(j,t)`` that says: every state below ``[j,t]`` lies below every
+    state above ``[j,t-1]``, i.e. its up-clock is at most that of
+    ``[j,t-1]`` entrywise (on chain ``j`` it is at most ``t`` anyway).
+    Up-clocks only fall as states fall, and everything below ``[j,t]`` is at
+    or below one of its lower covers, so it suffices to test the lower
+    covers: one comparison of two clocks per cover, O(covers x chains)
+    integer steps.  Only the first failing ``(j,t)`` is scanned state by
+    state, for the witness: the first failing ``(i,s,k,u)`` in
+    lexicographic order.
     """
     clocks = sm.clocks()
-    chains = sm.chains
     p = sm.poset
-    down = [[p.down_mask(s) for s in chain] for chain in chains]
-    for j, chain in enumerate(chains):
-        for t in range(1, len(chain)):
-            below = down[j][t]
-            above = clocks[chain[t - 1]][1]
-            if any(
-                below & ~down[k][u]
-                for k, u in enumerate(above)
-                if u < len(chains[k])
-            ):
-                return _omega3_witness(sm, j, t)
+    els, index = p.elements, p._index
+    # Per element index: the up-clock of its chain predecessor, if any.
+    bound: list = [None] * len(els)
+    for chain in sm.chains:
+        for prev, state in zip(chain, chain[1:]):
+            bound[index[state]] = clocks[prev][1]
+    failing = []
+    for c, ws in enumerate(p._upper):
+        above = clocks[els[c]][1]
+        for x in ws:
+            limit = bound[x]
+            if limit is None or limit is above:  # no predecessor, or it is c
+                continue
+            if not all(map(le, above, limit)):
+                failing.append(sm.coords(els[x]))
+    if failing:
+        j, t = min(failing)
+        return _omega3_witness(sm, j - 1, t)
     return Verdict(True)
 
 
@@ -271,8 +283,33 @@ def check_psi(sm: StateModel) -> Verdict:
 
     For each ``(i,j,s)`` the first ``t`` with ``[i,s-1] < [j,t]`` is read off
     the chain clock of ``[i,s-1]``; it is the only candidate that can cross,
-    since ``[j,t-1] < [i,s]`` holds for a prefix of ``t``: O(states x chains).
+    since ``[j,t-1] < [i,s]`` holds for a prefix of ``t``: O(states x chains)
+    integer steps, one pass over two clocks per ``(i,s)``.  Only a failing
+    model is scanned in ``(i,j,s)`` order, for the first crossing.
     """
+    clocks = sm.clocks()
+    chains = sm.chains
+    sizes = [len(c) for c in chains]
+    for i, chain in enumerate(chains):
+        # Chain i itself always "crosses" at t = s; size 0 rules it out.
+        others = sizes.copy()
+        others[i] = 0
+        for prev, state in zip(chain, chain[1:]):
+            above, below = clocks[prev][1], clocks[state][0]
+            # t = u crosses iff t < size and t - 1 <= d.  A crossing at
+            # t = 1 with u = 0 squeezes [j,0] between [i,s-1] and [i,s], so
+            # chains j and i also cross at indices 1 and s, with u = s.
+            if any(
+                u <= d + 1 and 0 < u < size
+                for u, d, size in zip(above, below, others)
+            ):
+                return _psi_witness(sm)
+    return Verdict(True)
+
+
+def _psi_witness(sm: StateModel) -> Verdict:
+    """The failing verdict of :func:`check_psi`, which must fail: the first
+    crossing in ``(i,j,s)`` order."""
     clocks = sm.clocks()
     chains = sm.chains
     for i, j in itertools.permutations(range(sm.n), 2):
@@ -361,11 +398,37 @@ def check_width_extensible(p: Poset) -> Verdict:
     partition, and incomparable pairs need those runs to intersect on every
     chain containing neither element (runs on a chain obey the Helly
     property, so pairwise intersection lifts to any antichain).  The run of
-    ``s`` on chain ``c`` is ``down[c]+1 .. up[c]-1`` of its chain clock, and
-    another element misses it iff it lies below the run's first element or
-    above its last, so each element's failing partners are one OR of two
-    bitsets per chain: O(states x chains) bitset operations after Kuhn's
-    matching, which finds the partition.  On failure the witness is the
+    ``s`` on chain ``c`` is ``down[c]+1 .. up[c]-1`` of its chain clock.
+
+    On a minimum partition, with ``[k,u]`` the ``u``-th state of chain
+    ``k``, this holds iff ``omega1``, ``omega2`` and ``omega3`` do, so the
+    verdict costs what those checks cost:
+
+    * If the three hold, every singleton passes.  A state ``x`` with an
+      empty run on chain ``k`` is below ``[k,0]``, so an initial state is
+      below another (``omega1`` fails); or above ``k``'s final state
+      (``omega2`` fails); or squeezed, ``[k,u] < x < [k,u+1]``, and then
+      ``omega3`` at ``[k,u+1]``, with ``x`` on both sides, gives ``x < x``.
+    * Every pair passes too.  Let ``x`` and ``y`` be incomparable, and their
+      runs on a chain ``c`` holding neither be disjoint, say with ``x``'s
+      run ending at position ``h`` before ``y``'s begins.  Then
+      ``[c,h] < y`` and ``x < [c,h+1]``, and ``omega3`` at ``[c,h+1]``
+      forces ``x < y``.
+    * Conversely, a failing ``omega1`` puts an initial state below another
+      chain's initial state, and so below that whole chain: its run there
+      is empty.  ``omega2`` is the dual.  A failing ``omega3`` triple has
+      ``[i,s] < [j,t]`` and ``[j,t-1] < [k,u]`` but not ``[i,s] < [k,u]``.
+      If ``[k,u] <= [i,s]`` (always so when ``i == k``), then ``[i,s]`` is
+      squeezed between ``[j,t-1]`` and ``[j,t]``, with an empty run on chain
+      ``j``.  Otherwise the two are incomparable, and on chain ``j``, which
+      holds neither, the run of ``[i,s]`` ends below ``t`` while that of
+      ``[k,u]`` starts at ``t`` or above.
+
+    Only a failure is located, for its witness: another element misses the
+    run of ``s`` iff it lies below the run's first element or above its
+    last, so each element's failing partners are one OR of two bitsets per
+    chain, O(states x chains) bitset operations.  The partition of a bare
+    poset is Kuhn's (:func:`minimum_view`).  On failure the witness is the
     offending antichain; among several failures the lexicographically
     greatest is reported.  :func:`require_width_extensible` and
     :func:`run_property_checks` skip the matching for state models whose
@@ -374,8 +437,31 @@ def check_width_extensible(p: Poset) -> Verdict:
     return _width_extensible(minimum_view(p))
 
 
-def _width_extensible(sm: StateModel) -> Verdict:
-    """:func:`check_width_extensible` on ``sm.chains``, a minimum partition."""
+_OMEGAS = (
+    ("omega1", check_omega1),
+    ("omega2", check_omega2),
+    ("omega3", check_omega3),
+)
+
+
+def _width_extensible(
+    sm: StateModel, known: Mapping[str, Verdict] | None = None
+) -> Verdict:
+    """:func:`check_width_extensible` on ``sm.chains``, a minimum partition.
+
+    The verdict is ``omega1`` and ``omega2`` and ``omega3`` on ``sm``; those
+    of them in *known*, found on ``sm`` before, are not checked again.
+    """
+    for name, check in _OMEGAS:
+        verdict = known[name] if known and name in known else check(sm)
+        if not verdict.ok:
+            return _width_extensible_witness(sm)
+    return Verdict(True)
+
+
+def _width_extensible_witness(sm: StateModel) -> Verdict:
+    """The failing verdict of :func:`_width_extensible` on *sm*, named by
+    the scans of :func:`check_width_extensible`."""
     p, clocks = sm.poset, sm.clocks()
     # An element's run on its own chain is the element itself (up - down is
     # 2), so a singleton fails iff some chain leaves it an empty run.  The
@@ -574,7 +660,9 @@ def run_property_checks(
         kw["psi"] = check_psi(sm)
     if "we" in wanted or "ic" in wanted:
         view = minimum_view(sm)
-        we = _decide(sm, view, _width_extensible)
+        # On the model's own chains, the omega verdicts found above count.
+        known = kw if view is sm else None
+        we = _decide(sm, view, _width_extensible, _width_extensible(view, known))
     if "we" in wanted:
         kw["width_extensible"] = we
     if "ic" in wanted:

@@ -173,7 +173,9 @@ def parse_event(data: Mapping[str, Any]) -> EventModel:
     allow_empty = data.get("allow_empty_process", False)
     _require(isinstance(allow_empty, bool), "'allow_empty_process' must be a boolean")
     poset = build_poset(labels.keys(), edges)
-    return build_event_model(poset, n, labels, allow_empty_process=allow_empty)
+    return build_event_model(
+        poset, n, labels, allow_empty_process=allow_empty, _per_proc=per_proc
+    )
 
 
 def load_trace(path: str | Path):

@@ -9,8 +9,15 @@ per node and chain of the full graph, and the full graph must give the same
 components, transforms and checkpoint reports.  The fast checkpoint engine's
 one sweep over the components must name the witnesses that one ancestor
 search per checkpoint named.
+
+``chain_clocks`` itself, one sweep over the covers in each direction, is
+compared with the popcounts of each element's bitsets against each chain's
+mask, on partitions, on event chains that share events, and on families
+that leave elements on no chain.  Its vectors may be shared between
+elements, so no reader may change one.
 """
 
+import copy
 import itertools
 import random
 
@@ -24,8 +31,8 @@ from posetdual import (
     check_psi,
     es_transform,
 )
-from posetdual import analysis, transforms
-from posetdual.analysis import find_useless_checkpoints
+from posetdual import analysis, poset, statemodel, transforms
+from posetdual.analysis import find_useless_checkpoints, induced_checkpoint_model
 from posetdual.traces import event_to_json, state_to_json
 from posetdual.transforms import (
     se_transform,
@@ -219,6 +226,21 @@ def test_clock_results_equal_pair_scans():
     assert min(failures.values()) >= 100, failures
 
 
+def test_psi_fails_when_an_initial_state_is_squeezed():
+    # [2,0] is squeezed between [1,0] and [1,1].  Chains 1 and 2 cross at
+    # indices 1 and 1 where [2,0] itself is above [1,0] (u = 0), which
+    # check_psi's clock pass skips; chains 2 and 1 cross at 1 and 1 too,
+    # and that crossing it sees.
+    chains = [["a0", "a1", "a2"], ["b0", "b1"]]
+    pairs = [("a0", "b0"), ("b0", "a1")] + [
+        pair for chain in chains for pair in zip(chain, chain[1:])
+    ]
+    sm = build_state_model(build_poset(["a0", "a1", "a2", "b0", "b1"], pairs), chains)
+    verdict = check_psi(sm)
+    assert not verdict.ok
+    assert verdict.as_json() == psi_by_pairs(sm).as_json()
+
+
 def se_and_checkpoint_outputs(models):
     out = []
     for sm, marking in models:
@@ -288,3 +310,87 @@ def test_one_sweep_witnesses_equal_ancestor_searches(monkeypatch):
                 counts["useful" if verdict["useful"] else "useless"] += 1
     # Enough verdicts of each kind come from the fast engine to compare.
     assert counts["useful"] >= 6000 and counts["useless"] >= 500, counts
+
+
+def chain_clocks_by_popcount(p, chains):
+    """The clocks as popcounts of each element's bitsets against each
+    chain's mask: a chain meets a strict down-set in a prefix and a strict
+    up-set in a suffix."""
+    masks = [p.set_to_mask(c) for c in chains]
+    return {
+        e: (
+            [(d & m).bit_count() - 1 for m in masks],
+            [len(c) - (u & m).bit_count() for c, m in zip(chains, masks)],
+        )
+        for e, d, u in zip(p.elements, p._down, p._up)
+    }
+
+
+def clock_families(rng, rounds):
+    """``(kind, poset, chains)``: partitions (half beside the pinch gadget),
+    event chains, which share events and may include an empty chain, and
+    sub-families that leave elements on no chain."""
+    gadget = pinch_state()
+    for _ in range(rounds):
+        sm = chain_poset_model(rng, gadget, rng.choice([8, 16, 24]))
+        yield "partition", sm.poset, sm.chains
+        m = random_event_model(
+            rng, max_procs=rng.choice([3, 5]), max_events_per_proc=5, max_messages=8
+        )
+        yield "events", m.poset, list(m.proc_events) + [()] * rng.randint(0, 1)
+        kept = [c for c in sm.chains if rng.random() < 0.7]
+        yield "partial", sm.poset, [[s for s in c if rng.random() < 0.7] for c in kept]
+
+
+def test_cover_sweep_clocks_equal_popcounts():
+    rng = random.Random(2003)
+    seen = {"shared": 0, "unplaced": 0, "empty chain": 0}
+    for kind, p, chains in clock_families(rng, 1500):
+        assert poset.chain_clocks(p, chains) == chain_clocks_by_popcount(p, chains), (
+            kind, p.covers, chains,
+        )
+        placed = [s for c in chains for s in c]
+        seen["shared"] += len(placed) > len(set(placed))
+        seen["unplaced"] += len(set(placed)) < len(p)
+        seen["empty chain"] += () in chains
+    # Every kind of family must be compared often.
+    assert min(seen.values()) >= 300, seen
+
+
+def recording_chain_clocks(monkeypatch):
+    """Make every chain_clocks call keep its result and a deep copy of it."""
+    made = []
+
+    def record(p, chains):
+        clocks = poset.chain_clocks(p, chains)
+        made.append((clocks, copy.deepcopy(clocks)))
+        return clocks
+
+    for module in (statemodel, transforms):
+        monkeypatch.setattr(module, "chain_clocks", record)
+    return made
+
+
+def test_readers_leave_clock_vectors_unchanged(monkeypatch):
+    made = recording_chain_clocks(monkeypatch)
+    rng = random.Random(2011)
+    gadget = pinch_state()
+    for trial in range(300):
+        m = random_event_model(
+            rng, max_procs=rng.choice([3, 5]), max_events_per_proc=6, max_messages=10
+        )
+        es = es_transform(m)
+        sm = es if trial % 2 else chain_poset_model(rng, gadget, 12)
+        statemodel.run_property_checks(sm, statemodel.PROPERTIES)
+        for check in (check_omega3, check_psi):
+            check(sm)
+        statemodel.check_width_extensible(sm.poset)
+        se_transform(sm)
+        marking = random_marking(rng, sm, max_marks=4)
+        induced_checkpoint_model(sm, marking)
+        find_useless_checkpoints(sm, marking, engine="fast")
+        admissible = [[rng.random() < 0.6 for _ in chain] for chain in es.chains]
+        analysis._least_frontier(es, admissible)
+    assert len(made) >= 900
+    for clocks, snapshot in made:
+        assert clocks == snapshot

@@ -4,19 +4,20 @@ The reference functions transcribe the earlier implementations: the trace
 schema checks with one generator, set difference or sort per entry, a
 ``build_poset`` that walks bitsets of direct successors and checks every
 input pair, duplicates included, and model validators that ask
-``Poset.less`` about each pair of neighbours on a chain.  Posets, models,
-exception classes and messages must agree exactly, on valid inputs and on
-inputs broken in the ways the checks look for.
+``Poset.less`` about each pair of neighbours on a chain.  Posets (with
+their upper-cover index lists and Kahn order), models, exception classes
+and messages must agree exactly, on valid inputs and on inputs broken in the
+ways the checks look for.
 """
 
 import copy
 import json
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
-from posetdual import build_event_model, build_poset, build_state_model
+from posetdual import build_event_model, build_poset, build_state_model, eventmodel
 from posetdual.errors import (
     CycleError,
     EmptyProcess,
@@ -52,6 +53,7 @@ def build_poset_reference(elements, relation_pairs):
     n = len(els)
     adj = [0] * n
     indeg = [0] * n
+    succ = [[] for _ in range(n)]  # direct successors, first occurrence first
     for a, b in relation_pairs:
         if a not in index:
             raise UnknownElement(f"relation names undeclared element {a!r}")
@@ -63,6 +65,8 @@ def build_poset_reference(elements, relation_pairs):
         if not adj[ia] >> ib & 1:
             adj[ia] |= 1 << ib
             indeg[ib] += 1
+            succ[ia].append(ib)
+    kahn = kahn_fifo_order(succ, indeg)
     order = []
     ready = [i for i in range(n) if indeg[i] == 0]
     while ready:
@@ -89,7 +93,24 @@ def build_poset_reference(elements, relation_pairs):
         for w in _bits(cover[v]):
             down[w] |= below
     covers = tuple((els[v], els[w]) for v in range(n) for w in _bits(cover[v]))
-    return Poset(els, tuple(up), tuple(down), covers)
+    upper = [list(_bits(cover[v])) for v in range(n)]
+    return Poset(els, tuple(up), tuple(down), covers, upper, kahn)
+
+
+def kahn_fifo_order(succ, indeg):
+    """Kahn's order with a queue: the sources in index order, then each
+    element once its last predecessor is dequeued, successors in list order."""
+    indeg = list(indeg)
+    queue = deque(v for v in range(len(succ)) if not indeg[v])
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                queue.append(w)
+    return order
 
 
 def build_state_model_reference(poset, chains, attrs=None):
@@ -283,7 +304,7 @@ def parse_event_reference(data):
 
 
 def poset_key(p):
-    return p.elements, p._up, p._down, p.covers, p._index
+    return p.elements, p._up, p._down, p.covers, p._index, p._upper, p._order
 
 
 def outcome(fn, *args, **kwargs):
@@ -494,7 +515,22 @@ def unchained_poset(rng, m):
     return build_poset(m.poset.elements, kept)
 
 
+def parsed_slot_lists(rng, labels):
+    """The labels' slots as the loader lists them for ``build_event_model``:
+    per process, one ``(index, event)`` per listed slot, sorted; now and then
+    a slot is listed twice, as a document may list it."""
+    per_proc = {}
+    for e, slots in labels.items():
+        for i, k in slots:
+            for _ in range(1 + (rng.random() < 0.05)):
+                per_proc.setdefault(i, []).append((k, e))
+    for entries in per_proc.values():
+        entries.sort()
+    return per_proc
+
+
 INDEX_FAULTS = ("repeats index", "are not 1..n_i", "contradicts causal order")
+SLOT_FAULTS = ("two slots on one process", "unknown process", "non-positive index")
 
 
 def test_event_model_validation_equals_reference():
@@ -512,12 +548,24 @@ def test_event_model_validation_equals_reference():
         )
         got = outcome(build_event_model, poset, n, labels, allow_empty_process=allow)
         assert got == expected, (labels, poset.covers)
+        # The loader's path, for labels a loaded document can have: exactly
+        # the poset's events, each with a nonempty set of int pairs.
+        if set(labels) == set(poset.elements) and all(labels.values()):
+            per_proc = parsed_slot_lists(rng, labels)
+            fast = eventmodel._slots_pass(n, per_proc)
+            got = outcome(
+                build_event_model, poset, n, labels,
+                allow_empty_process=allow, _per_proc=per_proc,
+            )
+            assert got == expected, (labels, per_proc, poset.covers)
+            seen["loader path, slots pass" if fast else "loader path, slots fail"] += 1
         seen[expected[1].__name__ if expected[0] == "error" else "ok"] += 1
         if expected[0] == "error":
-            seen.update(f for f in INDEX_FAULTS if f in expected[2])
+            seen.update(f for f in INDEX_FAULTS + SLOT_FAULTS if f in expected[2])
     assert min(seen[k] for k in ("ok", "IndexGap", "NotTotallyOrdered", "ModelError")) >= 100, seen
-    assert min(seen[k] for k in INDEX_FAULTS) >= 30, seen
+    assert min(seen[k] for k in INDEX_FAULTS + SLOT_FAULTS) >= 30, seen
     assert seen["EmptyProcess"] >= 20, seen
+    assert min(seen["loader path, slots pass"], seen["loader path, slots fail"]) >= 300, seen
 
 
 def mutate_document(rng, data, depth=0):
@@ -557,6 +605,30 @@ def extend_event_entry(rng, events):
             entry[rng.choice(["extra", "id", "idx", "proc", "slots", "kind"])] = 1
 
 
+def break_event_slot(rng, events):
+    """Move one listed slot to a bad process or index, list it twice, or
+    give its event a second slot on the same process."""
+    entries = [
+        e for e in events
+        if isinstance(e, dict) and isinstance(e.get("slots"), list) and e["slots"]
+    ]
+    if not entries:
+        return
+    entry = rng.choice(entries)
+    slot = rng.choice(entry["slots"])
+    if not isinstance(slot, dict):
+        return
+    kind = rng.randrange(4)
+    if kind == 0:
+        slot["proc"] = rng.choice([0, -1, 99])
+    elif kind == 1:
+        slot["idx"] = rng.choice([0, -2])
+    elif kind == 2:
+        entry["slots"].append(dict(slot))
+    elif isinstance(slot.get("idx"), int):
+        entry["slots"].append(dict(slot, idx=slot["idx"] + 50))
+
+
 def random_documents(rng, fixtures_dir):
     docs = []
     for path in sorted(fixtures_dir.glob("*.json")):
@@ -594,6 +666,8 @@ def test_trace_parsing_equals_reference(fixtures_dir):
             mutate_document(rng, doc)
         if trial % 4 == 0 and isinstance(doc.get("events"), list) and doc["events"]:
             extend_event_entry(rng, doc["events"])
+        if trial % 2 and isinstance(doc.get("events"), list):
+            break_event_slot(rng, doc["events"])
         kind = doc.get("kind")
         if not isinstance(kind, str) or kind not in PARSERS:
             continue
@@ -601,5 +675,10 @@ def test_trace_parsing_equals_reference(fixtures_dir):
         expected = outcome(reference, copy.deepcopy(doc))
         assert outcome(parse, doc) == expected, doc
         seen[expected[1].__name__ if expected[0] == "error" else "ok"] += 1
+        if expected[0] == "error":
+            seen.update(f for f in SLOT_FAULTS if f in expected[2])
     assert seen["ok"] >= 200 and seen["SchemaError"] >= 1000, seen
+    # A second slot on one process has a second index there, which the
+    # loader's chain edges turn into a reflexive pair first.
+    assert min(seen["unknown process"], seen["non-positive index"]) >= 20, seen
     assert seen["UnknownElement"] + seen["ModelError"] + seen["CycleError"] >= 100, seen
