@@ -8,8 +8,9 @@ branches of every interior node are productive, and each step is a few
 bitset operations of O(events / word size), so the delay between
 consecutive cuts is linear in the event count, comfortably inside the
 quadratic per-cut budget the enumeration contract allows.  The linear
-extension and the exclusion masks come from the covers, in O(covers)
-bitset operations before the first cut.
+extension is the one the poset stores (``Poset._order``, the
+lexicographically least), and the exclusion masks come from the covers,
+in O(covers) bitset operations before the first cut.
 
 Every cut is one earlier cut plus one event, so each output is rendered
 from its parent's (:func:`_walk`): a stack frame carries an image bitset,
@@ -37,7 +38,6 @@ parallel.  Materialized lattices are immutable.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -65,34 +65,10 @@ from .transforms import se_transform
 T = TypeVar("T")
 
 
-def _linear_extension(upper: list[list[int]]) -> list[int]:
-    """Element indices in topological order, the lowest index first on ties.
-
-    Kahn's heap over the lower-cover counts of *upper*, a poset's upper-cover
-    index lists (``Poset._upper``), which it does not change.
-    The placed elements always form a down-set, so an element's lower covers
-    are all placed exactly when everything below it is: the order is the one
-    a heap over down-set counts gives, in O(covers) steps.
-    """
-    lower = [0] * len(upper)
-    for above in upper:
-        for w in above:
-            lower[w] += 1
-    ready = [v for v, count in enumerate(lower) if not count]  # sorted: a heap
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in upper[v]:
-            lower[w] -= 1
-            if not lower[w]:
-                heapq.heappush(ready, w)
-    return order
-
-
 def linear_extension(p: Poset) -> tuple[str, ...]:
-    """A topological order of the poset, lexicographically tie-broken."""
-    return tuple(p.elements[v] for v in _linear_extension(p._upper))
+    """A topological order of the poset, lexicographically tie-broken
+    (``Poset._order``)."""
+    return tuple(p.elements[v] for v in p._order)
 
 
 class _Table(dict):
@@ -140,8 +116,7 @@ def _walk(
     (module docstring): the empty downset first, the full one last.  Its
     setup is O(covers) bitset operations.
     """
-    upper = p._upper
-    order = _linear_extension(upper)
+    upper, order = p._upper, p._order
     pos = [0] * len(order)
     for q, v in enumerate(order):
         pos[v] = q

@@ -4,16 +4,19 @@ A :class:`Poset` stores a finite irreflexive strict order over opaque string
 ids.  Input relations may be any subset of the intended order, with
 duplicates; construction keeps each pair at its first occurrence, takes the
 transitive closure and recomputes the cover relation by transitive
-reduction.  Each element keeps its strict up- and down-set as an int bitset
-(bit ``i`` is the ``i``-th element in sorted-id order).  Closure and
-reduction walk per-element successor lists built in one pass over the unique
-pairs, with one bitset union per pair; matching works on whole bitsets.  So
-their Python-level steps grow with the unique input pairs and the matching's
-search steps, not with the closure's pairs.  The covers stay as per-element
-index lists, with the topological order they were found in, and chain clocks
-are one sweep over them in each direction: O(covers x chains) integer
-steps.  Instances are immutable after construction and safe to share
-between threads; enumeration generators are single-consumer.
+reduction.  The order is stored once: each element keeps its strict up-set
+as an int bitset (bit ``i`` is the ``i``-th element in sorted-id order) and
+its upper covers as an index list, and the poset keeps one topological
+order, the lexicographically least linear extension.  No down-sets are
+stored; the few readers that need one read it off the up-sets or the
+covers.  Closure and reduction walk per-element successor lists built in
+one pass over the unique pairs, with one bitset union per pair; matching
+works on whole bitsets.  So their Python-level steps grow with the unique
+input pairs and the matching's search steps, not with the closure's pairs.
+Chain clocks are one sweep over the covers in each direction:
+O(covers x chains) integer steps.  Instances are immutable after
+construction and safe to share between threads; enumeration generators are
+single-consumer.
 
 Besides the optimized operations (width and minimum chain partition via
 maximum bipartite matching), the module provides deliberately unsophisticated
@@ -25,6 +28,7 @@ environment variable or a keyword argument).
 from __future__ import annotations
 
 import enum
+import heapq
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -126,19 +130,19 @@ class Poset:
     """Immutable finite strict partial order.
 
     Use :func:`build_poset` to construct one; the constructor assumes its
-    arguments already describe a valid closed order.  Besides the bitsets
-    and the sorted ``covers``, it keeps the covers as index lists: ``_upper[v]``
-    lists the upper covers of element ``v`` in ascending order, and ``_order``
-    lists every index in a topological order (Kahn's, as :func:`build_poset`
-    found it).  Readers must not change them.
+    arguments already describe a valid closed order.  ``_up[v]`` is the
+    up-set bitset of element ``v``, ``_upper[v]`` lists its upper covers in
+    ascending order, and ``_order`` lists every index in the
+    lexicographically least linear extension (smallest index first among
+    the elements whose predecessors are all placed).  These are the only
+    copies of the order: there are no down-sets, and :attr:`covers` is
+    derived from ``_upper``.  Readers must not change them.
     """
 
     __slots__ = (
         "elements",
         "_index",
         "_up",
-        "_down",
-        "covers",
         "_upper",
         "_order",
         "_width_cache",
@@ -149,8 +153,6 @@ class Poset:
         self,
         elements: tuple[str, ...],
         up: tuple[int, ...],
-        down: tuple[int, ...],
-        covers: tuple[tuple[str, str], ...],
         upper: list[list[int]],
         order: list[int],
         index: dict[str, int] | None = None,
@@ -158,8 +160,6 @@ class Poset:
         self.elements = elements
         self._index = {e: i for i, e in enumerate(elements)} if index is None else index
         self._up = up
-        self._down = down
-        self.covers = covers
         self._upper = upper
         self._order = order
         self._width_cache: tuple[int, frozenset[str]] | None = None
@@ -182,8 +182,20 @@ class Poset:
         return self._up[self.index(element)]
 
     def down_mask(self, element: str) -> int:
-        """Bitmask of elements strictly below *element*."""
-        return self._down[self.index(element)]
+        """Bitmask of elements strictly below *element*: one pass over the
+        up-sets, so O(elements) bitset operations."""
+        bit = 1 << self.index(element)
+        return sum(1 << v for v, above in enumerate(self._up) if above & bit)
+
+    @property
+    def covers(self) -> tuple[tuple[str, str], ...]:
+        """The cover pairs ``(a, b)``, ``b`` covering ``a``, in sorted order.
+
+        Built from ``_upper`` on each access; index order is sorted-id order
+        and each cover list ascends, so the pairs come out sorted.
+        """
+        els = self.elements
+        return tuple((els[v], els[w]) for v, ws in enumerate(self._upper) for w in ws)
 
     def mask_to_set(self, mask: int) -> frozenset[str]:
         return frozenset(self.elements[i] for i in _bits(mask))
@@ -209,7 +221,9 @@ class Poset:
                 mask ^= low
 
     def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(e for i, e in enumerate(self.elements) if not self._down[i])
+        """The elements that no cover list names."""
+        covered = set().union(*self._upper)
+        return tuple(e for i, e in enumerate(self.elements) if i not in covered)
 
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(e for i, e in enumerate(self.elements) if not self._up[i])
@@ -228,17 +242,19 @@ def build_poset(
 ) -> Poset:
     """Build a poset from element ids and (any subset of) its order relation.
 
-    The relation is transitively closed; the stored cover relation is the
+    The relation is transitively closed; the cover relation is the
     transitive reduction of the closure.  One pass over the unique pairs,
     each kept at its first occurrence, checks them in input order and fills
-    per-element successor lists.  Those lists drive a topological sort, then
-    one reverse sweep that gives the up-sets and the covers, and one forward
-    sweep over the covers that gives the down-sets (Aho, Garey & Ullman
-    1972): a few list steps and one bitset union of O(elements / word size)
-    per unique pair.  The poset keeps the covers' index lists and the
-    topological order as they were built.  Duplicate and transitively
-    implied pairs are accepted and change nothing; a pair may be any 2-item
-    iterable, a list included.
+    per-element successor lists.  Those lists drive Kahn's topological sort,
+    which always places the lowest ready index, then one reverse sweep gives
+    the up-sets and the covers (Aho, Garey & Ullman 1972): a few list steps
+    and one bitset union of O(elements / word size) per unique pair.  The
+    placed elements always form a down-set, so an element is ready exactly
+    when its lower covers are placed, and the order is the lexicographically
+    least linear extension, whichever pairs were given.  The poset keeps the
+    covers' index lists and that order; it computes no down-sets.  Duplicate
+    and transitively implied pairs are accepted and change nothing; a pair
+    may be any 2-item iterable, a list included.
 
     Raises:
         CycleError: the induced relation has a cycle (including a reflexive
@@ -265,14 +281,18 @@ def build_poset(
         succ[ia].append(ib)
         indeg[ib] += 1
 
-    # Kahn topological order, grown while it is walked; leftovers mean a
-    # cycle, and which elements are left does not depend on the walk order.
-    order = [v for v in range(n) if not indeg[v]]
-    for v in order:
+    # Kahn's order over a heap of ready indices; leftovers mean a cycle, and
+    # which elements are left does not depend on the walk order.
+    ready = [v for v in range(n) if not indeg[v]]  # ascending: a heap
+    order: list[int] = []
+    pop, push = heapq.heappop, heapq.heappush
+    while ready:
+        v = pop(ready)
+        order.append(v)
         for w in succ[v]:
             indeg[w] -= 1
             if not indeg[w]:
-                order.append(w)
+                push(ready, w)
     if len(order) != n:
         cyclic = sorted(els[i] for i in range(n) if indeg[i] > 0)
         raise CycleError(f"relation has a cycle through {cyclic}")
@@ -294,18 +314,7 @@ def build_poset(
             above |= 1 << w
         up[v] = above
         succ[v] = covers_v
-    # Forward sweep over the covers, which carry the whole order.
-    down = [0] * n
-    for v in order:
-        ws = succ[v]
-        if ws:
-            below = down[v] | 1 << v
-            for w in ws:
-                down[w] |= below
-
-    # Index order is sorted-id order, so the covers come out sorted.
-    covers = tuple((els[v], els[w]) for v in range(n) for w in succ[v])
-    return Poset(els, tuple(up), tuple(down), covers, succ, order, index)
+    return Poset(els, tuple(up), succ, order, index)
 
 
 def chain_break(p: Poset, ids: Sequence[int]) -> int:
@@ -460,15 +469,14 @@ def is_antichain(p: Poset, members: Iterable[str]) -> bool:
     return True
 
 
+def _is_down_mask(up: Sequence[int], mask: int) -> bool:
+    """True iff no element outside *mask* is below a member: no up-set of a
+    non-member meets the mask."""
+    return not any(up[i] & mask for i in _bits(((1 << len(up)) - 1) & ~mask))
+
+
 def is_downset(p: Poset, subset: Iterable[str]) -> bool:
-    mask = p.set_to_mask(subset)
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if p._down[low.bit_length() - 1] & ~mask:
-            return False
-        rest ^= low
-    return True
+    return _is_down_mask(p._up, p.set_to_mask(subset))
 
 
 def enumerate_antichains(
@@ -488,9 +496,11 @@ def enumerate_antichains(
             f"{len(p.elements)} elements exceed oracle bound {limit}"
         )
     n = len(p.elements)
-    incomp = [
-        ~(p._up[i] | p._down[i] | (1 << i)) & ((1 << n) - 1) for i in range(n)
-    ]
+    related = list(p._up)  # up-sets, then the down-sets transposed in
+    for i, above in enumerate(p._up):
+        for j in _bits(above):
+            related[j] |= 1 << i
+    incomp = [~(r | (1 << i)) & ((1 << n) - 1) for i, r in enumerate(related)]
 
     stack: list[tuple[tuple[str, ...], int, int]] = [((), 0, (1 << n) - 1)]
     while stack:
@@ -518,17 +528,8 @@ def enumerate_downsets_bruteforce(
     n = len(p.elements)
     if n > limit:
         raise OracleBoundExceeded(f"{n} elements exceed oracle bound {limit}")
-    down = p._down
     for mask in range(1 << n):
-        rest = mask
-        ok = True
-        while rest:
-            low = rest & -rest
-            if down[low.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            rest ^= low
-        if ok:
+        if _is_down_mask(p._up, mask):
             yield p.mask_to_set(mask)
 
 
@@ -546,13 +547,14 @@ def chain_clocks(
     Everything below ``e`` is at or below one of its lower covers, so
     ``down`` is the elementwise max of the lower covers' inclusive clocks: a
     clock with the element's own position set on every chain that holds it.
-    One sweep over the covers in topological order pushes each element's
+    One sweep over the covers in ``p._order`` pushes each element's
     inclusive clock to its upper covers; the first cover it reaches shares
     the vector, and each later one takes the max into a new vector.  ``up``
     is the elementwise min over the upper covers, in one reverse sweep,
     copied from the first cover's only when an own position lowers an
-    entry.  So the cost is O(covers x chains) integer steps, and vectors may
-    be shared between elements: readers must not change them.
+    entry.  Any topological order would give the same clocks.  So the cost
+    is O(covers x chains) integer steps, and vectors may be shared between
+    elements: readers must not change them.
     """
     n = len(p.elements)
     own: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -608,7 +610,8 @@ def incomparable_interval(
     The chain always decomposes into a prefix below *s*, a contiguous middle
     incomparable to *s*, and a suffix above *s*; the middle is returned with
     its lo/hi chain positions, read off the clock of *s* against this one
-    chain (as in :func:`chain_clocks`), in O(chain length).  The interval
+    chain (as in :func:`chain_clocks`): the chain elements whose up-sets hold
+    *s* are counted, O(chain length) bit tests.  The interval
     over the chain containing *s* itself is empty by convention.
     """
     i = p.index(s)
@@ -616,7 +619,8 @@ def incomparable_interval(
         raise BadChainIndex(f"chain index {chain_index} out of range")
     chain = cp.chains[chain_index]
     mask = p.set_to_mask(chain)
-    below = (p._down[i] & mask).bit_count() - 1
+    bit = 1 << i
+    below = sum(1 for j in _bits(mask) if p._up[j] & bit) - 1
     above = len(chain) - (p._up[i] & mask).bit_count()
     if s in chain or below + 1 == above:
         return Interval((), None, None)

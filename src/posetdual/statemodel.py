@@ -23,7 +23,7 @@ With ``n`` chains, ``omega3`` compares one pair of clocks per cover,
 O(covers x n) integer steps, and ``psi`` costs O(states x n).  On a minimum
 partition width-extensibility is ``omega1`` and ``omega2`` and ``omega3``
 (:func:`check_width_extensible`), so only a failing verdict pays
-O(states x n) bitset operations, to name its witness.
+O(states x n) bitset operations on the up-sets, to name its witness.
 
 Width-extensibility and interleaving-consistency are defined against a
 minimum chain partition, and one policy picks it (:func:`minimum_view`): a
@@ -66,7 +66,6 @@ from .poset import (
     chain_clocks,
     comparable,
     enumerate_antichains,
-    incomparable_interval,
     is_antichain,
     minimum_chain_partition,
     width,
@@ -334,23 +333,27 @@ def extend_to_width_antichain(
     For each chain of a minimum chain partition not yet represented, the
     incomparable runs of the current members intersect (runs are intervals,
     so pairwise intersection gives a common element); any element of the
-    intersection extends the antichain.  Raises :class:`NotWidthExtensible`
-    with the stuck sub-antichain when no extension exists: the first member,
-    in sorted order, with no run on the chain, else the whole antichain.
+    intersection extends the antichain.  Each run is read off the member's
+    clock on :func:`minimum_view`, whose chains are Kuhn's partition.
+    Raises :class:`NotWidthExtensible` with the stuck sub-antichain when no
+    extension exists: the first member, in sorted order, with no run on the
+    chain, else the whole antichain.
     """
     current = set(members)
     if not is_antichain(p, current):
         raise NotWidthAntichain(f"{sorted(current)} is not an antichain")
-    cp = minimum_chain_partition(p)
-    for ci, chain in enumerate(cp.chains):
-        if any(cp.position(s)[0] == ci for s in current):
+    view = minimum_view(p)
+    clocks = view.clocks()
+    taken = {view.coords(s)[0] - 1 for s in current}
+    for ci, chain in enumerate(view.chains):
+        if ci in taken:
             continue
         lo, hi = 0, len(chain) - 1
         for s in sorted(current):
-            run = incomparable_interval(p, cp, s, ci)
-            if not run:
+            down, up = clocks[s]
+            if down[ci] + 1 == up[ci]:
                 raise NotWidthExtensible(frozenset({s}))
-            lo, hi = max(lo, run.lo), min(hi, run.hi)
+            lo, hi = max(lo, down[ci] + 1), min(hi, up[ci] - 1)
         if lo > hi:
             raise NotWidthExtensible(frozenset(current))
         current.add(chain[lo])
@@ -424,10 +427,16 @@ def check_width_extensible(p: Poset) -> Verdict:
       holds neither, the run of ``[i,s]`` ends below ``t`` while that of
       ``[k,u]`` starts at ``t`` or above.
 
-    Only a failure is located, for its witness: another element misses the
-    run of ``s`` iff it lies below the run's first element or above its
-    last, so each element's failing partners are one OR of two bitsets per
-    chain, O(states x chains) bitset operations.  The partition of a bare
+    Only a failure is located, for its witness.  For incomparable ``x`` and
+    ``y`` and a chain holding neither, ``y`` is below the first state of
+    ``x``'s run iff ``x`` is above the last state of ``y``'s run: both say
+    that ``y``'s run ends before ``x``'s begins.  So let ``F(x)`` be the
+    states above the last state of ``x``'s run on some chain, minus those
+    above ``x``; all of them are incomparable to ``x``, and a pair fails iff
+    ``y`` is in ``F(x)`` or ``x`` is in ``F(y)``.  One downward scan keeps
+    the union of ``F`` over the elements passed, and one more pass names
+    the partner: O(states x chains) bitset operations, one OR of an up-set
+    per state and chain, with no down-sets.  The partition of a bare
     poset is Kuhn's (:func:`minimum_view`).  On failure the witness is the
     offending antichain; among several failures the lexicographically
     greatest is reported.  :func:`require_width_extensible` and
@@ -471,24 +480,34 @@ def _width_extensible_witness(sm: StateModel) -> Verdict:
         if any(u - d < 2 for d, u in zip(down, up)):
             return Verdict(False, frozenset({s}), "no maximum antichain contains it")
 
-    # Pairs: b misses a's run [lo,hi] on chain c iff b < chain_c[lo] or
-    # b > chain_c[hi].  OR those partners over all chains and keep the ones
-    # incomparable to a and after it (the partners on chain c itself, and all
-    # on a's own chain, whose run is a alone, are ordered with a).  The
-    # greatest failing pair has the last such a and its last partner.
-    els, up, down = p.elements, p._up, p._down
+    # Pairs.  F(x) is the union over chains of the up-sets of the last state
+    # of x's run, minus x's own up-set: states incomparable to x, above its
+    # run on some chain (the own chain gives x itself, its up-set removed).
+    # A pair fails iff b is in F(a) or a is in F(b) (docstring of
+    # check_width_extensible), so scan a downward, keeping in `later` the
+    # union of F(b) over b > a.  The greatest failing pair has the last such
+    # a and its last partner.
+    els, up = p.elements, p._up
     ids = [[p.index(e) for e in chain] for chain in sm.chains]
+
+    def beyond(x: int) -> int:
+        f = 0
+        for chain, above in zip(ids, clocks[els[x]][1]):
+            f |= up[chain[above - 1]]
+        return f & ~up[x]
+
+    later = 0
     for a in range(len(els) - 1, -1, -1):
-        da, ua = clocks[els[a]]
-        failing = 0
-        for chain, below, above in zip(ids, da, ua):
-            failing |= down[chain[below + 1]] | up[chain[above - 1]]
-        failing = (failing & ~(up[a] | down[a])) >> (a + 1)
-        if failing:
-            b = a + failing.bit_length()
+        fa = beyond(a)
+        if fa >> (a + 1) or later >> a & 1:
+            # The last b > a with a in F(b), in one more pass, against the
+            # top of F(a), which is a partner when it is above a.
+            b = next((b for b in range(len(els) - 1, a, -1) if beyond(b) >> a & 1), -1)
+            b = max(b, fa.bit_length() - 1)
             return Verdict(
                 False, frozenset({els[a], els[b]}), "no maximum antichain contains both"
             )
+        later |= fa
     return Verdict(True)
 
 

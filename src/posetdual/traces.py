@@ -136,6 +136,7 @@ def parse_event(data: Mapping[str, Any]) -> EventModel:
     _require(isinstance(raw_events, list), "'events' must be a list")
     labels: dict[str, set[tuple[int, int]]] = {}
     per_proc: dict[int, list[tuple[int, str]]] = {}
+    twice: set[int] = set()  # processes on which some event has two slots
     for entry in raw_events:
         if not isinstance(entry, dict):
             raise SchemaError("event entries must be objects")
@@ -151,6 +152,7 @@ def parse_event(data: Mapping[str, Any]) -> EventModel:
         if not (isinstance(slots, list) and slots):
             raise SchemaError(f"event {eid!r} needs slots")
         parsed = set()
+        at: dict[int, int] = {}
         for slot in slots:
             if not isinstance(slot, dict):
                 raise SchemaError("slots must be objects")
@@ -162,11 +164,17 @@ def parse_event(data: Mapping[str, Any]) -> EventModel:
                 raise SchemaError("slot 'proc' and 'idx' must be integers")
             parsed.add((proc, idx))
             per_proc.setdefault(proc, []).append((idx, eid))
+            if at.setdefault(proc, idx) != idx:
+                twice.add(proc)
         labels[eid] = parsed
     edges = _pair_list(data.get("edges", []), "'edges'")
-    # Same-process ordering is implicit in the indices.
-    for entries in per_proc.values():
+    # Same-process ordering is implicit in the indices.  A process on which
+    # an event has two slots gets no chain edges: they would order the event
+    # before itself, and build_event_model names the fault.
+    for proc, entries in per_proc.items():
         entries.sort()
+        if proc in twice:
+            continue
         for (k1, e1), (k2, e2) in zip(entries, entries[1:]):
             if k1 < k2:
                 edges.append((e1, e2))
@@ -234,7 +242,7 @@ def state_to_json(sm: StateModel) -> dict:
         "kind": "state",
         "version": VERSION,
         "elements": sorted(sm.poset.elements),
-        "relations": [list(c) for c in sorted(sm.poset.covers)],
+        "relations": [list(c) for c in sm.poset.covers],
         "chains": [list(c) for c in sm.chains],
     }
     if sm.attrs:
@@ -259,7 +267,7 @@ def event_to_json(m: EventModel) -> dict:
         "version": VERSION,
         "n": m.n,
         "events": events,
-        "edges": [list(c) for c in sorted(m.poset.covers)],
+        "edges": [list(c) for c in m.poset.covers],
     }
     if any(m.chain_length(i) == 0 for i in range(1, m.n + 1)):
         data["allow_empty_process"] = True

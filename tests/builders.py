@@ -233,6 +233,18 @@ def permits_predicate(cap: int = 5) -> Predicate:
     return And(sessions + (AggCmp("sum", "permits", "<", cap),))
 
 
+def down_sets(p: Poset) -> tuple[int, ...]:
+    """Each element's strict down-set as a bitset, the transpose of the
+    poset's up-sets (a poset stores no down-sets)."""
+    n = len(p)
+    down = [0] * n
+    for i, above in enumerate(p._up):
+        for j in range(n):
+            if above >> j & 1:
+                down[j] |= 1 << i
+    return tuple(down)
+
+
 # --- random generators ----------------------------------------------------
 
 def random_chain_poset(

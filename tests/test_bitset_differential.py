@@ -31,6 +31,7 @@ from posetdual.poset import (
 from posetdual.traces import load_trace
 
 from builders import (
+    down_sets,
     random_chain_poset,
     random_event_model,
     random_marking,
@@ -213,7 +214,7 @@ def test_bitset_kernels_equal_pair_loops():
     for _ in range(2000):
         elements, pairs = random_relation_list(rng)
         p = build_poset(elements, pairs)
-        assert (p.elements, p._up, p._down, p.covers) == build_by_closure_pairs(
+        assert (p.elements, p._up, down_sets(p), p.covers) == build_by_closure_pairs(
             elements, pairs
         )
 
@@ -251,8 +252,8 @@ def test_checkpoint_restriction_equals_filtered_closure():
         marking = random_marking(rng, sm, max_marks=rng.choice([3, 5, 8]))
         induced = induced_checkpoint_model(sm, marking)
         p, chains = induced_by_closure_pairs(sm, marking)
-        assert (induced.poset.elements, induced.poset._up, induced.poset._down) == (
-            p.elements, p._up, p._down,
+        assert (induced.poset.elements, induced.poset._up, down_sets(induced.poset)) == (
+            p.elements, p._up, down_sets(p),
         )
         assert induced.poset.covers == p.covers
         assert induced.chains == tuple(tuple(c) for c in chains)

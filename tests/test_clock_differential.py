@@ -40,7 +40,13 @@ from posetdual.transforms import (
     transition_graph,
 )
 
-from builders import pinch_state, random_chain_poset, random_event_model, random_marking
+from builders import (
+    down_sets,
+    pinch_state,
+    random_chain_poset,
+    random_event_model,
+    random_marking,
+)
 
 
 def omega3_by_pairs(sm):
@@ -322,7 +328,7 @@ def chain_clocks_by_popcount(p, chains):
             [(d & m).bit_count() - 1 for m in masks],
             [len(c) - (u & m).bit_count() for c, m in zip(chains, masks)],
         )
-        for e, d, u in zip(p.elements, p._down, p._up)
+        for e, d, u in zip(p.elements, down_sets(p), p._up)
     }
 
 

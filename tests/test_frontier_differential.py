@@ -46,14 +46,14 @@ from posetdual.lattice import enumerate_downsets, frontier_parts
 from posetdual.poset import minimum_chain_partition, width
 from posetdual.statemodel import StateModel, require_width_extensible
 
-from builders import random_chain_poset, random_event_model
+from builders import down_sets, random_chain_poset, random_event_model
 
 # --- transcribed reference -------------------------------------------------
 
 
 def ref_linear_extension(p):
     n = len(p.elements)
-    indeg = [p._down[i].bit_count() for i in range(n)]
+    indeg = [d.bit_count() for d in down_sets(p)]
     ready = [i for i in range(n) if indeg[i] == 0]
     heapq.heapify(ready)
     order = []

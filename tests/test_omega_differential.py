@@ -28,6 +28,7 @@ from posetdual.statemodel import (
 )
 
 from builders import (
+    down_sets,
     pinch_state,
     random_chain_poset,
     random_event_model,
@@ -60,7 +61,7 @@ def width_extensible_by_pair_scan(sm):
         down, up = clocks[s]
         if any(u - d < 2 for d, u in zip(down, up)):
             return Verdict(False, frozenset({s}), "no maximum antichain contains it")
-    els, up, down = p.elements, p._up, p._down
+    els, up, down = p.elements, p._up, down_sets(p)
     ids = [[p.index(e) for e in chain] for chain in sm.chains]
     for a in range(len(els) - 1, -1, -1):
         da, ua = clocks[els[a]]

@@ -24,6 +24,7 @@ from posetdual import (
 from posetdual.poset import is_antichain, is_downset
 
 from builders import (
+    down_sets,
     message_pair_event,
     pinch_poset,
     random_chain_poset,
@@ -165,8 +166,8 @@ def test_restrict_equals_pairwise_restriction():
         pairs = [(a, b) for a in keep for b in keep if a != b and p.less(a, b)]
         expected = build_poset(keep, pairs)
         sub = p.restrict(keep + keep[:2])
-        assert (sub.elements, sub._up, sub._down, sub.covers) == (
-            expected.elements, expected._up, expected._down, expected.covers
+        assert (sub.elements, sub._up, down_sets(sub), sub.covers) == (
+            expected.elements, expected._up, down_sets(expected), expected.covers
         )
 
 

@@ -14,6 +14,7 @@ from posetdual import (
     ModelError,
     NotTotallyOrdered,
     NotWidthAntichain,
+    NotWidthExtensible,
     build_poset,
     build_state_model,
     check_interleaving_consistent,
@@ -34,6 +35,8 @@ from posetdual.statemodel import (
     run_property_checks,
     width_extensible_bruteforce,
 )
+
+from test_omega_differential import random_models
 
 from builders import (
     barrier_state,
@@ -165,6 +168,53 @@ def test_extension_witness_does_not_depend_on_hash_seed():
         )
         witnesses.append(json.loads(run.stdout))
     assert witnesses[0] == witnesses[1] == [min(stuck)]
+
+
+def extend_by_intervals(p, members):
+    """Transcription of the extension that read each member's run with one
+    ``incomparable_interval`` per member and chain."""
+    current = set(members)
+    cp = minimum_chain_partition(p)
+    for ci, chain in enumerate(cp.chains):
+        if any(cp.position(s)[0] == ci for s in current):
+            continue
+        lo, hi = 0, len(chain) - 1
+        for s in sorted(current):
+            run = incomparable_interval(p, cp, s, ci)
+            if not run:
+                raise NotWidthExtensible(frozenset({s}))
+            lo, hi = max(lo, run.lo), min(hi, run.hi)
+        if lo > hi:
+            raise NotWidthExtensible(frozenset(current))
+        current.add(chain[lo])
+    return frozenset(current)
+
+
+def test_extension_from_clocks_equals_interval_reads():
+    rng = random.Random(16)
+    seen = {"grown": 0, "stuck member": 0, "stuck antichain": 0}
+    for sm in random_models(rng, 1500, 14):
+        p = sm.poset
+        # A random antichain, or one the width-extensibility check names.
+        members, size = [], rng.randint(0, 4)
+        for s in rng.sample(p.elements, len(p)):
+            if len(members) < size and is_antichain(p, members + [s]):
+                members.append(s)
+        witness = check_width_extensible(p).witness or ()
+        if len(witness) == 2:
+            members = sorted(witness)
+        results = []
+        for extend in (extend_to_width_antichain, extend_by_intervals):
+            try:
+                results.append(("grown", extend(p, members)))
+            except NotWidthExtensible as exc:
+                results.append(("stuck", exc.witness))
+        assert results[0] == results[1], (p.covers, members)
+        kind, value = results[0]
+        seen["grown" if kind == "grown" else
+             "stuck member" if len(value) == 1 else "stuck antichain"] += 1
+    # Grown antichains and both kinds of witness are compared often.
+    assert min(seen.values()) >= 100, seen
 
 
 def test_debug_mode_verifies_extensions():

@@ -178,6 +178,32 @@ def test_validate_semantic_failure(capsys, tmp_path):
     assert data["error"]["process"] == 1
 
 
+@pytest.mark.parametrize(
+    "events",
+    [
+        [{"id": "a", "slots": [{"proc": 1, "idx": 1}, {"proc": 1, "idx": 2}]}],
+        [
+            {"id": "a", "slots": [{"proc": 1, "idx": 1}, {"proc": 1, "idx": 3}]},
+            {"id": "b", "slots": [{"proc": 1, "idx": 2}]},
+        ],
+    ],
+    ids=["adjacent", "event-between"],
+)
+@pytest.mark.parametrize(
+    "command", [["validate"], ["transform", "--direction", "es"]], ids=["validate", "transform"]
+)
+def test_two_slots_on_one_process_are_named(capsys, tmp_path, events, command):
+    # No chain edges on that process, so no cycle through the event hides
+    # the fault.
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"kind": "event", "version": 1, "n": 1, "events": events}))
+    code, out, _ = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "message": "event 'a' carries two slots on one process", "type": "ModelError",
+    }
+
+
 def test_validate_parse_failure(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
