@@ -33,11 +33,12 @@ are provided: a definitional oracle that scans all one-per-process tuples,
 and a fast engine that reads the verdicts off the cycle structure of the
 tentative event graph of the restriction - a checkpoint is useless exactly
 when the transitions entering and leaving it are strongly connected.  That
-graph is sparse, O(states x n) edges, so the fast engine finds its
-components in O(states x n).  It then names every useful checkpoint's
-witness, the least global checkpoint that contains it, in one sweep over
-the components in topological order, O(states x n^2) after the graph.  It
-must agree with the oracle everywhere; disagreement is a bug by definition.
+graph is read off the restriction's covers, one edge per cover and chain
+step, so the fast engine finds its components in O(covers) and reads no
+chain clocks.  It then names every useful checkpoint's witness, the least
+global checkpoint that contains it, in one sweep over the components in
+topological order, O(covers x n) after the graph.  It must agree with the
+oracle everywhere; disagreement is a bug by definition.
 The restriction's order is closed from one pair per marked state and chain,
 read off the chain clocks.
 """
@@ -47,7 +48,7 @@ from __future__ import annotations
 import itertools
 import logging
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -687,27 +688,16 @@ def induced_checkpoint_model(sm: StateModel, marking: CheckpointMarking) -> Stat
     # One pair per kept state and chain: to the lowest kept state above it
     # there, found from the state's chain clock.  The kept states above it on
     # that chain follow by chain pairs, so the closure is the inherited order.
-    # The same bisections give the restriction's own clocks: the highest kept
-    # position at or below the full clock's down entry, and the lowest at or
-    # above its up entry.
     clocks = sm.clocks()
     pairs = []
-    induced_clocks = {}
     for s in kept:
-        down, up = clocks[s]
-        below, above = [], []
-        for idxs, chain, d, u in zip(marking.marks, chains, down, up):
+        for idxs, chain, u in zip(marking.marks, chains, clocks[s][1]):
             r = bisect_left(idxs, u)
             if r < len(idxs):
                 pairs.append((s, chain[r]))
-            above.append(r)
-            below.append(bisect_right(idxs, d) - 1)
-        induced_clocks[s] = (below, above)
     poset = build_poset(kept, pairs)
     attrs = {s: sm.attrs[s] for s in kept if s in sm.attrs}
-    induced = build_state_model(poset, chains, attrs)
-    object.__setattr__(induced, "_clocks_cache", induced_clocks)
-    return induced
+    return build_state_model(poset, chains, attrs)
 
 
 @dataclass(frozen=True)
@@ -797,7 +787,11 @@ def _fast_usefulness(
     a component after every component it reaches, so in reverse each comes
     after all its ancestors: one pass in that order carries each
     component's frontier, per chain the top index among its ancestors, to
-    its successors with one ``max`` per chain and edge, O(states x n^2).
+    its successors with one ``max`` per chain and edge.  The graph has one
+    edge per cover and chain step, so that is O(covers x n).  Under the
+    precondition no cover enters an initial state or leaves a final one, so
+    each chain's virtual node is a sink entered only by its chain edge: it
+    raises no witness.
     """
     if not check_omega1(induced).ok or not check_omega2(induced).ok:
         return None

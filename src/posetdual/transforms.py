@@ -11,15 +11,17 @@ down one tentative event per non-initial state, adds a cross edge
 strongly connected component of the tentative graph into a single shared
 event.  A component with two nodes on the same chain cannot be collapsed;
 such inputs do not model any computation and are reported rather than
-converted.  Only reachability in that graph matters, so it is stored
-sparse: each node keeps its chain edge and, per other chain, the cross edge
-to the lowest such ``(j,s)``; the chain edges imply the rest.
+converted.  Only reachability in that graph matters, so it is read off the
+covers: the chain edges and one edge per cross cover, plus one virtual node
+per chain for the transition out of its final state, which is dropped
+before events are named.
 
-Both directions read the order from :func:`~posetdual.poset.chain_clocks`
-instead of testing pairs: the forward transform emits one pair per state and
-other process, O(events x processes) before the closure, and the tentative
-graph takes each node's edges from one clock, O(states x processes) edges.
-The collapsed event order is closed from the edges between components.
+The forward transform reads the order from
+:func:`~posetdual.poset.chain_clocks` instead of testing pairs: it emits
+one pair per state and other process, O(events x processes) before the
+closure.  The reverse transform reads no clocks: its graph has O(covers)
+edges, and the collapsed event order is closed from the edges between
+components.
 
 Both transforms are pure; parallel invocation is safe.
 """
@@ -94,9 +96,11 @@ class SETransformOutcome:
     """Either the rebuilt event model or an invalidity report.
 
     ``temp_edges`` exposes the stored tentative pre-collapse graph for
-    diagnostics, listed when read: per node, its chain edge and its lowest
-    edge to each other chain.  The edges it leaves out follow from these by
-    chain edges, so its reachability and cycles are those of the full graph.
+    diagnostics, listed when read: per node, its chain edge and one edge per
+    cross cover that leaves the state the node's transition leaves
+    (:func:`transition_graph`).  Each chain's virtual node ``(i,len)`` is
+    listed too.  Between real nodes its reachability and cycles are those
+    of the full graph, whose other edges follow from these.
     """
 
     event_model: EventModel | None
@@ -120,28 +124,41 @@ class SETransformOutcome:
 def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]]:
     """Tentative event graph of a state model (may contain cycles), sparse.
 
-    Nodes ``(i,k)`` stand for the transition into state ``[i,k]``.  The full
-    graph has the chain edges and a cross edge ``(i,r) -> (j,s)`` whenever
-    ``[i,r-1] < [j,s]``; on chain ``j`` those ``s`` run from the lowest
-    state above ``[i,r-1]`` (its chain clock) to the top.  Each node keeps
-    its chain edge and only the first cross edge per other chain: chain
-    edges reach the rest, so reachability and the components are the same
-    with O(states x processes) edges.  Successor lists are sorted, at most
-    one node per chain.
+    Node ``(i,k)`` stands for the transition out of state ``[i,k-1]``, which
+    is the transition into ``[i,k]`` when ``k`` is below the chain's length.
+    The full graph has the chain edges and a cross edge ``(i,r) -> (j,s)``
+    whenever ``[i,r-1] < [j,s]``, ``s >= 1``.  This one is read off the
+    covers: the chain edges, and for each cross cover ``[i,r] ⋖ [j,s]`` the
+    edge ``(i,r+1) -> (j,max(1,s))``.  A path of covers from ``[i,r-1]`` to
+    ``[j,s]`` is then a path from ``(i,r)`` to ``(j,s)``, so reachability
+    between real nodes, and with it the components, is that of the full
+    graph, with one edge per cover and chain step.
+
+    Each chain ``i`` also gets one virtual node ``(i,len)``, the transition
+    out of its final state.  It carries the covers that leave the final
+    state, and it is the target of a cover into ``[i,0]`` when the chain has
+    only that state.  No transition enters it, so :func:`se_transform`
+    drops it before naming events.  Paths through virtual nodes alone
+    are acyclic, since each of their edges follows a cover.  Nodes are
+    listed chain by chain; each successor list has at most one node per
+    chain.
     """
-    clocks = sm.clocks()
+    p = sm.poset
+    coords = sm._coords()
+    at = [coords[e] for e in p.elements]
+    upper, index = p._upper, p._index
     nodes: list[Node] = []
     succ: dict[Node, list[Node]] = {}
     for i, chain in enumerate(sm.chains, start=1):
-        for r in range(1, len(chain)):
-            up = clocks[chain[r - 1]][1]
-            out: list[Node] = []
-            for j, other in enumerate(sm.chains, start=1):
-                s = r + 1 if j == i else max(1, up[j - 1])
-                if s < len(other):
-                    out.append((j, s))
-            nodes.append((i, r))
-            succ[(i, r)] = out
+        top = len(chain)
+        for k, state in enumerate(chain, start=1):
+            out = [(i, k + 1)] if k < top else []
+            for w in upper[index[state]]:
+                j, s = at[w]
+                if j != i:
+                    out.append((j, s or 1))
+            nodes.append((i, k))
+            succ[(i, k)] = out
     return nodes, succ
 
 
@@ -202,16 +219,61 @@ def _shared_id(members: Sequence[Node]) -> str:
     return "shared(" + ",".join(f"{i}.{k}" for i, k in sorted(members)) + ")"
 
 
+def _real_successors(
+    node: Node,
+    succ: dict[Node, list[Node]],
+    virtual: set[Node],
+    memo: dict[Node, list[Node]],
+) -> list[Node]:
+    """The real nodes a virtual *node* reaches through virtual nodes alone.
+
+    Paths of virtual nodes follow covers, so they are acyclic, and each
+    virtual node's list is built once into *memo*, from its successors'
+    lists (iteratively, so no recursion limit applies).
+    """
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        pending = [w for w in succ[top] if w in virtual and w not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        memo[top] = list(dict.fromkeys(
+            c for w in succ[top] for c in (memo[w] if w in virtual else (w,))
+        ))
+    return memo[node]
+
+
 def se_transform(sm: StateModel) -> SETransformOutcome:
     """State model -> event model, or an invalidity report.
 
     Up to the closure of the collapsed order, runs in time linear in the
-    sparse tentative graph: O(states x processes).  Collapsed shared events
-    get deterministic ids so that round-trips compare equal; plain events
-    are named ``e<i>.<k>``.
+    tentative graph, which has one edge per cover and chain step: O(covers),
+    with no chain clocks.  Edges into a virtual node are carried on to the
+    real nodes it reaches.  Collapsed shared events get deterministic ids so
+    that round-trips compare equal; plain events are named ``e<i>.<k>``.
+
+    Known limitation: a model whose initial or final states are ordered
+    (``omega1`` or ``omega2`` fails) is converted, without a report, but
+    the forward transform of the result need not give it back.  With
+    chains ``[1.0, 1.1]`` and ``[2.0]`` and ``1.1 < 2.0``, the result is
+    the one event ``e1.1``, whose forward transform drops ``1.1 < 2.0``:
+    no transition enters ``2.0``.  Rejecting such models is left open.
     """
     nodes, succ = transition_graph(sm)
-    components = strongly_connected_components(nodes, succ)
+    # Virtual nodes name no transition: drop them from every component.
+    virtual = {(i, len(chain)) for i, chain in enumerate(sm.chains, start=1)}
+    components = []
+    for comp in strongly_connected_components(nodes, succ):
+        if not virtual.isdisjoint(comp):
+            comp = tuple(node for node in comp if node not in virtual)
+            if not comp:
+                continue
+        components.append(comp)
 
     offending: list[OffendingComponent] = []
     for comp in components:
@@ -228,23 +290,28 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
             _graph=(nodes, succ),
         )
 
-    comp_of: dict[Node, tuple[Node, ...]] = {}
-    for comp in components:
-        for node in comp:
-            comp_of[node] = comp
-    ids: dict[tuple[Node, ...], str] = {}
+    event_of: dict[Node, str] = {}
     labels: dict[str, frozenset[Node]] = {}
     for comp in components:
         (i, k) = comp[0]
         eid = f"e{i}.{k}" if len(comp) == 1 else _shared_id(comp)
-        ids[comp] = eid
         labels[eid] = frozenset(comp)
-    pairs = [
-        (ids[comp_of[a]], ids[comp_of[b]])
-        for a in nodes
-        for b in succ[a]
-        if comp_of[b] is not comp_of[a]
-    ]
+        for node in comp:
+            event_of[node] = eid
+    beyond: dict[Node, list[Node]] = {}
+    pairs = []
+    for a in nodes:
+        ea = event_of.get(a)
+        if ea is None:
+            continue
+        for b in succ[a]:
+            eb = event_of.get(b)
+            if eb is None:
+                for c in _real_successors(b, succ, virtual, beyond):
+                    if event_of[c] != ea:
+                        pairs.append((ea, event_of[c]))
+            elif eb != ea:
+                pairs.append((ea, eb))
     poset = build_poset(labels.keys(), pairs)
     # The component screening makes this validation unreachable-by-failure.
     model = build_event_model(poset, sm.n, labels, allow_empty_process=True)

@@ -3,12 +3,18 @@
 The reference functions below ask ``Poset.less`` or ``EventModel.state_less``
 about every pair of states, exactly as the definitions read.  The library
 answers the same questions from ``chain_clocks``; verdicts, witnesses, detail
-strings, tentative edges and emitted state traces must agree.  The library's
-tentative graph is the sparse one, so it is compared with the lowest edge
-per node and chain of the full graph, and the full graph must give the same
-components, transforms and checkpoint reports.  The fast checkpoint engine's
-one sweep over the components must name the witnesses that one ancestor
-search per checkpoint named.
+strings and emitted state traces must agree.
+
+The library's tentative graph is read off the covers, with one virtual node
+per chain.  Its edges between real nodes are edges of the full graph, and
+the full graph must give the same real-node components, transforms and
+checkpoint reports.  The graph it replaced, read off the chain clocks with
+the lowest edge per node and other chain, is transcribed below
+(``clock_transition_graph``) and must give the same components, ``se``
+bytes and fast checkpoint reports, witnesses included, on models that send
+edges through virtual nodes.  The fast checkpoint engine's one sweep over
+the components must name the witnesses that one ancestor search per
+checkpoint named.
 
 ``chain_clocks`` itself, one sweep over the covers in each direction, is
 compared with the popcounts of each element's bitsets against each chain's
@@ -33,7 +39,7 @@ from posetdual import (
 )
 from posetdual import analysis, poset, statemodel, transforms
 from posetdual.analysis import find_useless_checkpoints, induced_checkpoint_model
-from posetdual.traces import event_to_json, state_to_json
+from posetdual.traces import dumps_canonical, event_to_json, state_to_json
 from posetdual.transforms import (
     se_transform,
     strongly_connected_components,
@@ -130,6 +136,37 @@ def dense_transition_graph(sm):
     return nodes, succ
 
 
+def clock_transition_graph(sm):
+    """The tentative graph as read off the chain clocks: per node ``(i,r)``,
+    its chain edge and, per other chain, the edge to the lowest state above
+    ``[i,r-1]`` there (or to ``(j,1)``).  It has no virtual nodes."""
+    clocks = sm.clocks()
+    nodes, succ = [], {}
+    for i, chain in enumerate(sm.chains, start=1):
+        for r in range(1, len(chain)):
+            up = clocks[chain[r - 1]][1]
+            out = []
+            for j, other in enumerate(sm.chains, start=1):
+                s = r + 1 if j == i else max(1, up[j - 1])
+                if s < len(other):
+                    out.append((j, s))
+            nodes.append((i, r))
+            succ[(i, r)] = out
+    return nodes, succ
+
+
+def is_real(sm, node):
+    """False for the virtual node ``(i,len)`` of a chain."""
+    i, k = node
+    return k < len(sm.chains[i - 1])
+
+
+def real_components(sm, components):
+    """The components with every virtual node dropped, as a set."""
+    real = (tuple(node for node in comp if is_real(sm, node)) for comp in components)
+    return {comp for comp in real if comp}
+
+
 def es_transform_by_pairs(m):
     chains = [
         [f"{i}.{k}" for k in range(m.chain_length(i) + 1)] for i in range(1, m.n + 1)
@@ -224,10 +261,15 @@ def test_clock_results_equal_pair_scans():
             verdict = fast(sm).as_json()
             assert verdict == slow(sm).as_json(), (name, state_to_json(sm))
             failures[name] += not verdict["ok"]
-        nodes, succ = transition_graph(sm)
+        full = tentative_edges_by_pairs(sm)
+        nodes, succ = clock_transition_graph(sm)
         edges = {(a, b) for a in nodes for b in succ[a]}
-        assert edges == lowest_per_chain(tentative_edges_by_pairs(sm))
+        assert edges == lowest_per_chain(full)
         assert all(succ[a] == sorted(succ[a]) for a in nodes)
+        nodes, succ = transition_graph(sm)
+        real = {(a, b) for a in nodes for b in succ[a] if is_real(sm, a) and is_real(sm, b)}
+        assert real <= full
+        assert all(len({j for j, _ in succ[a]}) == len(succ[a]) for a in nodes)
     # Both checks must fail often enough for their witnesses to be compared.
     assert min(failures.values()) >= 100, failures
 
@@ -272,9 +314,9 @@ def test_sparse_tentative_graph_equals_full_graph(monkeypatch):
 
     shared = 0
     for sm, _ in models:
-        sparse = strongly_connected_components(*transition_graph(sm))
+        sparse = real_components(sm, strongly_connected_components(*transition_graph(sm)))
         dense = strongly_connected_components(*dense_transition_graph(sm))
-        assert set(sparse) == set(dense), state_to_json(sm)
+        assert sparse == set(dense), state_to_json(sm)
         shared += any(len(c) > 1 for c in sparse)
     # Enough models carry cycles for the components to be compared.
     assert shared >= 200, shared
@@ -283,6 +325,75 @@ def test_sparse_tentative_graph_equals_full_graph(monkeypatch):
     for module in (transforms, analysis):
         monkeypatch.setattr(module, "transition_graph", dense_transition_graph)
     assert se_and_checkpoint_outputs(models) == expected
+
+
+def virtual_paths(sm):
+    """The cross covers of *sm* that ``omega1`` or ``omega2`` forbid: into a
+    one-state chain (its edge ends at that chain's virtual node), into the
+    initial state of a longer chain (its edge ends at ``(j,1)``), and out
+    of a final state (its edge starts at a virtual node)."""
+    coords = sm._coords()
+    seen = set()
+    for a, b in sm.poset.covers:
+        (i, r), (j, s) = coords[a], coords[b]
+        if i == j:
+            continue
+        if s == 0:
+            seen.add("one-state chain" if len(sm.chains[j - 1]) == 1 else "into initial")
+        if r == len(sm.chains[i - 1]) - 1:
+            seen.add("out of final")
+    return seen
+
+
+def se_and_fast_checkpoint_bytes(cases):
+    out = []
+    for sm, marking in cases:
+        se = se_transform(sm)
+        out.append(dumps_canonical(event_to_json(se.event_model) if se.ok else se.report.as_json()))
+        report = find_useless_checkpoints(sm, marking, engine="fast")
+        out.append(dumps_canonical(report.as_json()))
+    return out
+
+
+def test_cover_graph_equals_clock_graph(monkeypatch):
+    rng = random.Random(2029)
+    gadget = pinch_state()
+    cases = []
+    for _ in range(2400):
+        # half of them beside the pinch gadget, so se often fails
+        sm = chain_poset_model(rng, gadget, rng.choice([8, 16, 24]))
+        cases.append((sm, random_marking(rng, sm, max_marks=rng.choice([3, 4]))))
+    for _ in range(800):
+        sm = es_transform(random_event_model(
+            rng, max_procs=rng.choice([3, 5]), max_events_per_proc=6, max_messages=10
+        ))
+        cases.append((sm, random_marking(rng, sm, max_marks=rng.choice([3, 5]))))
+
+    seen = {"one-state chain": 0, "into initial": 0, "out of final": 0}
+    counts = {"cycles": 0, "se fails": 0, "fast": 0, "useless": 0}
+    for sm, _ in cases:
+        covers = real_components(sm, strongly_connected_components(*transition_graph(sm)))
+        clocks = strongly_connected_components(*clock_transition_graph(sm))
+        assert covers == set(clocks), state_to_json(sm)
+        counts["cycles"] += any(len(c) > 1 for c in covers)
+        for kind in virtual_paths(sm):
+            seen[kind] += 1
+
+    got = se_and_fast_checkpoint_bytes(cases)
+    for module in (transforms, analysis):
+        monkeypatch.setattr(module, "transition_graph", clock_transition_graph)
+    want = se_and_fast_checkpoint_bytes(cases)
+    for k, (sm, marking) in enumerate(cases):
+        assert got[2 * k: 2 * k + 2] == want[2 * k: 2 * k + 2], (
+            state_to_json(sm), marking.as_json(),
+        )
+        counts["se fails"] += '"error"' in got[2 * k]
+        counts["fast"] += '"engine": "fast"' in got[2 * k + 1]
+        counts["useless"] += '"useful": false' in got[2 * k + 1]
+    # Every kind of edge through a virtual node, failing transforms and
+    # useless checkpoints from the fast engine must all be compared often.
+    assert min(seen.values()) >= 20, seen
+    assert min(counts.values()) >= 200, counts
 
 
 def fast_reports(cases):

@@ -14,7 +14,21 @@ from posetdual import (
     roundtrip_se_es,
     se_transform,
 )
-from posetdual.statemodel import check_interleaving_consistent, check_width_extensible
+from posetdual import cli, poset, statemodel, transforms
+from posetdual.analysis import CheckpointMarking, find_useless_checkpoints
+from posetdual.statemodel import (
+    StateModel,
+    check_interleaving_consistent,
+    check_width_extensible,
+)
+from posetdual.traces import (
+    dumps_canonical,
+    event_to_json,
+    load_marks,
+    load_trace,
+    state_to_json,
+    write_trace,
+)
 from posetdual.transforms import event_signature, state_signature
 
 from builders import (
@@ -171,3 +185,66 @@ def test_empty_process_roundtrip():
     sm = es_transform(m)
     assert sm.chains == (("1.0", "1.1"), ("2.0",))
     assert roundtrip_es_se(m)
+
+
+def test_se_of_ordered_endpoints_is_converted_but_not_inverted(capsys, tmp_path):
+    # Known limitation: when omega1 or omega2 fails, se converts without a
+    # report, and es of the result need not give the input back.  Here
+    # 1.1 < 2.0 orders both the initial and the final states; no transition
+    # enters 2.0, so the order is lost.
+    sm = build_state_model(
+        build_poset(["1.0", "1.1", "2.0"], [("1.0", "1.1"), ("1.1", "2.0")]),
+        [["1.0", "1.1"], ["2.0"]],
+    )
+    assert not check_omega1(sm).ok and not check_omega2(sm).ok
+    path = tmp_path / "ordered.json"
+    write_trace(path, state_to_json(sm))
+    assert cli.main(["transform", str(path), "--direction", "se"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        '{\n  "allow_empty_process": true,\n  "edges": [],\n  "events": [\n'
+        '    {\n      "id": "e1.1",\n      "slots": [\n        {\n'
+        '          "idx": 1,\n          "proc": 1\n        }\n      ]\n'
+        '    }\n  ],\n  "kind": "event",\n  "n": 2,\n  "version": 1\n}\n'
+    )
+    back = es_transform(se_transform(sm).event_model)
+    assert sorted(back.poset.closure_pairs()) == [("1.0", "1.1")]
+
+
+def test_se_and_fast_checkpoints_read_no_clocks(fixtures_dir, monkeypatch):
+    marks = load_marks(fixtures_dir / "zigzag_marks.json")
+    marking = CheckpointMarking(tuple(map(tuple, marks)))
+
+    def load():
+        return [
+            load_trace(fixtures_dir / f"{name}_state.json")[1]
+            for name in ("barrier", "pinch", "zigzag")
+        ]
+
+    def outputs(barrier, pinch, zigzag):
+        report = find_useless_checkpoints(zigzag, marking, engine="fast")
+        assert report.engine == "fast"
+        return [
+            dumps_canonical(event_to_json(se_transform(barrier).event_model)),
+            dumps_canonical(se_transform(pinch).report.as_json()),
+            dumps_canonical(report.as_json()),
+        ]
+
+    expected = outputs(*load())
+    barrier, pinch, zigzag = load()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain clocks read")
+
+    def clocks_of_marked_model_only(model):
+        # The restriction reads the marked model's clocks to place its
+        # pairs; nothing may read the restriction's own, nor se.
+        if model is not zigzag:
+            refuse()
+        return poset.chain_clocks(model.poset, model.chains)
+
+    monkeypatch.setattr(transforms, "chain_clocks", refuse)
+    monkeypatch.setattr(statemodel, "chain_clocks", refuse)
+    monkeypatch.setattr(StateModel, "clocks", clocks_of_marked_model_only)
+    assert outputs(barrier, pinch, zigzag) == expected
