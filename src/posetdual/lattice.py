@@ -53,10 +53,11 @@ from .eventmodel import EventModel, is_consistent_cut, require_consistent_cut
 # width and check_width_extensible are not called here any more; the names
 # stay bound in this module because perfbench/tracing.py wraps them by these
 # bindings.
-from .poset import Poset, minimum_chain_partition, width  # noqa: F401
+from .poset import Poset, width  # noqa: F401
 from .statemodel import (  # noqa: F401
     StateModel,
     check_width_extensible,
+    minimum_view,
     require_width_antichain,
     require_width_extensible,
 )
@@ -324,18 +325,12 @@ def lattice_meet_join(
     """
     fa = require_width_antichain(p, a)
     fb = require_width_antichain(p, b)
-    cp = minimum_chain_partition(p)
-    meet: list[str] = []
-    join: list[str] = []
-    for chain in cp.chains:
-        xa = [s for s in chain if s in fa]
-        xb = [s for s in chain if s in fb]
-        if len(xa) != 1 or len(xb) != 1:
-            raise AssertionError("maximum antichain must hit every chain once")
-        ka, kb = chain.index(xa[0]), chain.index(xb[0])
-        meet.append(chain[min(ka, kb)])
-        join.append(chain[max(ka, kb)])
-    fmeet, fjoin = frozenset(meet), frozenset(join)
+    view = minimum_view(p)
+    ka, kb = dict(map(view.coords, fa)), dict(map(view.coords, fb))
+    if len(ka) != view.n or len(kb) != view.n:
+        raise AssertionError("maximum antichain must hit every chain once")
+    fmeet = frozenset(view.state_at(i, min(ka[i], kb[i])) for i in ka)
+    fjoin = frozenset(view.state_at(i, max(ka[i], kb[i])) for i in ka)
     for res in (fmeet, fjoin):
         require_width_antichain(p, res)
     return fmeet, fjoin

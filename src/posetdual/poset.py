@@ -177,10 +177,6 @@ class Poset:
         except KeyError:
             raise UnknownElement(f"unknown element {element!r}") from None
 
-    def up_mask(self, element: str) -> int:
-        """Bitmask of elements strictly above *element* (by sorted index)."""
-        return self._up[self.index(element)]
-
     def down_mask(self, element: str) -> int:
         """Bitmask of elements strictly below *element*: one pass over the
         up-sets, so O(elements) bitset operations."""
@@ -224,9 +220,6 @@ class Poset:
         """The elements that no cover list names."""
         covered = set().union(*self._upper)
         return tuple(e for i, e in enumerate(self.elements) if i not in covered)
-
-    def maximal_elements(self) -> tuple[str, ...]:
-        return tuple(e for i, e in enumerate(self.elements) if not self._up[i])
 
     def restrict(self, subset: Iterable[str]) -> "Poset":
         """Sub-poset induced on *subset* (inherits the closed order)."""

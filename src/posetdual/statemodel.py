@@ -26,19 +26,21 @@ partition width-extensibility is ``omega1`` and ``omega2`` and ``omega3``
 O(states x n) bitset operations on the up-sets, to name its witness.
 
 Width-extensibility and interleaving-consistency are defined against a
-minimum chain partition, and one policy picks it (:func:`minimum_view`): a
-model's own chains when its initial states are pairwise concurrent
-(``omega1``), else, and for a bare poset, Kuhn's partition
-(:func:`~posetdual.poset.minimum_chain_partition`, O(states^2) search steps
-in the worst case).  ``omega1`` makes the initial states an antichain as
-large as the chain count, so by Dilworth the own chains are minimum.
-Conversely, a width-extensible model whose own chains are minimum satisfies
-``omega1``: an initial state below another chain's initial state is below
-that whole chain, so no maximum antichain holds it.  Both verdicts are the
-same on any minimum partition, but a failure's witness names the
-partition's chains, so only a failure on the model's own chains is decided
-again on Kuhn's partition.  :func:`require_width_extensible` gives the
-partitioned view of a width-extensible model to enumeration and detection.
+minimum chain partition, and their verdicts are the same on every such
+partition; only a failure's witness names the partition's chains.  One rule
+follows: a model's own chains can only pass ``we`` and ``ic``, and every
+failing verdict is the poset's, decided on Kuhn's partition
+(:func:`minimum_view` of the poset, through
+:func:`~posetdual.poset.minimum_chain_partition`, O(states^2) search steps
+in the worst case).  The own chains pass ``we`` when ``omega1``,
+``omega2`` and ``omega3`` hold on them, and ``ic`` when ``psi`` holds too:
+``omega1`` makes the initial states an antichain as large as the chain
+count, so by Dilworth the own chains are minimum.  Conversely, a width-extensible model whose own
+chains are minimum satisfies ``omega1``: an initial state below another
+chain's initial state is below that whole chain, so no maximum antichain
+holds it.  :func:`require_width_extensible` gives the partitioned view of a
+width-extensible model to enumeration and detection: its own chains under
+``omega1``, else Kuhn's.
 
 All checks are pure functions over immutable models and safe to call from
 multiple threads.
@@ -49,7 +51,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import le
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     ModelError,
@@ -188,19 +190,19 @@ def _jsonable(value):
 
 def check_omega1(sm: StateModel) -> Verdict:
     """All initial states pairwise concurrent."""
-    initials = [chain[0] for chain in sm.chains]
-    for a, b in itertools.combinations(initials, 2):
-        if comparable(sm.poset, a, b) is not Comparability.CONCURRENT:
-            return Verdict(False, (a, b), "initial states are ordered")
-    return Verdict(True)
+    return _concurrent(sm.poset, [c[0] for c in sm.chains], "initial states are ordered")
 
 
 def check_omega2(sm: StateModel) -> Verdict:
     """All final states pairwise concurrent."""
-    finals = [chain[-1] for chain in sm.chains]
-    for a, b in itertools.combinations(finals, 2):
-        if comparable(sm.poset, a, b) is not Comparability.CONCURRENT:
-            return Verdict(False, (a, b), "final states are ordered")
+    return _concurrent(sm.poset, [c[-1] for c in sm.chains], "final states are ordered")
+
+
+def _concurrent(p: Poset, states: list[str], detail: str) -> Verdict:
+    """*states* pairwise concurrent; the first ordered pair is the witness."""
+    for a, b in itertools.combinations(states, 2):
+        if comparable(p, a, b) is not Comparability.CONCURRENT:
+            return Verdict(False, (a, b), detail)
     return Verdict(True)
 
 
@@ -375,24 +377,6 @@ def minimum_view(target: StateModel | Poset) -> StateModel:
     return StateModel(poset=target, chains=minimum_chain_partition(target).chains)
 
 
-def _decide(
-    target: StateModel | Poset,
-    view: StateModel,
-    check: Callable[[StateModel], Verdict],
-    verdict: Verdict | None = None,
-) -> Verdict:
-    """*check* on ``view = minimum_view(target)``, or the *verdict* it gave.
-
-    A failure on the model's own chains is decided again on Kuhn's
-    partition, whose chains its witness names.
-    """
-    if verdict is None:
-        verdict = check(view)
-    if verdict.ok or view is not target:
-        return verdict
-    return check(minimum_view(view.poset))
-
-
 def check_width_extensible(p: Poset) -> Verdict:
     """Decide whether every antichain extends to a maximum antichain.
 
@@ -440,32 +424,19 @@ def check_width_extensible(p: Poset) -> Verdict:
     poset is Kuhn's (:func:`minimum_view`).  On failure the witness is the
     offending antichain; among several failures the lexicographically
     greatest is reported.  :func:`require_width_extensible` and
-    :func:`run_property_checks` skip the matching for state models whose
-    initial states are concurrent.
+    :func:`run_property_checks` skip the matching when a state model's own
+    chains pass.
     """
     return _width_extensible(minimum_view(p))
 
 
-_OMEGAS = (
-    ("omega1", check_omega1),
-    ("omega2", check_omega2),
-    ("omega3", check_omega3),
-)
-
-
-def _width_extensible(
-    sm: StateModel, known: Mapping[str, Verdict] | None = None
-) -> Verdict:
-    """:func:`check_width_extensible` on ``sm.chains``, a minimum partition.
-
-    The verdict is ``omega1`` and ``omega2`` and ``omega3`` on ``sm``; those
-    of them in *known*, found on ``sm`` before, are not checked again.
-    """
-    for name, check in _OMEGAS:
-        verdict = known[name] if known and name in known else check(sm)
-        if not verdict.ok:
-            return _width_extensible_witness(sm)
-    return Verdict(True)
+def _width_extensible(sm: StateModel) -> Verdict:
+    """:func:`check_width_extensible` on ``sm.chains``, a minimum partition:
+    ``omega1`` and ``omega2`` and ``omega3`` on ``sm``, and a failure's
+    witness."""
+    if check_omega1(sm) and check_omega2(sm) and check_omega3(sm):
+        return Verdict(True)
+    return _width_extensible_witness(sm)
 
 
 def _width_extensible_witness(sm: StateModel) -> Verdict:
@@ -514,11 +485,17 @@ def _width_extensible_witness(sm: StateModel) -> Verdict:
 def require_width_extensible(target: StateModel | Poset) -> StateModel:
     """:func:`minimum_view` of *target*, which must be width-extensible.
 
+    A model's own chains, the view when its initial states are concurrent,
+    pass when ``omega2`` and ``omega3`` hold too.  Otherwise the poset is
+    decided on Kuhn's partition, the view of any other target.
+
     Raises:
         NotWidthExtensible: with the witness of :func:`check_width_extensible`.
     """
     view = minimum_view(target)
-    verdict = _decide(target, view, _width_extensible)
+    if view is target and check_omega2(view) and check_omega3(view):
+        return view
+    verdict = _width_extensible(view if view is not target else minimum_view(view.poset))
     if not verdict.ok:
         raise NotWidthExtensible(verdict.witness)
     return view
@@ -604,7 +581,7 @@ def interleaving_consistent_bruteforce(
 def check_interleaving_consistent(
     p: Poset, *, bound: int | None = None
 ) -> Verdict:
-    """Decide interleaving-consistency.
+    """Decide interleaving-consistency, on Kuhn's partition of *p*.
 
     Fast path: on a width-extensible poset (with a minimum chain partition)
     the property is equivalent to ``psi``, so the crossing scan decides it.
@@ -612,21 +589,22 @@ def check_interleaving_consistent(
     subject to the oracle bound.
     """
     view = minimum_view(p)
-    return _interleaving_consistent(p, view, _width_extensible(view), bound)
+    if _width_extensible(view):
+        return check_psi(view)
+    return interleaving_consistent_bruteforce(p, bound=bound)
 
 
-def _interleaving_consistent(
-    target: StateModel | Poset,
-    view: StateModel,
-    we: Verdict,
-    bound: int | None,
-    psi: Verdict | None = None,
-) -> Verdict:
-    """Interleaving-consistency given the width-extensibility verdict *we*
-    and, when already found, the ``psi`` verdict on *view*."""
-    if we.ok:
-        return _decide(target, view, check_psi, psi)
-    return interleaving_consistent_bruteforce(view.poset, bound=bound)
+#: The property names :func:`run_property_checks` accepts, in report order,
+#: and the :class:`PropertyReport` field of each.
+_FIELDS = {
+    "omega1": "omega1",
+    "omega2": "omega2",
+    "omega3": "omega3",
+    "psi": "psi",
+    "we": "width_extensible",
+    "ic": "interleaving_consistent",
+}
+PROPERTIES = tuple(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -641,50 +619,54 @@ class PropertyReport:
     interleaving_consistent: Verdict | None = None
 
     def as_json(self) -> dict:
-        names = {
-            "omega1": self.omega1,
-            "omega2": self.omega2,
-            "omega3": self.omega3,
-            "psi": self.psi,
-            "we": self.width_extensible,
-            "ic": self.interleaving_consistent,
-        }
-        return {k: v.as_json() for k, v in names.items() if v is not None}
-
-
-#: The property names :func:`run_property_checks` accepts, in report order.
-PROPERTIES = ("omega1", "omega2", "omega3", "psi", "we", "ic")
+        verdicts = ((name, getattr(self, f)) for name, f in _FIELDS.items())
+        return {name: v.as_json() for name, v in verdicts if v is not None}
 
 
 def run_property_checks(
     sm: StateModel, properties: Iterable[str], *, bound: int | None = None
 ) -> PropertyReport:
-    """Run the requested subset of {omega1,omega2,omega3,psi,we,ic}.
+    """Run the requested subset of :data:`PROPERTIES` on *sm*.
+
+    ``omega1``, ``omega2``, ``omega3`` and ``psi`` are checked on the model's
+    own chains, each at most once.  Those chains can only pass ``we`` (all
+    three omegas hold) and ``ic`` (``psi`` holds too); every failing verdict
+    is the poset's (module docstring), found on Kuhn's partition, built at
+    most once: ``we`` by :func:`check_width_extensible`'s scans, and ``ic``
+    by ``psi`` when ``we`` holds, else by enumerating the maximum antichains
+    (:func:`interleaving_consistent_bruteforce`, subject to *bound*).
 
     Raises:
         UsageError: a name outside :data:`PROPERTIES`.
+        OracleBoundExceeded: ``ic`` needs the enumeration beyond *bound*.
     """
-    wanted = list(properties)
-    unknown = sorted(set(wanted) - set(PROPERTIES))
+    wanted = set(properties)
+    unknown = sorted(wanted - set(PROPERTIES))
     if unknown:
         raise UsageError(f"unknown properties {unknown}")
-    kw: dict[str, Verdict] = {}
-    if "omega1" in wanted:
-        kw["omega1"] = check_omega1(sm)
-    if "omega2" in wanted:
-        kw["omega2"] = check_omega2(sm)
-    if "omega3" in wanted:
-        kw["omega3"] = check_omega3(sm)
-    if "psi" in wanted:
-        kw["psi"] = check_psi(sm)
-    if "we" in wanted or "ic" in wanted:
-        view = minimum_view(sm)
-        # On the model's own chains, the omega verdicts found above count.
-        known = kw if view is sm else None
-        we = _decide(sm, view, _width_extensible, _width_extensible(view, known))
-    if "we" in wanted:
-        kw["width_extensible"] = we
-    if "ic" in wanted:
-        psi = kw.get("psi") if view is sm else None
-        kw["interleaving_consistent"] = _interleaving_consistent(sm, view, we, bound, psi)
-    return PropertyReport(**kw)
+    checks = {
+        "omega1": check_omega1,
+        "omega2": check_omega2,
+        "omega3": check_omega3,
+        "psi": check_psi,
+    }
+    verdicts = {name: check(sm) for name, check in checks.items() if name in wanted}
+
+    def own(name: str) -> Verdict:
+        if name not in verdicts:
+            verdicts[name] = checks[name](sm)
+        return verdicts[name]
+
+    if wanted & {"we", "ic"}:
+        omegas = own("omega1") and own("omega2") and own("omega3")
+        kuhn = None if omegas else minimum_view(sm.poset)
+        we = Verdict(True) if omegas else _width_extensible(kuhn)
+        if "ic" in wanted:
+            if omegas and own("psi"):
+                verdicts["ic"] = Verdict(True)
+            elif we:
+                verdicts["ic"] = check_psi(kuhn or minimum_view(sm.poset))
+            else:
+                verdicts["ic"] = interleaving_consistent_bruteforce(sm.poset, bound=bound)
+        verdicts["we"] = we
+    return PropertyReport(**{_FIELDS[n]: v for n, v in verdicts.items() if n in wanted})

@@ -123,15 +123,15 @@ def test_width_extensible_by_omegas_equals_pair_scan_and_bruteforce():
 
 
 def test_property_reports_equal_pair_scan_reports(monkeypatch):
-    """``run_property_checks`` reuses its omega verdicts on the own chains;
-    the report must be the one the pair scan gives."""
+    """``run_property_checks`` passes ``we`` on the own chains by their
+    omega verdicts; the report must be the one the pair scan gives."""
     rng = random.Random(2039)
     models = list(random_models(rng, 1500, 14))
     got = [run_property_checks(sm, statemodel.PROPERTIES).as_json() for sm in models]
     monkeypatch.setattr(
         statemodel,
         "_width_extensible",
-        lambda sm, known=None: width_extensible_by_pair_scan(sm),
+        lambda sm: width_extensible_by_pair_scan(sm),
     )
     want = [run_property_checks(sm, statemodel.PROPERTIES).as_json() for sm in models]
     failing = 0

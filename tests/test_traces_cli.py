@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import posetdual
-from posetdual import SchemaError, cli, es_transform
+from posetdual import SchemaError, build_poset, build_state_model, cli, es_transform
 from posetdual.cli import main
 from posetdual.errors import ModelError
 from posetdual.lattice import enumerate_event_cuts
@@ -305,6 +305,38 @@ def test_check_we_ic_true_on_message_pair_state(capsys, fixtures_dir):
     assert code == 0
     data = json.loads(out)
     assert data == {"we": {"ok": True}, "ic": {"ok": True}}
+
+
+def test_check_above_oracle_bound_reports_only_the_bound(capsys, monkeypatch, tmp_path):
+    """The pinch gadget beside a 20-state chain is not width-extensible, so
+    ``ic`` falls back to the oracle, whose bound (20) the 25 states exceed:
+    the default ``check`` reports only that, and without ``ic`` it passes."""
+    gadget = builders.pinch_state()
+    third = [f"x{k:02}" for k in range(20)]
+    poset = build_poset(
+        list(gadget.poset.elements) + third,
+        list(gadget.poset.covers) + list(zip(third, third[1:])),
+    )
+    path = tmp_path / "pinch_chain.json"
+    write_trace(path, state_to_json(build_state_model(poset, [*gadget.chains, third])))
+    monkeypatch.delenv("POSETDUAL_ORACLE_BOUND", raising=False)
+
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {"message": "25 elements exceed oracle bound 20", "type": "OracleBoundExceeded"},
+        "ok": False,
+    }
+
+    code, out, _ = run_cli(
+        capsys, "check", str(path), "--properties", "omega1,omega2,omega3,psi,we"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["omega1", "omega2", "omega3", "psi", "we"]
+    assert data["omega3"]["ok"] is False and data["we"] == {
+        "detail": "no maximum antichain contains it", "ok": False, "witness": ["b"],
+    }
 
 
 def test_cuts_downsets_golden(capsys, fixtures_dir, goldens_dir):
