@@ -78,7 +78,6 @@ from .analysis import (
     Predicate,
     detect_width_predicate,
     find_useless_checkpoints,
-    induced_checkpoint_model,
     predicate_from_json,
 )
 

@@ -26,21 +26,22 @@ states (``_evaluate``) stays as the reference the fast paths are tested
 against.
 
 Checkpoint analysis takes a marking of local states (initial and final state
-of every process must be marked), restricts the model to the marked states,
-and classifies each checkpoint as useful (member of some global checkpoint,
-i.e. of some size-n antichain of the restriction) or useless.  Two engines
-are provided: a definitional oracle that scans all one-per-process tuples,
-and a fast engine that reads the verdicts off the cycle structure of the
-tentative event graph of the restriction - a checkpoint is useless exactly
-when the transitions entering and leaving it are strongly connected.  That
-graph is read off the restriction's covers, one edge per cover and chain
-step, so the fast engine finds its components in O(covers) and reads no
-chain clocks.  It then names every useful checkpoint's witness, the least
-global checkpoint that contains it, in one sweep over the components in
-topological order, O(covers x n) after the graph.  It must agree with the
-oracle everywhere; disagreement is a bug by definition.
-The restriction's order is closed from one pair per marked state and chain,
-read off the chain clocks.
+of every process must be marked) and classifies each checkpoint as useful
+(member of some global checkpoint, i.e. of some size-n antichain of the
+restriction to the marked states) or useless.  The restriction inherits the
+model's order, so no second model is built.  Two engines are provided: a
+definitional oracle that scans all one-per-process tuples of marked states
+under the model's order, and a fast engine that reads the verdicts off the
+cycle structure of the restriction's tentative event graph - a checkpoint is
+useless exactly when the transitions entering and leaving it are strongly
+connected.  That graph is the model's own, read off its covers with one
+edge per cover and chain step, with the nodes grouped by checkpoint
+interval (the intervals of Netzer & Xu's zigzag paths), so the fast engine
+finds its components in O(covers) and reads no chain clocks.  It then names
+every useful checkpoint's witness, the least global checkpoint that
+contains it, in one sweep over the components in topological order,
+O(covers x n) after the graph.  It must agree with the oracle everywhere;
+disagreement is a bug by definition.
 """
 
 from __future__ import annotations
@@ -59,13 +60,10 @@ from .errors import (
     PredicateError,
 )
 
-# enumerate_width_antichains is not called here any more; the name stays bound
-# in this module because perfbench/tracing.py wraps it by this binding.
+# Nothing here calls build_poset, build_state_model, check_width_extensible,
+# enumerate_width_antichains or width; they stay bound in this module because
+# perfbench/tracing.py wraps them by these bindings.
 from .lattice import enumerate_width_antichains, frontier_parts  # noqa: F401
-
-# width and check_width_extensible are not called here any more; the names
-# stay bound in this module because perfbench/tracing.py wraps them by these
-# bindings.
 from .poset import Comparability, build_poset, comparable, oracle_bound, width  # noqa: F401
 from .statemodel import (  # noqa: F401
     StateModel,
@@ -360,7 +358,14 @@ class Not(Predicate):
         return not self.arg.evaluate(ctx)
 
     def compile(self, sm):
-        inner = self.arg.compile(sm)
+        # A chain of nots folds into one parity, so neither compiling it nor
+        # testing it takes a stack frame per level.
+        arg, negate = self.arg, True
+        while isinstance(arg, Not):
+            arg, negate = arg.arg, not negate
+        inner = arg.compile(sm)
+        if not negate:
+            return inner
         return lambda vector, warn: not inner(vector, warn)
 
 
@@ -677,29 +682,6 @@ class CheckpointMarking:
         return {"marks": [list(m) for m in self.marks]}
 
 
-def induced_checkpoint_model(sm: StateModel, marking: CheckpointMarking) -> StateModel:
-    """Restrict the model to the marked states (order inherited, re-indexed)."""
-    marking.validate(sm)
-    chains = [
-        [sm.state_at(i, k) for k in idxs]
-        for i, idxs in enumerate(marking.marks, start=1)
-    ]
-    kept = [s for chain in chains for s in chain]
-    # One pair per kept state and chain: to the lowest kept state above it
-    # there, found from the state's chain clock.  The kept states above it on
-    # that chain follow by chain pairs, so the closure is the inherited order.
-    clocks = sm.clocks()
-    pairs = []
-    for s in kept:
-        for idxs, chain, u in zip(marking.marks, chains, clocks[s][1]):
-            r = bisect_left(idxs, u)
-            if r < len(idxs):
-                pairs.append((s, chain[r]))
-    poset = build_poset(kept, pairs)
-    attrs = {s: sm.attrs[s] for s in kept if s in sm.attrs}
-    return build_state_model(poset, chains, attrs)
-
-
 @dataclass(frozen=True)
 class CheckpointVerdict:
     state: str
@@ -722,7 +704,6 @@ class CheckpointVerdict:
 
 @dataclass(frozen=True)
 class CheckpointReport:
-    induced: StateModel
     verdicts: tuple[CheckpointVerdict, ...]
     engine: str
     engines_agree: bool | None = None
@@ -743,11 +724,12 @@ class CheckpointReport:
 
 
 def _oracle_usefulness(
-    induced: StateModel, *, bound: int | None = None
+    sm: StateModel, chains: tuple[tuple[str, ...], ...], *, bound: int | None = None
 ) -> dict[str, frozenset[str] | None]:
-    """Definition scan: witness per state, from all one-per-chain tuples."""
+    """Definition scan over *sm*'s order: witness per state, from all
+    one-per-chain tuples of the marked *chains*."""
     combos = 1
-    for chain in induced.chains:
+    for chain in chains:
         combos *= len(chain)
     # The cap is 2 ** bound.  It is built only when combos is at least that
     # large, so a huge bound allocates nothing.
@@ -757,10 +739,10 @@ def _oracle_usefulness(
         if combos > cap:
             raise OracleBoundExceeded(f"{combos} tuples exceed oracle cap {cap}")
     witness: dict[str, frozenset[str] | None] = {
-        s: None for chain in induced.chains for s in chain
+        s: None for chain in chains for s in chain
     }
-    p = induced.poset
-    for combo in itertools.product(*induced.chains):
+    p = sm.poset
+    for combo in itertools.product(*chains):
         ok = all(
             comparable(p, a, b) is Comparability.CONCURRENT
             for a, b in itertools.combinations(combo, 2)
@@ -774,31 +756,53 @@ def _oracle_usefulness(
 
 
 def _fast_usefulness(
-    induced: StateModel,
+    sm: StateModel,
+    marks: tuple[tuple[int, ...], ...],
+    chains: tuple[tuple[str, ...], ...],
 ) -> dict[str, frozenset[str] | None] | None:
     """Cycle-structure engine; returns None when its preconditions fail.
 
-    Valid whenever all initial states and all final states of the restriction
-    are pairwise concurrent (always true for markings of real computations,
-    since endpoints are marked).  A checkpoint ``[i,k]`` is useless iff the
-    tentative events ``(i,k)`` and ``(i,k+1)`` are strongly connected; a
-    witness for a useful checkpoint is the frontier of the ancestor set of
-    ``(i,k)``, the least global checkpoint that contains it.  Tarjan lists
-    a component after every component it reaches, so in reverse each comes
-    after all its ancestors: one pass in that order carries each
-    component's frontier, per chain the top index among its ancestors, to
-    its successors with one ``max`` per chain and edge.  The graph has one
-    edge per cover and chain step, so that is O(covers x n).  Under the
-    precondition no cover enters an initial state or leaves a final one, so
-    each chain's virtual node is a sink entered only by its chain edge: it
-    raises no witness.
+    Valid whenever all initial states and all final states are pairwise
+    concurrent (always true for markings of real computations, and the
+    same on *sm* as on the restriction to the marked states *chains*,
+    since endpoints are marked).  A checkpoint ``[i,k]`` of the restriction
+    is useless iff its tentative events ``(i,k)`` and ``(i,k+1)`` are
+    strongly connected in the restriction's tentative graph; a witness for
+    a useful checkpoint is the frontier of the ancestor set of ``(i,k)``,
+    the least global checkpoint that contains it.
+
+    That graph is the quotient of *sm*'s own graph by checkpoint intervals.
+    Let ``m_0 < ... < m_R`` be the marks of chain ``i``; node ``(i,k)`` of
+    *sm* goes to group ``(i,r)`` when ``m_{r-1} < k <= m_r``, and the
+    virtual node ``(i,len)`` to the restriction's virtual node ``(i,R+1)``.
+    Every edge ``(i,a) -> (j,b)`` of the full graph between groups ``r``
+    and ``s`` gives ``[i,m_{r-1}] <= [i,a-1] < [j,b] <= [j,m_s]``, the
+    restriction's edge ``(i,r) -> (j,s)``; every restriction edge comes
+    from the full edge ``(i,m_{r-1}+1) -> (j,m_s)``.  The cover graph has
+    the full graph's reachability, so its quotient, self-loops dropped, has
+    the restriction's components and ancestors.
+
+    Tarjan lists a component after every component it reaches, so in
+    reverse each comes after all its ancestors: one pass in that order
+    carries each component's frontier, per chain the top index among its
+    ancestors, to its successors with one ``max`` per chain and edge.  The
+    graph has one edge per cover and chain step, so that is O(covers x n).
+    Under the precondition no cover enters an initial state or leaves a
+    final one, so each chain's virtual node is a sink entered only by its
+    chain edge: it raises no witness.
     """
-    if not check_omega1(induced).ok or not check_omega2(induced).ok:
+    if not check_omega1(sm).ok or not check_omega2(sm).ok:
         return None
-    nodes, succ = transition_graph(induced)
-    comps = strongly_connected_components(nodes, succ)
+    full_nodes, full_succ = transition_graph(sm)
+    group = {(i, k): (i, bisect_left(marks[i - 1], k)) for i, k in full_nodes}
+    succ = {}
+    for node, g in group.items():
+        succ.setdefault(g, []).extend(
+            h for h in map(group.__getitem__, full_succ[node]) if h != g
+        )
+    comps = strongly_connected_components(list(succ), succ)
     comp_index = {node: ci for ci, comp in enumerate(comps) for node in comp}
-    tops = [[0] * induced.n for _ in comps]
+    tops = [[0] * sm.n for _ in comps]
     for ci in reversed(range(len(comps))):
         top = tops[ci]
         for i, k in comps[ci]:
@@ -809,7 +813,6 @@ def _fast_usefulness(
                 if cj != ci:
                     tops[cj] = list(map(max, tops[cj], top))
 
-    chains = induced.chains
     base = frozenset(chain[0] for chain in chains)
     out: dict[str, frozenset[str] | None] = {}
     for i, chain in enumerate(chains, start=1):
@@ -832,20 +835,28 @@ def find_useless_checkpoints(
 ) -> CheckpointReport:
     """Classify every marked checkpoint as useful or useless.
 
-    ``engine`` selects ``fast`` (cycle structure of the restriction's sparse
-    tentative graph), ``oracle`` (definition scan), or ``both`` (run both and
-    record agreement).  The fast engine silently defers to the oracle when
-    the restriction's endpoints are not pairwise concurrent, which cannot
-    happen for models of actual computations.
+    ``engine`` selects ``fast`` (cycle structure of the model's sparse
+    tentative graph, grouped by checkpoint interval), ``oracle``
+    (definition scan over the marked states), or ``both`` (run both and
+    record agreement).  The restriction to the marked states inherits the
+    model's order, so both engines read *sm* and build no second model.
+    The fast engine silently defers to the oracle when the endpoints are
+    not pairwise concurrent, which cannot happen for models of actual
+    computations.
     """
     if engine not in ("fast", "oracle", "both"):
         raise ModelError(f"unknown engine {engine!r}")
-    induced = induced_checkpoint_model(sm, marking)
+    marking.validate(sm)
+    chains = tuple(
+        tuple(map(chain.__getitem__, idxs))
+        for chain, idxs in zip(sm.chains, marking.marks)
+    )
 
-    fast = _fast_usefulness(induced) if engine in ("fast", "both") else None
-    oracle = None
+    fast = oracle = None
+    if engine in ("fast", "both"):
+        fast = _fast_usefulness(sm, marking.marks, chains)
     if engine in ("oracle", "both") or fast is None:
-        oracle = _oracle_usefulness(induced, bound=bound)
+        oracle = _oracle_usefulness(sm, chains, bound=bound)
 
     if engine == "oracle":
         used = "oracle"
@@ -859,8 +870,8 @@ def find_useless_checkpoints(
         agree = all((fast[s] is None) == (oracle[s] is None) for s in fast)
 
     verdicts = []
-    for i, idxs in enumerate(marking.marks, start=1):
-        for orig_k, state in zip(idxs, induced.chains[i - 1]):
+    for i, (idxs, chain) in enumerate(zip(marking.marks, chains), start=1):
+        for orig_k, state in zip(idxs, chain):
             w = primary[state]
             verdicts.append(
                 CheckpointVerdict(
@@ -872,7 +883,6 @@ def find_useless_checkpoints(
                 )
             )
     return CheckpointReport(
-        induced=induced,
         verdicts=tuple(verdicts),
         engine=used,
         engines_agree=agree,

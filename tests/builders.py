@@ -178,6 +178,15 @@ def crossing_marking() -> CheckpointMarking:
     return CheckpointMarking(((0, 2, 4), (0, 1, 3), (0, 2, 3)))
 
 
+def restricted_model(sm: StateModel, marking: CheckpointMarking) -> StateModel:
+    """*sm* restricted to the marked states, whose order it inherits."""
+    chains = [
+        [sm.state_at(i, k) for k in idxs]
+        for i, idxs in enumerate(marking.marks, start=1)
+    ]
+    return build_state_model(sm.poset.restrict([s for c in chains for s in c]), chains)
+
+
 # --- predicate fixtures ---------------------------------------------------
 
 def sessions_model() -> StateModel:

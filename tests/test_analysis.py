@@ -15,7 +15,6 @@ from posetdual import (
     enumerate_antichains,
     es_transform,
     find_useless_checkpoints,
-    induced_checkpoint_model,
     width,
 )
 from posetdual.analysis import (
@@ -42,6 +41,7 @@ from builders import (
     random_asc,
     random_event_model,
     random_marking,
+    restricted_model,
     sessions_model,
     zigzag_marking,
     zigzag_state,
@@ -155,34 +155,9 @@ def test_marking_validation():
         CheckpointMarking(((0, 9, 2), (0, 3))).validate(sm)  # out of range
 
 
-def test_induced_model_full_marking_is_identity():
-    sm = zigzag_state()
-    marks = CheckpointMarking(tuple(
-        tuple(range(sm.chain_top_index(i) + 1)) for i in range(1, sm.n + 1)
-    ))
-    ind = induced_checkpoint_model(sm, marks)
-    assert ind.chains == sm.chains
-    assert set(ind.poset.closure_pairs()) == set(sm.poset.closure_pairs())
-
-
-def test_induced_model_endpoints_only():
-    sm = zigzag_state()
-    marks = CheckpointMarking(((0, 2), (0, 3)))
-    ind = induced_checkpoint_model(sm, marks)
-    assert all(len(c) == 2 for c in ind.chains)
-    # cross order inherited through the closure
-    assert ind.poset.less("1.0", "2.3")
-
-
-def test_induced_model_zigzag_fixture():
-    ind = induced_checkpoint_model(zigzag_state(), zigzag_marking())
-    assert ind.poset.less("2.0", "1.1")
-    assert ind.poset.less("1.1", "2.2")
-    assert len(ind.poset.elements) == 6
-
-
 def test_zigzag_reports_exactly_the_pinched_checkpoint():
-    rep = find_useless_checkpoints(zigzag_state(), zigzag_marking(), engine="both")
+    sm = zigzag_state()
+    rep = find_useless_checkpoints(sm, zigzag_marking(), engine="both")
     assert rep.useless == {"1.1"}
     assert rep.engines_agree is True
     for v in rep.verdicts:
@@ -190,7 +165,7 @@ def test_zigzag_reports_exactly_the_pinched_checkpoint():
             assert v.state in v.witness
             # witness re-validates as a global checkpoint of the restriction
             for a, b in itertools.combinations(v.witness, 2):
-                assert comparable(rep.induced.poset, a, b) is Comparability.CONCURRENT
+                assert comparable(sm.poset, a, b) is Comparability.CONCURRENT
 
 
 @pytest.mark.parametrize(
@@ -257,7 +232,7 @@ def test_usefulness_is_definitional():
         sm = es_transform(random_asc(rng, max_procs=3, max_events_per_proc=3))
         marks = random_marking(rng, sm)
         rep = find_useless_checkpoints(sm, marks, engine="oracle")
-        ind = rep.induced
+        ind = restricted_model(sm, marks)
         for v in rep.verdicts:
             combos = [
                 combo
@@ -281,9 +256,10 @@ def test_fast_witness_is_the_least_global_checkpoint_containing_the_state():
         sm = es_transform(random_event_model(
             rng, max_procs=4, max_events_per_proc=5, max_messages=8
         ))
-        rep = find_useless_checkpoints(sm, random_marking(rng, sm), engine="fast")
+        marking = random_marking(rng, sm)
+        rep = find_useless_checkpoints(sm, marking, engine="fast")
         assert rep.engine == "fast"
-        ind = rep.induced
+        ind = restricted_model(sm, marking)
         position = {s: k for chain in ind.chains for k, s in enumerate(chain)}
         checkpoints = [
             combo

@@ -3,10 +3,9 @@ element-at-a-time loops they replaced.
 
 The reference functions transcribe the earlier implementations: the cover
 relation found by testing every closure pair, Kuhn's matching over explicit
-neighbour lists and over bitsets with partners in dicts, the
-width-extensibility pair loop over chain clocks, and the checkpoint
-restriction built from every closure pair between marked states.  Orders,
-matchings, partitions, witnesses and verdicts must agree exactly.
+neighbour lists and over bitsets with partners in dicts, and the
+width-extensibility pair loop over chain clocks.  Orders, matchings,
+partitions, witnesses and verdicts must agree exactly.
 """
 
 import itertools
@@ -15,10 +14,8 @@ import random
 from posetdual import (
     Verdict,
     build_poset,
-    build_state_model,
     check_width_extensible,
     es_transform,
-    induced_checkpoint_model,
 )
 from posetdual.poset import (
     _matching_to_partition,
@@ -33,7 +30,6 @@ from builders import (
     down_sets,
     random_chain_poset,
     random_event_model,
-    random_marking,
     triple_pinch_poset,
 )
 
@@ -227,35 +223,6 @@ def test_bitset_kernels_equal_pair_loops():
         pair_failures += len(verdict.get("witness", ())) == 2
     # The pair phase must fail often enough for its witness to be compared.
     assert pair_failures >= 100, pair_failures
-
-
-def induced_by_closure_pairs(sm, marking):
-    """The restriction to the marked states, from the filtered closure."""
-    chains = [
-        [sm.state_at(i, k) for k in idxs]
-        for i, idxs in enumerate(marking.marks, start=1)
-    ]
-    kept = {s for chain in chains for s in chain}
-    pairs = [(a, b) for a, b in sm.poset.closure_pairs() if a in kept and b in kept]
-    return build_poset(kept, pairs), chains
-
-
-def test_checkpoint_restriction_equals_filtered_closure():
-    rng = random.Random(1994)
-    for trial in range(600):
-        if trial % 2:
-            sm = es_transform(random_event_model(rng, max_events_per_proc=6))
-        else:
-            p, chains = random_chain_poset(rng, max_elems=16, max_chains=4)
-            sm = build_state_model(p, chains)
-        marking = random_marking(rng, sm, max_marks=rng.choice([3, 5, 8]))
-        induced = induced_checkpoint_model(sm, marking)
-        p, chains = induced_by_closure_pairs(sm, marking)
-        assert (induced.poset.elements, induced.poset._up, down_sets(induced.poset)) == (
-            p.elements, p._up, down_sets(p),
-        )
-        assert induced.poset.covers == p.covers
-        assert induced.chains == tuple(tuple(c) for c in chains)
 
 
 def test_list_partner_matching_equals_dict_loop(fixtures_dir):

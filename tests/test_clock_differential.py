@@ -38,7 +38,7 @@ from posetdual import (
     es_transform,
 )
 from posetdual import analysis, poset, statemodel, transforms
-from posetdual.analysis import find_useless_checkpoints, induced_checkpoint_model
+from posetdual.analysis import CheckpointMarking, find_useless_checkpoints
 from posetdual.traces import dumps_canonical, event_to_json, state_to_json
 from posetdual.transforms import (
     se_transform,
@@ -52,6 +52,7 @@ from builders import (
     random_chain_poset,
     random_event_model,
     random_marking,
+    restricted_model,
 )
 
 
@@ -416,8 +417,11 @@ def test_one_sweep_witnesses_equal_ancestor_searches(monkeypatch):
         sm = chain_poset_model(rng, gadget, rng.choice([12, 20]))
         cases.append((sm, random_marking(rng, sm, max_marks=rng.choice([3, 4]))))
 
+    def search_usefulness(sm, marks, chains):
+        return fast_usefulness_by_search(restricted_model(sm, CheckpointMarking(marks)))
+
     got = fast_reports(cases)
-    monkeypatch.setattr(analysis, "_fast_usefulness", fast_usefulness_by_search)
+    monkeypatch.setattr(analysis, "_fast_usefulness", search_usefulness)
     want = fast_reports(cases)
     counts = {"useful": 0, "useless": 0}
     for (sm, marking), report, expected in zip(cases, got, want):
@@ -504,7 +508,6 @@ def test_readers_leave_clock_vectors_unchanged(monkeypatch):
         statemodel.check_width_extensible(sm.poset)
         se_transform(sm)
         marking = random_marking(rng, sm, max_marks=4)
-        induced_checkpoint_model(sm, marking)
         find_useless_checkpoints(sm, marking, engine="fast")
         admissible = [[rng.random() < 0.6 for _ in chain] for chain in es.chains]
         analysis._least_frontier(es, admissible)

@@ -564,16 +564,19 @@ def test_deeply_nested_predicate_is_a_parse_error(capsys, tmp_path, fixtures_dir
     assert err == f"parse error: {pred} is nested too deeply\n"
 
 
-@pytest.mark.parametrize("op", ["and", "or"])
+@pytest.mark.parametrize("op", ["and", "or", "not"])
 def test_deepest_parsed_connective_chain_runs_in_every_mode(capsys, tmp_path, fixtures_dir, op):
     # Compiling must take no more stack per level than parsing: the deepest
     # one-argument chain that is not a parse error runs in all three modes.
     model = str(fixtures_dir / "sessions_state.json")
     pred = tmp_path / "pred.json"
     leaf = '{"op": "attr", "proc": 1, "attr": "session", "cmp": "==", "value": 1}'
+    opening, closing = (
+        ('{"op": "not", "arg": ', "}") if op == "not" else (f'{{"op": "{op}", "args": [', "]}")
+    )
 
     def run(depth, *mode):
-        expr = f'{{"op": "{op}", "args": [' * depth + leaf + "]}" * depth
+        expr = opening * depth + leaf + closing * depth
         pred.write_text('{"kind": "predicate", "version": 1, "expr": ' + expr + "}")
         return run_cli(capsys, "analyze", "predicate", "--model", model, "--pred", str(pred), *mode)
 
