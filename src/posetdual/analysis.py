@@ -108,18 +108,26 @@ class Predicate:
         raise NotImplementedError
 
     def as_json(self) -> dict:
-        """The node in the JSON clause language, fields in :data:`_OPS` order."""
-        op = _OP_NAMES[type(self)]
-        return {"op": op, **{key: _emit(getattr(self, key)) for key in _OPS[op][1]}}
+        """The node in the JSON clause language, fields in :data:`_OPS` order.
 
-
-def _emit(value):
-    """A field value as JSON: nodes as objects, tuples of them as lists."""
-    if isinstance(value, Predicate):
-        return value.as_json()
-    if isinstance(value, tuple):
-        return [_emit(v) for v in value]
-    return value
+        Nodes become objects and tuples lists, each written in place of
+        the value it came from, off an explicit stack: any predicate that
+        parses can be emitted, however deep.
+        """
+        root = [self]
+        todo = [(root, 0)]
+        while todo:
+            into, at = todo.pop()
+            value = into[at]
+            if isinstance(value, Predicate):
+                op = _OP_NAMES[type(value)]
+                fields = _OPS[op][1]
+                into[at] = out = {"op": op, **{key: getattr(value, key) for key in fields}}
+                todo.extend((out, key) for key in fields)
+            elif isinstance(value, tuple):
+                into[at] = out = list(value)
+                todo.extend((out, k) for k in range(len(out)))
+        return root[0]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 semantic failure (invalid model, failed conversion),
-3 parse/schema error, 4 usage or kind mismatch, 5 enumeration guard.
+3 parse/schema error, 4 usage, kind mismatch or output error, 5 enumeration
+guard.
 All structured output goes to stdout and is byte-deterministic for a given
 input file; human-oriented notes go to stderr.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Iterator
 
@@ -141,9 +143,11 @@ def _cut_lines(cuts: list[list[str]]) -> str:
 
     A cut's parts concatenate to its names, each after ", " (:func:`_encoded`);
     the first separator is cut off, and one join puts the line breaks and
-    brackets between the cuts.
+    brackets between the cuts.  The chunk is emptied, so a chunk whose
+    write fails is not written again.
     """
     names = ']}\n{"cut": ['.join([text[2:] for text in map("".join, cuts)])
+    cuts.clear()
     return '{"cut": [' + names + "]}\n"
 
 
@@ -167,7 +171,6 @@ def cmd_cuts(args) -> int:
                 break
             count += len(chunk)
             sys.stdout.write(_cut_lines(chunk))
-            chunk.clear()
         if next(cuts, None) is not None:
             raise GuardExceeded(f"more than {cap} cuts")
     finally:  # the lines before a guard or an error are still written
@@ -259,6 +262,20 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader that has gone is met here, not at exit
+    except BrokenPipeError:
+        # What stdout still buffers would fail again when the interpreter
+        # flushes it at exit, so it goes to the null device; a caller's own
+        # stdout object is left in place.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed by its reader", file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def _run(args) -> int:
     try:
         oracle_bound()
         return args.func(args)

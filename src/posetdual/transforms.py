@@ -13,8 +13,7 @@ event.  A component with two nodes on the same chain cannot be collapsed;
 such inputs do not model any computation and are reported rather than
 converted.  Only reachability in that graph matters, so it is read off the
 covers: the chain edges and one edge per cross cover, plus one virtual node
-per chain for the transition out of its final state, which is dropped
-before events are named.
+per chain for the transition out of its final state, which names no event.
 
 The forward transform reads the order from
 :func:`~posetdual.poset.chain_clocks` instead of testing pairs: it emits
@@ -137,8 +136,8 @@ def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]
     Each chain ``i`` also gets one virtual node ``(i,len)``, the transition
     out of its final state.  It carries the covers that leave the final
     state, and it is the target of a cover into ``[i,0]`` when the chain has
-    only that state.  No transition enters it, so :func:`se_transform`
-    drops it before naming events.  Paths through virtual nodes alone
+    only that state.  No transition enters it, so it names no event in
+    :func:`se_transform`.  Paths through virtual nodes alone
     are acyclic, since each of their edges follows a cover.  Nodes are
     listed chain by chain; each successor list has at most one node per
     chain.
@@ -165,53 +164,47 @@ def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]
 def strongly_connected_components(
     nodes: Sequence[Node], succ: dict[Node, list[Node]]
 ) -> list[tuple[Node, ...]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
+    """Tarjan's algorithm, iterative; each component sorted, listed after
+    every component it reaches (reverse topological order).
+
+    A frame holds a node and an iterator over its successors.  A node has
+    a ``low`` entry exactly while it is on the stack.
+    """
     index: dict[Node, int] = {}
-    lowlink: dict[Node, int] = {}
-    on_stack: set[Node] = set()
+    low: dict[Node, int] = {}
     stack: list[Node] = []
-    counter = 0
     result: list[tuple[Node, ...]] = []
 
     for root in nodes:
         if root in index:
             continue
-        work: list[tuple[Node, int]] = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, child_pos = work[-1]
-            if child_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = succ[node]
-            while child_pos < len(children):
-                child = children[child_pos]
-                child_pos += 1
+            node, children = work[-1]
+            for child in children:
                 if child not in index:
-                    work[-1] = (node, child_pos)
-                    work.append((child, 0))
-                    advanced = True
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    work.append((child, iter(succ[child])))
                     break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    component.append(top)
-                    if top == node:
-                        break
+                if child in low:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if low[node] < index[node]:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    continue
+                at = len(stack) - 1
+                while stack[at] != node:
+                    at -= 1
+                component = stack[at:]
+                del stack[at:]
+                for member in component:
+                    del low[member]
                 result.append(tuple(sorted(component)))
-            if work:
-                parent, pos = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-                work[-1] = (parent, pos)
     return result
 
 
@@ -219,43 +212,34 @@ def _shared_id(members: Sequence[Node]) -> str:
     return "shared(" + ",".join(f"{i}.{k}" for i, k in sorted(members)) + ")"
 
 
-def _real_successors(
-    node: Node,
-    succ: dict[Node, list[Node]],
-    virtual: set[Node],
-    memo: dict[Node, list[Node]],
-) -> list[Node]:
-    """The real nodes a virtual *node* reaches through virtual nodes alone.
-
-    Paths of virtual nodes follow covers, so they are acyclic, and each
-    virtual node's list is built once into *memo*, from its successors'
-    lists (iteratively, so no recursion limit applies).
-    """
-    stack = [node]
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-            continue
-        pending = [w for w in succ[top] if w in virtual and w not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[top] = list(dict.fromkeys(
-            c for w in succ[top] for c in (memo[w] if w in virtual else (w,))
-        ))
-    return memo[node]
-
-
 def se_transform(sm: StateModel) -> SETransformOutcome:
     """State model -> event model, or an invalidity report.
 
     Up to the closure of the collapsed order, runs in time linear in the
     tentative graph, which has one edge per cover and chain step: O(covers),
-    with no chain clocks.  Edges into a virtual node are carried on to the
-    real nodes it reaches.  Collapsed shared events get deterministic ids so
+    with no chain clocks.  Collapsed shared events get deterministic ids so
     that round-trips compare equal; plain events are named ``e<i>.<k>``.
+
+    The graph is collapsed in one pass over its components, in the order
+    :func:`strongly_connected_components` lists them.  A component with a
+    real node names an event, and every node in it, virtual nodes
+    included, maps to that event.  A component of virtual nodes alone is a
+    relay: it stands for the events its successors map to.  The event
+    order is closed from one pair per edge out of a mapped node, with
+    relays expanded.  It is the order of the components' reachability:
+
+    * Paths of virtual nodes follow covers, so they are acyclic.  Hence a
+      component with no real node is a single virtual node, and a virtual
+      node on a cycle shares its component with a real node.
+    * Say virtual node ``b`` lies in the component of event ``E``.  An edge
+      ``a -> b`` gives ``a <= E``; the real nodes of ``E`` reach ``b``, so
+      the edges out of ``b`` are ``E``'s edges too.
+    * Every successor of a relay lies in an earlier component, so its
+      events are known before any edge into the relay is read.
+
+    :func:`build_poset` keeps only the order the pairs generate (its
+    closure, covers and least linear extension), so any pairs that
+    generate the components' reachability give the same event poset.
 
     Known limitation: a model whose initial or final states are ordered
     (``omega1`` or ``omega2`` fails) is converted, without a report, but
@@ -265,24 +249,30 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
     no transition enters ``2.0``.  Rejecting such models is left open.
     """
     nodes, succ = transition_graph(sm)
-    # Virtual nodes name no transition: drop them from every component.
     virtual = {(i, len(chain)) for i, chain in enumerate(sm.chains, start=1)}
-    components = []
-    for comp in strongly_connected_components(nodes, succ):
-        if not virtual.isdisjoint(comp):
-            comp = tuple(node for node in comp if node not in virtual)
-            if not comp:
-                continue
-        components.append(comp)
-
+    events: dict[Node, tuple[str, ...]] = {}  # per node, the events it stands for
+    labels: dict[str, frozenset[Node]] = {}
+    mapped: list[tuple[str, tuple[Node, ...]]] = []
     offending: list[OffendingComponent] = []
-    for comp in components:
-        if len(comp) < 2:
+    for comp in strongly_connected_components(nodes, succ):
+        real = comp if virtual.isdisjoint(comp) else tuple(n for n in comp if n not in virtual)
+        if not real:
+            (relay,) = comp
+            events[relay] = tuple(dict.fromkeys(e for w in succ[relay] for e in events[w]))
             continue
-        chains = [i for i, _ in comp]
-        dupes = sorted({c for c in chains if chains.count(c) > 1})
-        if dupes:
-            offending.append(OffendingComponent(nodes=comp, chain=dupes[0]))
+        if len(real) == 1:
+            ((i, k),) = real
+            eid = f"e{i}.{k}"
+        else:
+            twice = [i for (i, _), (j, _) in zip(real, real[1:]) if i == j]
+            if twice:
+                offending.append(OffendingComponent(nodes=real, chain=twice[0]))
+            eid = _shared_id(real)
+        labels[eid] = frozenset(real)
+        mapped.append((eid, comp))
+        target = (eid,)
+        for node in comp:
+            events[node] = target
     if offending:
         return SETransformOutcome(
             event_model=None,
@@ -290,28 +280,14 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
             _graph=(nodes, succ),
         )
 
-    event_of: dict[Node, str] = {}
-    labels: dict[str, frozenset[Node]] = {}
-    for comp in components:
-        (i, k) = comp[0]
-        eid = f"e{i}.{k}" if len(comp) == 1 else _shared_id(comp)
-        labels[eid] = frozenset(comp)
-        for node in comp:
-            event_of[node] = eid
-    beyond: dict[Node, list[Node]] = {}
-    pairs = []
-    for a in nodes:
-        ea = event_of.get(a)
-        if ea is None:
-            continue
-        for b in succ[a]:
-            eb = event_of.get(b)
-            if eb is None:
-                for c in _real_successors(b, succ, virtual, beyond):
-                    if event_of[c] != ea:
-                        pairs.append((ea, event_of[c]))
-            elif eb != ea:
-                pairs.append((ea, eb))
+    pairs = [
+        (ea, eb)
+        for ea, comp in mapped
+        for a in comp
+        for b in succ[a]
+        for eb in events[b]
+        if eb != ea
+    ]
     poset = build_poset(labels.keys(), pairs)
     # The component screening makes this validation unreachable-by-failure.
     model = build_event_model(poset, sm.n, labels, allow_empty_process=True)

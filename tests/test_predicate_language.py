@@ -242,3 +242,30 @@ def test_extra_fields_are_rejected_at_any_depth():
         node[key] = 1
         with pytest.raises(PredicateError, match="^unknown fields "):
             predicate_from_json(data)
+
+
+@pytest.mark.parametrize("op", ["not", "and", "or"])
+def test_deepest_parsed_chain_emits_its_document(op):
+    # Emission takes no stack per level: the deepest one-argument chain that
+    # parses gives back the document it came from.  The documents are
+    # compared, not the predicates, whose dataclass == recurses per level.
+    leaf = '{"op": "index", "proc": 1, "cmp": ">=", "value": 0}'
+    opening, closing = (
+        ('{"op": "not", "arg": ', "}") if op == "not" else (f'{{"op": "{op}", "args": [', "]}")
+    )
+
+    def parsed(depth):
+        data = json.loads(opening * depth + leaf + closing * depth)
+        return data, predicate_from_json(data)
+
+    lo, hi = 1, 5000  # parses, does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parsed(mid)
+            lo = mid
+        except RecursionError:
+            hi = mid
+    data, pred = parsed(lo)
+    assert lo > 300, lo
+    assert pred.as_json() == data

@@ -606,6 +606,75 @@ def test_deeply_nested_attrs_are_a_parse_error(capsys, tmp_path):
     assert err == f"parse error: {path} is nested too deeply\n"
 
 
+@pytest.mark.parametrize("loader", ["model", "marks", "predicate"])
+def test_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, fixtures_dir, loader):
+    # Files are decoded as UTF-8 whatever the locale; a byte 0xff is no
+    # UTF-8 and must not escape as a UnicodeDecodeError.
+    files = {
+        "model": fixtures_dir / "zigzag_state.json",
+        "marks": fixtures_dir / "zigzag_marks.json",
+        "predicate": fixtures_dir / "permits_pred.json",
+    }
+    bad = tmp_path / f"{loader}.json"
+    bad.write_bytes(b"\xff" + files[loader].read_bytes())
+    files[loader] = bad
+    if loader == "predicate":
+        argv = ["analyze", "predicate", "--model", str(fixtures_dir / "sessions_state.json")]
+        argv += ["--pred", str(files["predicate"])]
+    else:
+        argv = ["analyze", "checkpoints", "--model", str(files["model"])]
+        argv += ["--marks", str(files["marks"])]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"parse error: {bad} is not UTF-8: ") and err.count("\n") == 1
+
+
+def test_cuts_into_a_closed_pipe_is_an_output_error(tmp_path):
+    # Six processes of seven events and no messages have 8**6 cuts, far
+    # more than a pipe holds, so the writer meets the pipe closed after
+    # one line: exit 4 with one line on stderr, and no traceback, not even
+    # from the flush at interpreter exit.
+    path = tmp_path / "grid.json"
+    ids = [[f"p{i}e{k}" for k in range(1, 8)] for i in range(1, 7)]
+    path.write_text(json.dumps({
+        "kind": "event", "version": 1, "n": 6,
+        "events": [
+            {"id": e, "slots": [{"proc": i, "idx": k}]}
+            for i, chain in enumerate(ids, start=1) for k, e in enumerate(chain, start=1)
+        ],
+        "edges": [pair for chain in ids for pair in zip(chain, chain[1:])],
+    }))
+    src = str(Path(posetdual.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "posetdual", "cuts", str(path), "--family", "downsets"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b'{"cut": []}\n'
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (code, err) == (4, "error: stdout was closed by its reader\n")
+
+
+def test_document_into_a_closed_pipe_is_an_output_error(fixtures_dir):
+    # A single document sits in stdout's buffer until it is flushed; the
+    # flush inside main meets the closed pipe, not the one at exit.
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(posetdual.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "posetdual", "validate", str(fixtures_dir / "zigzag_state.json")]
+    try:
+        run = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (4, b"error: stdout was closed by its reader\n")
+
+
 def test_huge_declared_process_count_fails_at_the_first_empty_process(tmp_path):
     # The loader must not allocate per declared process: run in a child
     # with a 1 GB address-space cap, so a regression fails instead of
