@@ -732,7 +732,7 @@ class CheckpointReport:
 
 
 def _oracle_usefulness(
-    sm: StateModel, chains: tuple[tuple[str, ...], ...], *, bound: int | None = None
+    sm: StateModel, chains: tuple[tuple[str, ...], ...]
 ) -> dict[str, frozenset[str] | None]:
     """Definition scan over *sm*'s order: witness per state, from all
     one-per-chain tuples of the marked *chains*."""
@@ -741,7 +741,7 @@ def _oracle_usefulness(
         combos *= len(chain)
     # The cap is 2 ** bound.  It is built only when combos is at least that
     # large, so a huge bound allocates nothing.
-    limit = oracle_bound(bound)
+    limit = oracle_bound()
     if combos.bit_length() > limit:
         cap = 1 << limit
         if combos > cap:
@@ -835,11 +835,7 @@ def _fast_usefulness(
 
 
 def find_useless_checkpoints(
-    sm: StateModel,
-    marking: CheckpointMarking,
-    engine: str = "fast",
-    *,
-    bound: int | None = None,
+    sm: StateModel, marking: CheckpointMarking, engine: str = "fast"
 ) -> CheckpointReport:
     """Classify every marked checkpoint as useful or useless.
 
@@ -850,7 +846,8 @@ def find_useless_checkpoints(
     model's order, so both engines read *sm* and build no second model.
     The fast engine silently defers to the oracle when the endpoints are
     not pairwise concurrent, which cannot happen for models of actual
-    computations.
+    computations.  The oracle raises OracleBoundExceeded when the marked
+    chains have more than ``2 ** oracle_bound()`` one-per-chain tuples.
     """
     if engine not in ("fast", "oracle", "both"):
         raise ModelError(f"unknown engine {engine!r}")
@@ -864,7 +861,7 @@ def find_useless_checkpoints(
     if engine in ("fast", "both"):
         fast = _fast_usefulness(sm, marking.marks, chains)
     if engine in ("oracle", "both") or fast is None:
-        oracle = _oracle_usefulness(sm, chains, bound=bound)
+        oracle = _oracle_usefulness(sm, chains)
 
     if engine == "oracle":
         used = "oracle"

@@ -21,8 +21,8 @@ single-consumer.
 Besides the optimized operations (width and minimum chain partition via
 maximum bipartite matching), the module provides deliberately unsophisticated
 brute-force enumerators used as oracles in tests.  Those are capped by an
-element-count bound (default 20, override with the ``POSETDUAL_ORACLE_BOUND``
-environment variable or a keyword argument).
+element-count bound, set only by the ``POSETDUAL_ORACLE_BOUND`` environment
+variable (default 20).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import heapq
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -45,14 +46,12 @@ DEFAULT_ORACLE_BOUND = 20
 _ORACLE_BOUND_ENV = "POSETDUAL_ORACLE_BOUND"
 
 
-def oracle_bound(override: int | None = None) -> int:
-    """Resolve the brute-force size cap (argument > environment > default).
+def oracle_bound() -> int:
+    """The brute-force size cap: ``POSETDUAL_ORACLE_BOUND``, else the default.
 
     Raises ConfigError when the environment value is not a non-negative
-    integer.
+    integer, or has more digits than ``int`` converts.
     """
-    if override is not None:
-        return override
     env = os.environ.get(_ORACLE_BOUND_ENV)
     if env is None:
         return DEFAULT_ORACLE_BOUND
@@ -60,7 +59,20 @@ def oracle_bound(override: int | None = None) -> int:
         raise ConfigError(
             f"{_ORACLE_BOUND_ENV} must be a non-negative integer, got {env!r}"
         )
-    return int(env)
+    try:
+        return int(env)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise ConfigError(
+            f"{_ORACLE_BOUND_ENV} has {len(env.strip())} digits, more than"
+            f" {sys.get_int_max_str_digits()}"
+        ) from None
+
+
+def _require_oracle_size(n: int) -> None:
+    """Raise OracleBoundExceeded when *n* elements exceed the oracle bound."""
+    limit = oracle_bound()
+    if n > limit:
+        raise OracleBoundExceeded(f"{n} elements exceed oracle bound {limit}")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -473,22 +485,15 @@ def is_downset(p: Poset, subset: Iterable[str]) -> bool:
 
 
 def enumerate_antichains(
-    p: Poset,
-    size_filter: int | None = None,
-    *,
-    bound: int | None = None,
+    p: Poset, size_filter: int | None = None
 ) -> Iterator[frozenset[str]]:
     """Yield every antichain exactly once, in lexicographic order.
 
     Brute-force oracle; refuses posets larger than the oracle bound.  The
     empty antichain is included (unless filtered out by ``size_filter``).
     """
-    limit = oracle_bound(bound)
-    if len(p.elements) > limit:
-        raise OracleBoundExceeded(
-            f"{len(p.elements)} elements exceed oracle bound {limit}"
-        )
     n = len(p.elements)
+    _require_oracle_size(n)
     related = list(p._up)  # up-sets, then the down-sets transposed in
     for i, above in enumerate(p._up):
         for j in _bits(above):
@@ -510,17 +515,13 @@ def enumerate_antichains(
         stack.extend(reversed(ext))
 
 
-def enumerate_downsets_bruteforce(
-    p: Poset, *, bound: int | None = None
-) -> Iterator[frozenset[str]]:
+def enumerate_downsets_bruteforce(p: Poset) -> Iterator[frozenset[str]]:
     """Yield all downward-closed subsets by scanning the full powerset.
 
     Oracle only; exponential in the element count and capped by the bound.
     """
-    limit = oracle_bound(bound)
     n = len(p.elements)
-    if n > limit:
-        raise OracleBoundExceeded(f"{n} elements exceed oracle bound {limit}")
+    _require_oracle_size(n)
     for mask in range(1 << n):
         if _is_down_mask(p._up, mask):
             yield p.mask_to_set(mask)

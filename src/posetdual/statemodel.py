@@ -501,13 +501,11 @@ def require_width_extensible(target: StateModel | Poset) -> StateModel:
     return view
 
 
-def width_extensible_bruteforce(p: Poset, *, bound: int | None = None) -> bool:
+def width_extensible_bruteforce(p: Poset) -> bool:
     """Definition-level oracle: every antichain lies in some maximum one."""
     w, _ = width(p)
-    width_antichains = [
-        a for a in enumerate_antichains(p, size_filter=w, bound=bound)
-    ]
-    for a in enumerate_antichains(p, bound=bound):
+    width_antichains = list(enumerate_antichains(p, size_filter=w))
+    for a in enumerate_antichains(p):
         if not any(a <= wa for wa in width_antichains):
             return False
     return True
@@ -548,14 +546,12 @@ def require_width_antichain(p: Poset, members: Iterable[str]) -> frozenset[str]:
     return ms
 
 
-def interleaving_consistent_bruteforce(
-    p: Poset, *, bound: int | None = None
-) -> Verdict:
+def interleaving_consistent_bruteforce(p: Poset) -> Verdict:
     """Definition-level check over the enumerated maximum antichains."""
     w, _ = width(p)
     if w == 0:
         return Verdict(True)
-    family = list(enumerate_antichains(p, size_filter=w, bound=bound))
+    family = list(enumerate_antichains(p, size_filter=w))
     maximal = [
         a
         for a in family
@@ -578,20 +574,18 @@ def interleaving_consistent_bruteforce(
     return Verdict(True)
 
 
-def check_interleaving_consistent(
-    p: Poset, *, bound: int | None = None
-) -> Verdict:
+def check_interleaving_consistent(p: Poset) -> Verdict:
     """Decide interleaving-consistency, on Kuhn's partition of *p*.
 
     Fast path: on a width-extensible poset (with a minimum chain partition)
     the property is equivalent to ``psi``, so the crossing scan decides it.
     Otherwise the definition is checked by enumerating maximum antichains,
-    subject to the oracle bound.
+    subject to the oracle bound (``POSETDUAL_ORACLE_BOUND``).
     """
     view = minimum_view(p)
     if _width_extensible(view):
         return check_psi(view)
-    return interleaving_consistent_bruteforce(p, bound=bound)
+    return interleaving_consistent_bruteforce(p)
 
 
 #: The property names :func:`run_property_checks` accepts, in report order,
@@ -623,9 +617,7 @@ class PropertyReport:
         return {name: v.as_json() for name, v in verdicts if v is not None}
 
 
-def run_property_checks(
-    sm: StateModel, properties: Iterable[str], *, bound: int | None = None
-) -> PropertyReport:
+def run_property_checks(sm: StateModel, properties: Iterable[str]) -> PropertyReport:
     """Run the requested subset of :data:`PROPERTIES` on *sm*.
 
     ``omega1``, ``omega2``, ``omega3`` and ``psi`` are checked on the model's
@@ -634,11 +626,13 @@ def run_property_checks(
     is the poset's (module docstring), found on Kuhn's partition, built at
     most once: ``we`` by :func:`check_width_extensible`'s scans, and ``ic``
     by ``psi`` when ``we`` holds, else by enumerating the maximum antichains
-    (:func:`interleaving_consistent_bruteforce`, subject to *bound*).
+    (:func:`interleaving_consistent_bruteforce`, subject to the oracle
+    bound).
 
     Raises:
         UsageError: a name outside :data:`PROPERTIES`.
-        OracleBoundExceeded: ``ic`` needs the enumeration beyond *bound*.
+        OracleBoundExceeded: ``ic`` needs the enumeration beyond the oracle
+            bound.
     """
     wanted = set(properties)
     unknown = sorted(wanted - set(PROPERTIES))
@@ -667,6 +661,6 @@ def run_property_checks(
             elif we:
                 verdicts["ic"] = check_psi(kuhn or minimum_view(sm.poset))
             else:
-                verdicts["ic"] = interleaving_consistent_bruteforce(sm.poset, bound=bound)
+                verdicts["ic"] = interleaving_consistent_bruteforce(sm.poset)
         verdicts["we"] = we
     return PropertyReport(**{_FIELDS[n]: v for n, v in verdicts.items() if n in wanted})

@@ -15,6 +15,7 @@ whose order defines the per-process state indices.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
@@ -235,6 +236,11 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError:  # an integer beyond sys.get_int_max_str_digits()
+        raise SchemaError(
+            f"{path} has an integer of more than"
+            f" {sys.get_int_max_str_digits()} digits"
+        ) from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise SchemaError(f"{path} is nested too deeply") from None
 

@@ -177,13 +177,14 @@ def test_zigzag_reports_exactly_the_pinched_checkpoint():
         (((0, 2), (0, 3)), 2, None),
     ],
 )
-def test_oracle_takes_at_most_two_to_the_bound_tuples(marks, bound, error):
+def test_oracle_takes_at_most_two_to_the_bound_tuples(monkeypatch, marks, bound, error):
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", str(bound))
     marking = CheckpointMarking(marks)
     if error is None:
-        assert find_useless_checkpoints(zigzag_state(), marking, "oracle", bound=bound).verdicts
+        assert find_useless_checkpoints(zigzag_state(), marking, "oracle").verdicts
     else:
         with pytest.raises(OracleBoundExceeded) as exc:
-            find_useless_checkpoints(zigzag_state(), marking, "oracle", bound=bound)
+            find_useless_checkpoints(zigzag_state(), marking, "oracle")
         assert str(exc.value) == error
 
 

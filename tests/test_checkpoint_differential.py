@@ -71,11 +71,11 @@ def induced_checkpoint_model(sm, marking):
     return build_state_model(poset, chains, attrs)
 
 
-def oracle_usefulness(induced, bound):
+def oracle_usefulness(induced):
     combos = 1
     for chain in induced.chains:
         combos *= len(chain)
-    limit = oracle_bound(bound)
+    limit = oracle_bound()
     if combos.bit_length() > limit:
         cap = 1 << limit
         if combos > cap:
@@ -126,12 +126,12 @@ def fast_usefulness(induced):
     return out
 
 
-def checkpoints_on_restriction(sm, marking, engine, bound):
+def checkpoints_on_restriction(sm, marking, engine):
     induced = induced_checkpoint_model(sm, marking)
     fast = fast_usefulness(induced) if engine in ("fast", "both") else None
     oracle = None
     if engine in ("oracle", "both") or fast is None:
-        oracle = oracle_usefulness(induced, bound)
+        oracle = oracle_usefulness(induced)
     if engine == "oracle":
         used = "oracle"
     elif fast is None:
@@ -152,7 +152,7 @@ def checkpoints_on_restriction(sm, marking, engine, bound):
 
 def outcome(find, sm, marking, engine):
     try:
-        return find(sm, marking, engine, bound=14).as_json()
+        return find(sm, marking, engine).as_json()
     except OracleBoundExceeded as exc:
         return str(exc)
 
@@ -180,7 +180,8 @@ def marked_models(rng):
         yield sm, random_marking(rng, sm, max_marks=max_marks)
 
 
-def test_grouped_graph_reports_equal_the_restricted_model():
+def test_grouped_graph_reports_equal_the_restricted_model(monkeypatch):
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", "14")
     rng = random.Random(1995)
     engines = {}
     useless = 0

@@ -96,7 +96,7 @@ def ic_on_kuhn_partition(sm):
     p = sm.poset
     if we_by_pair_loop(p).ok:
         return check_psi(build_state_model(p, minimum_chain_partition(p).chains))
-    return interleaving_consistent_bruteforce(p, bound=BOUND)
+    return interleaving_consistent_bruteforce(p)
 
 
 REFERENCE = {
@@ -155,7 +155,8 @@ def random_models(rng, count):
             yield pinch_composition(rng)
 
 
-def test_own_chain_decisions_equal_kuhn_path():
+def test_own_chain_decisions_equal_kuhn_path(monkeypatch):
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", str(BOUND))
     rng = random.Random(1950)
     concurrent_not_we = we_not_ic = own_minimum = 0
     pred = predicate_from_json({"op": "index", "proc": 1, "cmp": ">=", "value": 1})
@@ -164,9 +165,9 @@ def test_own_chain_decisions_equal_kuhn_path():
         for sub in SUBSETS:
             if any(isinstance(ref[name], OracleBoundExceeded) for name in sub):
                 with pytest.raises(OracleBoundExceeded):
-                    run_property_checks(sm, sub, bound=BOUND)
+                    run_property_checks(sm, sub)
             else:
-                report = run_property_checks(sm, sub, bound=BOUND).as_json()
+                report = run_property_checks(sm, sub).as_json()
                 assert report == {name: ref[name] for name in sub}, (sm, sub)
 
         we = ref["we"]

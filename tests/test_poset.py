@@ -179,13 +179,15 @@ def test_downset_oracle_counts():
     assert sum(1 for _ in enumerate_downsets_bruteforce(anti3)) == 8
 
 
-def test_oracle_bound_enforced():
+def test_oracle_bound_enforced(monkeypatch):
     p = build_poset([f"x{i:02}" for i in range(6)], [])
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", "5")
     with pytest.raises(OracleBoundExceeded):
-        list(enumerate_downsets_bruteforce(p, bound=5))
+        list(enumerate_downsets_bruteforce(p))
     with pytest.raises(OracleBoundExceeded):
-        list(enumerate_antichains(p, bound=5))
-    assert sum(1 for _ in enumerate_downsets_bruteforce(p, bound=6)) == 64
+        list(enumerate_antichains(p))
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", "6")
+    assert sum(1 for _ in enumerate_downsets_bruteforce(p)) == 64
 
 
 def test_oracle_bound_env_override(monkeypatch):

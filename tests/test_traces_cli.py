@@ -307,7 +307,7 @@ def test_check_we_ic_true_on_message_pair_state(capsys, fixtures_dir):
     assert data == {"we": {"ok": True}, "ic": {"ok": True}}
 
 
-def test_check_above_oracle_bound_reports_only_the_bound(capsys, monkeypatch, tmp_path):
+def test_check_above_oracle_bound_reports_only_the_bound(capsys, tmp_path):
     """The pinch gadget beside a 20-state chain is not width-extensible, so
     ``ic`` falls back to the oracle, whose bound (20) the 25 states exceed:
     the default ``check`` reports only that, and without ``ic`` it passes."""
@@ -319,7 +319,6 @@ def test_check_above_oracle_bound_reports_only_the_bound(capsys, monkeypatch, tm
     )
     path = tmp_path / "pinch_chain.json"
     write_trace(path, state_to_json(build_state_model(poset, [*gadget.chains, third])))
-    monkeypatch.delenv("POSETDUAL_ORACLE_BOUND", raising=False)
 
     code, out, _ = run_cli(capsys, "check", str(path))
     assert code == 2
@@ -606,27 +605,48 @@ def test_deeply_nested_attrs_are_a_parse_error(capsys, tmp_path):
     assert err == f"parse error: {path} is nested too deeply\n"
 
 
-@pytest.mark.parametrize("loader", ["model", "marks", "predicate"])
-def test_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, fixtures_dir, loader):
-    # Files are decoded as UTF-8 whatever the locale; a byte 0xff is no
-    # UTF-8 and must not escape as a UnicodeDecodeError.
+def analyze_argv(fixtures_dir, loader, edit, path):
+    """Arguments of an ``analyze`` command that reads *path* through
+    *loader*; *path* gets that loader's fixture bytes passed through *edit*."""
     files = {
         "model": fixtures_dir / "zigzag_state.json",
         "marks": fixtures_dir / "zigzag_marks.json",
         "predicate": fixtures_dir / "permits_pred.json",
     }
-    bad = tmp_path / f"{loader}.json"
-    bad.write_bytes(b"\xff" + files[loader].read_bytes())
-    files[loader] = bad
+    path.write_bytes(edit(files[loader].read_bytes()))
+    files[loader] = path
     if loader == "predicate":
         argv = ["analyze", "predicate", "--model", str(fixtures_dir / "sessions_state.json")]
         argv += ["--pred", str(files["predicate"])]
     else:
         argv = ["analyze", "checkpoints", "--model", str(files["model"])]
         argv += ["--marks", str(files["marks"])]
+    return argv
+
+
+@pytest.mark.parametrize("loader", ["model", "marks", "predicate"])
+def test_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, fixtures_dir, loader):
+    # Files are decoded as UTF-8 whatever the locale; a byte 0xff is no
+    # UTF-8 and must not escape as a UnicodeDecodeError.
+    bad = tmp_path / f"{loader}.json"
+    argv = analyze_argv(fixtures_dir, loader, lambda data: b"\xff" + data, bad)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith(f"parse error: {bad} is not UTF-8: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("loader", ["model", "marks", "predicate"])
+def test_integer_too_long_to_convert_is_a_parse_error(capsys, tmp_path, fixtures_dir, loader):
+    # json raises a plain ValueError, not a JSONDecodeError, for an integer
+    # of more digits than int() converts (4,300 by default).
+    bad = tmp_path / f"{loader}.json"
+    def edit(data):
+        return data.replace(b'"version": 1', b'"version": ' + b"9" * 5000)
+
+    argv = analyze_argv(fixtures_dir, loader, edit, bad)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith(f"parse error: {bad} has an integer of more than ") and err.count("\n") == 1
 
 
 def test_cuts_into_a_closed_pipe_is_an_output_error(tmp_path):
@@ -700,7 +720,7 @@ def test_huge_declared_process_count_fails_at_the_first_empty_process(tmp_path):
     assert error == {"type": "EmptyProcess", "message": "process 2 has no events", "process": 2}
 
 
-def test_huge_oracle_bound_allocates_no_cap(capsys, monkeypatch, tmp_path, fixtures_dir):
+def test_huge_oracle_bound_allocates_no_cap(capsys, tmp_path, fixtures_dir):
     # 2 ** 10**12 does not fit in 1 GB: the child fails unless the oracle
     # compares the tuple count with the bound before it builds the cap.
     argv = [
@@ -708,7 +728,6 @@ def test_huge_oracle_bound_allocates_no_cap(capsys, monkeypatch, tmp_path, fixtu
         "--model", str(fixtures_dir / "zigzag_state.json"),
         "--marks", str(fixtures_dir / "zigzag_marks.json"),
     ]
-    monkeypatch.delenv("POSETDUAL_ORACLE_BOUND", raising=False)
     code, expected, _ = run_cli(capsys, *argv)
     assert code == 0
     script = (
@@ -764,8 +783,11 @@ def test_poset_chains_are_validated(capsys, tmp_path, chains, error, command):
     assert run_cli(capsys, command[0], str(path), *command[1:])[0] == 0
 
 
-def test_bad_oracle_bound_is_a_usage_error(capsys, monkeypatch, fixtures_dir):
-    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", "abc")
+@pytest.mark.parametrize(
+    "value", ["abc", "-1", "", "9" * 5000], ids=["abc", "negative", "empty", "5000-digits"]
+)
+def test_bad_oracle_bound_is_a_usage_error(capsys, monkeypatch, fixtures_dir, value):
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", value)
     code, out, err = run_cli(capsys, "check", str(fixtures_dir / "pinch_state.json"))
     assert code == 4 and out == ""
     assert err.count("\n") == 1 and "POSETDUAL_ORACLE_BOUND" in err

@@ -59,13 +59,13 @@ def ref_width_extensible(sm, known=None):
     return Verdict(True)
 
 
-def ref_interleaving_consistent(target, view, we, bound, psi=None):
+def ref_interleaving_consistent(target, view, we, psi=None):
     if we.ok:
         return ref_decide(target, view, check_psi, psi)
-    return interleaving_consistent_bruteforce(view.poset, bound=bound)
+    return interleaving_consistent_bruteforce(view.poset)
 
 
-def ref_run_property_checks(sm, properties, *, bound=None):
+def ref_run_property_checks(sm, properties):
     wanted = list(properties)
     unknown = sorted(set(wanted) - set(PROPERTIES))
     if unknown:
@@ -87,7 +87,7 @@ def ref_run_property_checks(sm, properties, *, bound=None):
         kw["width_extensible"] = we
     if "ic" in wanted:
         psi = kw.get("psi") if view is sm else None
-        kw["interleaving_consistent"] = ref_interleaving_consistent(sm, view, we, bound, psi)
+        kw["interleaving_consistent"] = ref_interleaving_consistent(sm, view, we, psi)
     return PropertyReport(**kw)
 
 
@@ -116,14 +116,15 @@ def models(rng):
     yield from partition_models(rng, 2000)
 
 
-def test_one_rule_equals_verdict_passing_helpers():
+def test_one_rule_equals_verdict_passing_helpers(monkeypatch):
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", str(BOUND))
     rng = random.Random(1956)
     branches = Counter()
     for sm in models(rng):
         for _ in range(3):
             subset = rng.sample(PROPERTIES, rng.randint(1, len(PROPERTIES)))
-            got = outcome(run_property_checks, sm, subset, bound=BOUND)
-            want = outcome(ref_run_property_checks, sm, subset, bound=BOUND)
+            got = outcome(run_property_checks, sm, subset)
+            want = outcome(ref_run_property_checks, sm, subset)
             assert got == want, (sm.chains, subset)
         assert outcome(require_width_extensible, sm) == outcome(
             ref_require_width_extensible, sm
