@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 semantic failure (invalid model, failed conversion),
-3 parse/schema error, 4 usage, kind mismatch or output error, 5 enumeration
-guard.
+3 parse/schema error, 4 usage, kind mismatch, a bad POSETDUAL_ORACLE_BOUND
+or output error, 5 enumeration guard.
 All structured output goes to stdout and is byte-deterministic for a given
 input file; human-oriented notes go to stderr.
 """
@@ -269,7 +269,11 @@ def main(argv: list[str] | None = None) -> int:
         # What stdout still buffers would fail again when the interpreter
         # flushes it at exit, so it goes to the null device; a caller's own
         # stdout object is left in place.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         print("error: stdout was closed by its reader", file=sys.stderr)
         return EXIT_USAGE
     return code

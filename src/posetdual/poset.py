@@ -106,21 +106,6 @@ class ChainPartition:
     def n(self) -> int:
         return len(self.chains)
 
-    def position(self, element: str) -> tuple[int, int]:
-        """Return ``(chain_index, index_in_chain)`` for *element*."""
-        return self._positions()[element]
-
-    def _positions(self) -> dict[str, tuple[int, int]]:
-        pos = getattr(self, "_pos_cache", None)
-        if pos is None:
-            pos = {
-                e: (ci, k)
-                for ci, chain in enumerate(self.chains)
-                for k, e in enumerate(chain)
-            }
-            object.__setattr__(self, "_pos_cache", pos)
-        return pos
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -148,7 +133,10 @@ class Poset:
     lexicographically least linear extension (smallest index first among
     the elements whose predecessors are all placed).  These are the only
     copies of the order: there are no down-sets, and :attr:`covers` is
-    derived from ``_upper``.  Readers must not change them.
+    derived from ``_upper``.  Readers must not change them.  ``_dilworth``
+    is the one cache of Kuhn's matching: the width with its Koenig
+    antichain, and the chain partition, both read off one matching by the
+    first :func:`width` call.
     """
 
     __slots__ = (
@@ -157,8 +145,7 @@ class Poset:
         "_up",
         "_upper",
         "_order",
-        "_width_cache",
-        "_partition_cache",
+        "_dilworth",
     )
 
     def __init__(
@@ -174,8 +161,7 @@ class Poset:
         self._up = up
         self._upper = upper
         self._order = order
-        self._width_cache: tuple[int, frozenset[str]] | None = None
-        self._partition_cache: ChainPartition | None = None
+        self._dilworth: tuple[tuple[int, frozenset[str]], ChainPartition] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -346,10 +332,13 @@ def comparable(p: Poset, a: str, b: str) -> Comparability:
     return Comparability.CONCURRENT
 
 
-def _maximum_matching(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
+def _maximum_matching(p: Poset) -> tuple[list[int], list[int]]:
     """Maximum matching on the split bipartite graph of the closure.
 
     Left copies are sources of ``<`` pairs, right copies are targets.
+    Returns the partner lists ``mate_l, mate_r``, indexed by element, with
+    -1 for an unmatched copy; both readers of the matching, the chain
+    partition and the Koenig antichain, take them as they are.
     Deterministic: vertices and neighbors are scanned in sorted-id order.
     """
     up = p._up
@@ -390,41 +379,38 @@ def _maximum_matching(p: Poset) -> tuple[dict[int, int], dict[int, int]]:
                 mate_l[u] = x
                 mate_r[x] = u
             break
-    match_l = {u: x for u, x in enumerate(mate_l) if x >= 0}
-    match_r = {x: u for x, u in enumerate(mate_r) if u >= 0}
-    return match_l, match_r
+    return mate_l, mate_r
 
 
-def _matching_to_partition(p: Poset, match_l: dict[int, int]) -> ChainPartition:
-    n = len(p.elements)
-    matched_targets = set(match_l.values())
-    heads = [i for i in range(n) if i not in matched_targets]
+def _matching_to_partition(p: Poset, mate_l, mate_r) -> ChainPartition:
+    """Chains of the matching: each starts at an unmatched right copy and
+    follows ``mate_l`` up."""
     chains = []
-    for h in heads:
-        chain = [p.elements[h]]
-        cur = h
-        while cur in match_l:
-            cur = match_l[cur]
-            chain.append(p.elements[cur])
-        chains.append(tuple(chain))
+    for head, below in enumerate(mate_r):
+        if below < 0:
+            chain, cur = [], head
+            while cur >= 0:
+                chain.append(p.elements[cur])
+                cur = mate_l[cur]
+            chains.append(tuple(chain))
     chains.sort()
     return ChainPartition(tuple(chains))
 
 
-def _max_antichain_from_cover(p: Poset, match_l, match_r) -> frozenset[str]:
+def _max_antichain_from_cover(p: Poset, mate_l, mate_r) -> frozenset[str]:
     """Extract a maximum antichain from the Koenig vertex cover."""
     # Alternating reachability from unmatched left vertices, as bitsets.  A
     # right vertex is reached once, and its partner is matched, so no left
     # vertex enters the frontier twice.
-    frontier = [i for i in range(len(p.elements)) if i not in match_l]
+    frontier = [i for i, x in enumerate(mate_l) if x < 0]
     z_left = sum(1 << i for i in frontier)
     z_right = 0
     while frontier:
         fresh = p._up[frontier.pop()] & ~z_right
         z_right |= fresh
         for v in _bits(fresh):
-            w = match_r.get(v)
-            if w is not None:
+            w = mate_r[v]
+            if w >= 0:
                 z_left |= 1 << w
                 frontier.append(w)
     # Cover = (L \ Z_L) | Z_R; antichain = both copies outside the cover.
@@ -441,28 +427,30 @@ def width(p: Poset) -> tuple[int, frozenset[str]]:
     one search per element; each search step takes the next neighbor as the
     lowest bit of an up-set outside the visited bitset, so a step costs one
     bitset operation, and a search may visit every element: O(elements^2)
-    steps in the worst case, as on long chains.
+    steps in the worst case, as on long chains.  The first call matches
+    once and keeps the antichain and the chain partition in the poset's one
+    cache, which :func:`minimum_chain_partition` reads too; an empty poset
+    gives ``(0, frozenset())`` and no chains.
     """
-    if p._width_cache is None:
-        if not p.elements:
-            p._width_cache = (0, frozenset())
-            p._partition_cache = ChainPartition(())
-        else:
-            match_l, match_r = _maximum_matching(p)
-            partition = _matching_to_partition(p, match_l)
-            antichain = _max_antichain_from_cover(p, match_l, match_r)
-            if len(antichain) != partition.n:
-                raise AssertionError("Dilworth equality violated (internal bug)")
-            p._width_cache = (len(antichain), antichain)
-            p._partition_cache = partition
-    return p._width_cache
+    if p._dilworth is None:
+        mate_l, mate_r = _maximum_matching(p)
+        partition = _matching_to_partition(p, mate_l, mate_r)
+        antichain = _max_antichain_from_cover(p, mate_l, mate_r)
+        if len(antichain) != partition.n:
+            raise AssertionError("Dilworth equality violated (internal bug)")
+        p._dilworth = (len(antichain), antichain), partition
+    return p._dilworth[0]
 
 
 def minimum_chain_partition(p: Poset) -> ChainPartition:
-    """A minimum chain partition; its size equals ``width(p)[0]``."""
+    """A minimum chain partition; its size equals ``width(p)[0]``.
+
+    Read from the cache that :func:`width` fills, so both come from one
+    matching.  ``statemodel.minimum_view(p).coords`` gives each element's
+    place on it.
+    """
     width(p)
-    assert p._partition_cache is not None
-    return p._partition_cache
+    return p._dilworth[1]
 
 
 def is_antichain(p: Poset, members: Iterable[str]) -> bool:

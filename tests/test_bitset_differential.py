@@ -24,6 +24,7 @@ from posetdual.poset import (
     minimum_chain_partition,
     width,
 )
+from posetdual.statemodel import minimum_view
 from posetdual.traces import load_trace
 
 from builders import (
@@ -133,6 +134,11 @@ def kuhn_by_dicts(p):
     return match_l, match_r
 
 
+def as_dicts(mates):
+    """Partner lists, -1 for none, as the dicts of their matched copies."""
+    return tuple({u: x for u, x in enumerate(mate) if x >= 0} for mate in mates)
+
+
 def antichain_by_sets(p, match_l, match_r):
     """Koenig antichain with alternating reachability over element sets."""
     n = len(p.elements)
@@ -156,21 +162,23 @@ def we_by_pair_loop(p):
     if not p.elements:
         return Verdict(True)
     cp = minimum_chain_partition(p)
+    coords = minimum_view(p).coords
     clocks = chain_clocks(p, cp.chains)
     failing = None
     for s in p.elements:
         down, up = clocks[s]
-        own = cp.position(s)[0]
+        own = coords(s)[0] - 1
         if any(up[ci] - down[ci] < 2 for ci in range(cp.n) if ci != own):
             failing = s
     if failing is not None:
         return Verdict(False, frozenset({failing}), "no maximum antichain contains it")
     for a, b in itertools.combinations(p.elements, 2):
         (da, ua), (db, ub) = clocks[a], clocks[b]
-        cb, kb = cp.position(b)
+        cb, kb = coords(b)
+        cb -= 1
         if not da[cb] < kb < ua[cb]:
             continue
-        ca = cp.position(a)[0]
+        ca = coords(a)[0] - 1
         if any(
             min(ua[ci], ub[ci]) - max(da[ci], db[ci]) < 2
             for ci in range(cp.n)
@@ -213,10 +221,11 @@ def test_bitset_kernels_equal_pair_loops():
             elements, pairs
         )
 
+        mates = _maximum_matching(p)
         match_l, match_r = kuhn_by_lists(p)
-        assert _maximum_matching(p) == (match_l, match_r)
+        assert as_dicts(mates) == (match_l, match_r)
         assert width(p)[1] == antichain_by_sets(p, match_l, match_r)
-        assert minimum_chain_partition(p) == _matching_to_partition(p, match_l)
+        assert minimum_chain_partition(p) == _matching_to_partition(p, *mates)
 
         verdict = check_width_extensible(p).as_json()
         assert verdict == we_by_pair_loop(p).as_json(), (elements, pairs)
@@ -243,6 +252,6 @@ def test_list_partner_matching_equals_dict_loop(fixtures_dir):
     matched = 0
     for p in posets:
         expected = kuhn_by_dicts(p)
-        assert _maximum_matching(p) == expected, p.elements
+        assert as_dicts(_maximum_matching(p)) == expected, p.elements
         matched += bool(expected[0])
     assert matched >= 500, matched

@@ -14,6 +14,8 @@ from posetdual import (
     UnknownElement,
     build_poset,
     chain_clocks,
+    check_interleaving_consistent,
+    check_width_extensible,
     comparable,
     enumerate_antichains,
     enumerate_downsets_bruteforce,
@@ -21,7 +23,9 @@ from posetdual import (
     minimum_chain_partition,
     width,
 )
+from posetdual import poset as poset_module
 from posetdual.poset import is_antichain, is_downset
+from posetdual.statemodel import minimum_view, require_width_antichain
 
 from builders import (
     down_sets,
@@ -109,6 +113,35 @@ def test_min_chain_partition_sizes():
     assert minimum_chain_partition(message_pair_event().poset).n == 2
     iso = build_poset(["p", "q", "r"], [])
     assert minimum_chain_partition(iso).chains == (("p",), ("q",), ("r",))
+
+
+def test_empty_poset_has_width_zero_and_no_chains():
+    p = build_poset([], [])
+    assert width(p) == (0, frozenset())
+    assert minimum_chain_partition(p) == ChainPartition(())
+    assert minimum_view(p).chains == ()
+
+
+def test_one_matching_serves_width_partition_and_checks(monkeypatch):
+    # The antichain and the partition share one cache, filled by one
+    # matching, whichever reader comes first.
+    calls = []
+    matching = poset_module._maximum_matching
+
+    def counted(p):
+        calls.append(p)
+        return matching(p)
+
+    monkeypatch.setattr(poset_module, "_maximum_matching", counted)
+    p = pinch_poset()
+    partition = minimum_chain_partition(p)
+    w, antichain = width(p)
+    assert partition.n == w == 2
+    assert minimum_view(p).chains == partition.chains
+    assert not check_width_extensible(p).ok
+    check_interleaving_consistent(p)
+    assert require_width_antichain(p, antichain) == antichain
+    assert calls == [p]
 
 
 def test_antichain_enumeration_pinch():

@@ -8,7 +8,8 @@ in process through ``cli.main``; its exit code and the sha256 of its stdout
 (of the written file, for ``transform -o``) must equal the row of
 ``fixtures/goldens/scale_digests.json``.  A change to any output byte of the
 chain checks, both transforms, checkpoint analysis or predicate detection on
-these inputs fails the row of its command.
+these inputs fails the row of its command.  At each size, ``es`` of
+``se``'s output must also print the state file ``se`` read, byte for byte.
 """
 
 import hashlib
@@ -96,4 +97,7 @@ def test_scale_outputs_equal_digest_table(tmp_path, capsys):
     assert want["32x300 checkpoints"]["sha256"].startswith("95266b85eb09")
     mismatched = [name for name in want if got[name] != want[name]]
     assert not mismatched, {name: got[name] for name in mismatched}
+    for tag in ("32x300", "64x200"):
+        state = hashlib.sha256((tmp_path / f"{tag}.json").read_bytes()).hexdigest()
+        assert got[f"{tag} es"]["sha256"] == state, tag
 

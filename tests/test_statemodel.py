@@ -32,6 +32,7 @@ from posetdual.errors import UsageError
 from posetdual.poset import incomparable_interval, is_antichain, minimum_chain_partition
 from posetdual.statemodel import (
     interleaving_consistent_bruteforce,
+    minimum_view,
     run_property_checks,
     width_extensible_bruteforce,
 )
@@ -146,7 +147,8 @@ def test_extension_witness_does_not_depend_on_hash_seed():
         p, _ = random_chain_poset(rng, max_elems=40, max_chains=8)
         cp = minimum_chain_partition(p)
         members = p.minimal_elements()
-        owned = {cp.position(s)[0] for s in members}
+        coords = minimum_view(p).coords
+        owned = {coords(s)[0] - 1 for s in members}
         free = next((ci for ci in range(cp.n) if ci not in owned), None)
         if free is None:
             continue
@@ -175,8 +177,9 @@ def extend_by_intervals(p, members):
     ``incomparable_interval`` per member and chain."""
     current = set(members)
     cp = minimum_chain_partition(p)
+    coords = minimum_view(p).coords
     for ci, chain in enumerate(cp.chains):
-        if any(cp.position(s)[0] == ci for s in current):
+        if any(coords(s)[0] - 1 == ci for s in current):
             continue
         lo, hi = 0, len(chain) - 1
         for s in sorted(current):

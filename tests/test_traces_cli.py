@@ -695,6 +695,28 @@ def test_document_into_a_closed_pipe_is_an_output_error(fixtures_dir):
     assert (run.returncode, run.stderr) == (4, b"error: stdout was closed by its reader\n")
 
 
+def test_closed_stdout_leaks_no_descriptor(fixtures_dir, capsys):
+    # In process, as tests and the benchmark call main: pointing stdout's
+    # descriptor at the null device must leave no other descriptor open.
+    def lowest_free_descriptor():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    read, write = os.pipe()
+    os.close(read)
+    before = lowest_free_descriptor()
+    saved = sys.stdout
+    sys.stdout = pipe = open(write, "w")
+    try:
+        code = main(["cuts", str(fixtures_dir / "message_pair_event.json"), "--family", "downsets"])
+    finally:
+        sys.stdout = saved
+        pipe.close()
+    assert (code, capsys.readouterr().err) == (4, "error: stdout was closed by its reader\n")
+    assert lowest_free_descriptor() == before
+
+
 def test_huge_declared_process_count_fails_at_the_first_empty_process(tmp_path):
     # The loader must not allocate per declared process: run in a child
     # with a 1 GB address-space cap, so a regression fails instead of
