@@ -10,6 +10,7 @@ input file; human-oriented notes go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -259,9 +260,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser main uses: built on the first call, then reused, because
+    building one costs far more than parsing with it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = _run(args)
         sys.stdout.flush()  # a reader that has gone is met here, not at exit

@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -282,9 +283,154 @@ def event_to_json(m: EventModel) -> dict:
     return data
 
 
+# Canonical text is ``json.dumps(data, indent=2, sort_keys=True) + "\n"``.
+# json writes an indented document in its pure-Python encoder, one generator
+# step per value.  dumps_canonical writes the same text a column at a time:
+# the values at one depth that render alike (the strings, the ints, the
+# lists, the dicts with one set of keys, ...) are rendered together by
+# C-level maps and joins, off an explicit list of columns, without recursion.
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The scalars by exact type, each rendered as json renders it.
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+# A document nested deeper than this goes to json.dumps whole, so that it
+# meets json's own recursion limit.  posetdual's documents nest five deep.
+_DEEPEST = 100
+_NEWLINE = ["\n" + "  " * level for level in range(_DEEPEST + 2)]
+
+
+class _Unsupported(Exception):
+    """Something dumps_canonical leaves to json.dumps: a value other than
+    str, exact int, float, bool, None, list, tuple and dict with str keys; a
+    container met twice in one column (shared, or circular); a document
+    nested deeper than ``_DEEPEST``."""
+
+
 def dumps_canonical(data: Any) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    Exactly ``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, with its
+    ensure_ascii escapes and its ``NaN`` and ``Infinity``.  What this writer
+    does not render goes to json.dumps whole, so every document gets json's
+    text or json's exception.
+    """
+    try:
+        return _render(data)
+    except (_Unsupported, ValueError):  # ValueError: an int of too many digits
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _render(data: Any) -> str:
+    # Breadth first: column t holds values at one indent level.  A group of
+    # lists or tuples adds the column of all their items; a group of dicts
+    # with the same keys adds one column per key, in sorted order.  Each
+    # container in a column is a distinct object, so no column is longer
+    # than the document.  Per group, the plan holds (members, kind, detail,
+    # arg): "text", the scalars and their renderer; "list", the lengths and
+    # the items' column; "dict", the sorted keys and the first key's column.
+    columns: list[tuple[list, int]] = [([data], 0)]
+    plans: list[list[tuple]] = []
+    for values, level in columns:
+        if level > _DEEPEST:
+            raise _Unsupported
+        plan = []
+        for members, shape in _groups(values):
+            group = values if members is None else list(map(values.__getitem__, members))
+            render = _SCALARS.get(shape)
+            if render is not None:
+                plan.append((members, "text", group, render))
+                continue
+            if len(set(map(id, group))) != len(group):
+                raise _Unsupported
+            if shape is list or shape is tuple:
+                plan.append((members, "list", list(map(len, group)), len(columns)))
+                columns.append((list(chain.from_iterable(group)), level + 1))
+            elif type(shape) is tuple and all(type(key) is str for key in shape):
+                keys = sorted(shape)
+                plan.append((members, "dict", keys, len(columns)))
+                columns.extend((list(map(itemgetter(key), group)), level + 1) for key in keys)
+            else:
+                raise _Unsupported
+        plans.append(plan)
+
+    # Then deepest first, each group's rows from its item columns' rows.
+    # Columns, plans and rows are dropped once read, so a column's texts
+    # are not held beside the rows made of them.
+    rows: list[list[str] | None] = [None] * len(columns)
+    for t in reversed(range(len(columns))):
+        values, level = columns.pop()
+        inner, outer = _NEWLINE[level + 1], _NEWLINE[level]
+        done: list = [None] * len(values)
+        for members, kind, detail, arg in plans.pop():
+            if kind == "text":
+                part = list(map(arg, detail))
+            elif not detail:  # dicts without keys
+                part = ["{}"] * len(values if members is None else members)
+            elif kind == "dict":
+                texts = []
+                head = "{" + inner
+                for at, key in enumerate(detail, start=arg):
+                    texts += (repeat(head + _ESCAPE(key) + ": "), rows[at])
+                    rows[at] = None
+                    head = "," + inner
+                texts.append(repeat(outer + "}"))
+                part = list(map("".join, zip(*texts)))
+            else:
+                items, rows[arg] = rows[arg], None
+                start, sep, end = "[" + inner, "," + inner, outer + "]"
+                width = detail[0]
+                if width and detail.count(width) == len(detail):
+                    bodies = map(sep.join, zip(*[iter(items)] * width))
+                    part = list(map("".join, zip(repeat(start), bodies, repeat(end))))
+                else:
+                    it = iter(items)
+                    part = [start + sep.join(islice(it, n)) + end if n else "[]" for n in detail]
+            if members is None:
+                done = part
+            else:
+                for i, text in zip(members, part):
+                    done[i] = text
+        rows[t] = done
+    return rows[0][0] + "\n"
+
+
+def _groups(values: list) -> list[tuple[list[int] | None, Any]]:
+    """A column's members by how they render: ``(indices, shape)`` pairs,
+    indices None for the whole column.  The shape is the type, or for a
+    dict its keys as inserted."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and dict not in kinds:
+        return [(None, kinds.pop())]
+    if kinds == {dict}:
+        shapes = list(map(tuple, values))
+        if shapes.count(shapes[0]) == len(shapes):
+            return [(None, shapes[0])]
+    else:
+        shapes = [tuple(v) if type(v) is dict else type(v) for v in values]
+    by: dict[Any, list[int]] = {}
+    for i, shape in enumerate(shapes):
+        by.setdefault(shape, []).append(i)
+    return [(members, shape) for shape, members in by.items()]
 
 
 def write_trace(path: str | Path, data: Mapping[str, Any]) -> None:

@@ -225,3 +225,44 @@ def test_no_restricted_model_is_built(monkeypatch, model, marking, engine):
     recording(statemodel, "chain_clocks")
     find_useless_checkpoints(sm, marks, engine)
     assert calls == []
+
+
+def _global_checkpoints_per_state(sm, marking):
+    """How many global checkpoints (one marked state per process, pairwise
+    concurrent) contain each marked state, by scanning every tuple."""
+    chains = [[sm.state_at(i, k) for k in idxs] for i, idxs in enumerate(marking.marks, start=1)]
+    count = dict.fromkeys(itertools.chain.from_iterable(chains), 0)
+    for combo in itertools.product(*chains):
+        if all(
+            comparable(sm.poset, a, b) is Comparability.CONCURRENT
+            for a, b in itertools.combinations(combo, 2)
+        ):
+            for s in combo:
+                count[s] += 1
+    return count
+
+
+def test_fast_and_oracle_engines_name_the_same_witnesses():
+    # One-per-process tuples of pairwise concurrent marked states are
+    # closed under componentwise min, so every useful checkpoint lies in a
+    # least global checkpoint.  The oracle's first tuple in product order
+    # is that least one, and so is the fast engine's witness.
+    rng = random.Random(2014)
+    compared = ambiguous = 0
+    for sm, marking in marked_models(rng):
+        fast = find_useless_checkpoints(sm, marking, engine="fast")
+        if fast.engine != "fast":
+            continue  # the endpoints are ordered: the fast engine does not apply
+        try:
+            oracle = find_useless_checkpoints(sm, marking, engine="oracle")
+        except OracleBoundExceeded:
+            continue  # above the oracle bound, as a bound set by the caller may be
+        assert fast.verdicts == oracle.verdicts, (state_to_json(sm), marking.as_json())
+        compared += 1
+        if compared <= 300:
+            counts = _global_checkpoints_per_state(sm, marking)
+            ambiguous += sum(counts[v.state] > 1 for v in fast.verdicts)
+    # Enough models compared, and enough checkpoints that lie in more than
+    # one global checkpoint, where a witness could be chosen otherwise.
+    assert compared >= 2000, compared
+    assert ambiguous >= 500, ambiguous

@@ -217,6 +217,36 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 4
 
 
+def _answer(capsys, argv):
+    """Exit code, stdout and stderr of one main call, argparse's exits too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, fixtures_dir):
+    # main builds its parser once per process; a usage error and --help
+    # must leave nothing behind that a later command would see.
+    argvs = [
+        ["transform", "x.json", "--direction", "sideways"],
+        ["--help"],
+        ["validate", str(fixtures_dir / "message_pair_event.json")],
+    ]
+    cli._parser.cache_clear()
+    reused = [_answer(capsys, argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(_answer(capsys, argv))
+    assert [code for code, _, _ in reused] == [4, 0, 0]
+    assert reused == fresh
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_transform_kind_mismatch(capsys, fixtures_dir):
     code, _, err = run_cli(
         capsys, "transform", str(fixtures_dir / "message_pair_event.json"),
