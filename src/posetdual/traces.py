@@ -314,7 +314,8 @@ _SCALARS = {
 }
 
 # A document nested deeper than this goes to json.dumps whole, so that it
-# meets json's own recursion limit.  posetdual's documents nest five deep.
+# meets json's own recursion limit.  The documents posetdual builds nest
+# five deep, plus what nesting ``attrs`` values bring from the input.
 _DEEPEST = 100
 _NEWLINE = ["\n" + "  " * level for level in range(_DEEPEST + 2)]
 
