@@ -71,10 +71,12 @@ def build_event_model(
 ) -> EventModel:
     """Validate and freeze an event model.
 
-    ``_per_proc`` is the loader's private path
-    (:func:`~posetdual.traces.parse_event`): the sorted ``(index, event)``
-    list of each process, one entry per slot as listed, for *labels* that
-    map exactly the poset's elements to nonempty sets of ``int`` pairs.
+    ``_per_proc`` is a private path with two callers, the loader
+    (:func:`~posetdual.traces.parse_event`) and
+    :func:`~posetdual.transforms.se_transform`, which have each just built
+    the labels: the sorted ``(index, event)`` list of each process, one
+    entry per slot as listed, for *labels* that map exactly the poset's
+    elements to nonempty sets of ``int`` pairs.
     When those lists show that every slot passes the per-event checks
     below, the labels are frozen as given and the lists used as they are;
     otherwise the labels are checked one event at a time, as without them.

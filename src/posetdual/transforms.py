@@ -16,11 +16,12 @@ covers: the chain edges and one edge per cross cover, plus one virtual node
 per chain for the transition out of its final state, which names no event.
 
 The forward transform reads the order from
-:func:`~posetdual.poset.chain_clocks` instead of testing pairs: it emits
-one pair per state and other process, O(events x processes) before the
-closure.  The reverse transform reads no clocks: its graph has O(covers)
-edges, and the collapsed event order is closed from the edges between
-components.
+:func:`~posetdual.poset.chain_clocks` instead of testing pairs: walking
+each chain from the top down, it emits one pair per change of target and
+leaves out the pairs a chain edge implies, at most O(events x processes)
+pairs.  The reverse transform reads no clocks: its graph has O(covers)
+edges, its components are screened before any event is named, and the
+collapsed event order is closed from the edges between components.
 
 Both transforms are pure; parallel invocation is safe.
 """
@@ -41,27 +42,41 @@ def es_transform(m: EventModel) -> StateModel:
     """Event model -> state model; states are named ``i.k``.
 
     Every valid event model converts; the result is a poset and passes the
-    omega checks by construction.  Each state ``[i,r]`` gets one pair per
-    other process ``j``: to the lowest ``[j,s]`` whose entering event is, or
-    happened after, the event leaving ``[i,r]``.  That position is read off
-    the chain clocks of the event poset over the processes, and the closure
-    supplies the states above it: O(events x processes) pairs.
+    omega checks by construction.  Each state ``[i,r]`` is below the lowest
+    ``[j,s]`` of each other process ``j`` whose entering event is, or
+    happened after, the event leaving ``[i,r]``.  That target is read off
+    the chain clocks of the event poset over the processes, and it never
+    rises from ``[i,r]`` to ``[i,r+1]``.  Each chain is walked from the top
+    down, and a pair is emitted only where the target on ``j`` changes: the
+    chain edge ``[i,r] < [i,r+1]`` implies the others, and the closure
+    supplies the states above each target.  So there is one pair per change
+    of target, at most O(events x processes) of them.
     """
     chains = [
         [f"{i}.{k}" for k in range(m.chain_length(i) + 1)] for i in range(1, m.n + 1)
     ]
     clocks = chain_clocks(m.poset, m.proc_events)
+    labels = m.labels
     pairs: list[tuple[str, str]] = []
     for i, chain in enumerate(chains):
         pairs.extend(zip(chain, chain[1:]))
-        for r, e in enumerate(m.proc_events[i]):
-            own = {j - 1: k for j, k in m.labels[e]}
-            up = clocks[e][1]
-            for j, other in enumerate(chains):
-                # A shared event itself enters a state on each of its processes.
-                s = own.get(j, up[j] + 1)
-                if j != i and s < len(other):
-                    pairs.append((chain[r], other[s]))
+        # per process, the target of the state above; past its chain's end
+        # when that state has none
+        last = [len(other) for other in chains]
+        events = m.proc_events[i]
+        for r in range(len(events) - 1, -1, -1):
+            e = events[r]
+            targets = [u + 1 for u in clocks[e][1]]
+            # A shared event itself enters a state on each of its processes.
+            for j, k in labels[e]:
+                targets[j - 1] = k
+            targets[i] = last[i]  # no pair within the chain
+            if targets != last:
+                state = chain[r]
+                for j, (s, t) in enumerate(zip(targets, last)):
+                    if s != t:
+                        pairs.append((state, chains[j][s]))
+                last = targets
     poset = build_poset([s for chain in chains for s in chain], pairs)
     return build_state_model(poset, chains)
 
@@ -220,11 +235,16 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
     with no chain clocks.  Collapsed shared events get deterministic ids so
     that round-trips compare equal; plain events are named ``e<i>.<k>``.
 
-    The graph is collapsed in one pass over its components, in the order
-    :func:`strongly_connected_components` lists them.  A component with a
-    real node names an event, and every node in it, virtual nodes
-    included, maps to that event.  A component of virtual nodes alone is a
-    relay: it stands for the events its successors map to.  The event
+    The components are screened first: a model with a component holding
+    two nodes of one chain is reported before any event is named.
+    Otherwise the graph is collapsed in one pass over its components, in
+    the order :func:`strongly_connected_components` lists them.  A
+    component with a real node names an event, and every node in it,
+    virtual nodes included, maps to that event.  A component of virtual
+    nodes alone is a relay: it stands for the events its successors map
+    to.  Each process's slot list is filled with the names, in slot
+    order, and handed to :func:`build_event_model` as the loader hands
+    its own, so no label is normalized twice.  The event
     order is closed from one pair per edge out of a mapped node, with
     relays expanded.  It is the order of the components' reachability:
 
@@ -250,11 +270,27 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
     """
     nodes, succ = transition_graph(sm)
     virtual = {(i, len(chain)) for i, chain in enumerate(sm.chains, start=1)}
+    components = strongly_connected_components(nodes, succ)
+    offending: list[OffendingComponent] = []
+    for comp in components:
+        if len(comp) > 1:
+            real = tuple(n for n in comp if n not in virtual)
+            twice = [i for (i, _), (j, _) in zip(real, real[1:]) if i == j]
+            if twice:
+                offending.append(OffendingComponent(nodes=real, chain=twice[0]))
+    if offending:
+        return SETransformOutcome(
+            event_model=None,
+            report=InvalidityReport(tuple(sorted(offending))),
+            _graph=(nodes, succ),
+        )
+
     events: dict[Node, tuple[str, ...]] = {}  # per node, the events it stands for
     labels: dict[str, frozenset[Node]] = {}
     mapped: list[tuple[str, tuple[Node, ...]]] = []
-    offending: list[OffendingComponent] = []
-    for comp in strongly_connected_components(nodes, succ):
+    # per chain, the event of each real node (i,1), (i,2), ...
+    slot_events: list[list[str]] = [[""] * (len(chain) - 1) for chain in sm.chains]
+    for comp in components:
         real = comp if virtual.isdisjoint(comp) else tuple(n for n in comp if n not in virtual)
         if not real:
             (relay,) = comp
@@ -264,21 +300,14 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
             ((i, k),) = real
             eid = f"e{i}.{k}"
         else:
-            twice = [i for (i, _), (j, _) in zip(real, real[1:]) if i == j]
-            if twice:
-                offending.append(OffendingComponent(nodes=real, chain=twice[0]))
             eid = _shared_id(real)
+        for i, k in real:
+            slot_events[i - 1][k - 1] = eid
         labels[eid] = frozenset(real)
         mapped.append((eid, comp))
         target = (eid,)
         for node in comp:
             events[node] = target
-    if offending:
-        return SETransformOutcome(
-            event_model=None,
-            report=InvalidityReport(tuple(sorted(offending))),
-            _graph=(nodes, succ),
-        )
 
     pairs = [
         (ea, eb)
@@ -289,8 +318,18 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
         if eb != ea
     ]
     poset = build_poset(labels.keys(), pairs)
-    # The component screening makes this validation unreachable-by-failure.
-    model = build_event_model(poset, sm.n, labels, allow_empty_process=True)
+    # The loader's path: the sorted (index, event) lists of each process
+    # with events.  The screening leaves each event at most one slot per
+    # process, so the per-event label checks cannot fail; build_event_model
+    # still checks the lists and each process's order.
+    per_proc = {
+        i: list(enumerate(row, start=1))
+        for i, row in enumerate(slot_events, start=1)
+        if row
+    }
+    model = build_event_model(
+        poset, sm.n, labels, allow_empty_process=True, _per_proc=per_proc
+    )
     return SETransformOutcome(event_model=model, report=None, _graph=(nodes, succ))
 
 

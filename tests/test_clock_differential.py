@@ -29,6 +29,7 @@ import random
 
 from posetdual import (
     Verdict,
+    build_event_model,
     build_poset,
     build_state_model,
     check_omega1,
@@ -41,6 +42,7 @@ from posetdual import analysis, poset, statemodel, transforms
 from posetdual.analysis import CheckpointMarking, find_useless_checkpoints
 from posetdual.traces import dumps_canonical, event_to_json, state_to_json
 from posetdual.transforms import (
+    event_signature,
     se_transform,
     strongly_connected_components,
     transition_graph,
@@ -273,6 +275,35 @@ def test_clock_results_equal_pair_scans():
         assert all(len({j for j, _ in succ[a]}) == len(succ[a]) for a in nodes)
     # Both checks must fail often enough for their witnesses to be compared.
     assert min(failures.values()) >= 100, failures
+
+
+def with_empty_processes(rng, m):
+    """*m* with one to three processes that have no events, numbered in
+    among its own."""
+    n = m.n + rng.randint(1, 3)
+    procs = sorted(rng.sample(range(1, n + 1), m.n))
+    labels = {e: {(procs[i - 1], k) for i, k in slots} for e, slots in m.labels.items()}
+    return build_event_model(m.poset, n, labels, allow_empty_process=True)
+
+
+def test_es_equals_pair_scans_with_shared_events_and_empty_processes():
+    # es emits a pair only where a chain's target on another process
+    # changes; shared events enter a state on each of their processes, and
+    # a process with no events is a one-state chain that no pair reaches.
+    rng = random.Random(2214)
+    counts = {"shared": 0, "empty": 0}
+    for _ in range(800):
+        m = random_event_model(
+            rng, max_procs=rng.choice([3, 5]), max_events_per_proc=6, max_messages=10
+        )
+        if rng.random() < 0.5:
+            m = with_empty_processes(rng, m)
+        sm = es_transform(m)
+        assert state_to_json(sm) == state_to_json(es_transform_by_pairs(m))
+        assert event_signature(se_transform(sm).event_model) == event_signature(m)
+        counts["shared"] += any(len(slots) > 1 for slots in m.labels.values())
+        counts["empty"] += any(not events for events in m.proc_events)
+    assert min(counts.values()) >= 300, counts
 
 
 def test_psi_fails_when_an_initial_state_is_squeezed():

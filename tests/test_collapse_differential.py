@@ -16,6 +16,7 @@ component list must be the same.
 import random
 
 from posetdual import build_event_model, build_poset, build_state_model, es_transform
+from posetdual import transforms
 from posetdual.traces import dumps_canonical, event_to_json, state_to_json
 from posetdual.transforms import (
     InvalidityReport,
@@ -257,3 +258,51 @@ def test_components_equal_on_a_long_path_and_cycle():
     cycle = {**path, (1, n - 1): [(1, 0)]}
     got = strongly_connected_components(nodes, cycle)
     assert got == tarjan_with_on_stack(nodes, cycle) == [tuple(nodes)]
+
+
+def test_se_hand_off_equals_a_fresh_build():
+    # se_transform hands build_event_model the per-process slot lists it
+    # filled while naming the events (the loader's path).  The model must
+    # be the one built from the same poset and labels with every label
+    # checked one event at a time, and the one the two-walk collapse built.
+    rng = random.Random(1979)
+    counts = {"shared": 0, "empty": 0}
+    for sm in random_models(rng, 1500):
+        outcome = se_transform(sm)
+        if not outcome.ok:
+            continue
+        m = outcome.event_model
+        fresh = build_event_model(
+            m.poset, sm.n, {e: set(slots) for e, slots in m.labels.items()},
+            allow_empty_process=True,
+        )
+        want = two_walk_se_transform(sm).event_model
+        for other in (fresh, want):
+            assert m.n == other.n
+            assert list(m.labels.items()) == list(other.labels.items())
+            assert m.proc_events == other.proc_events
+            assert m.poset.covers == other.poset.covers
+        counts["shared"] += any(len(slots) > 1 for slots in m.labels.values())
+        counts["empty"] += any(not events for events in m.proc_events)
+    assert min(counts.values()) >= 100, counts
+
+
+def test_a_failing_se_names_no_event(monkeypatch):
+    # The components are screened before any event is named, so a model
+    # that is reported builds no shared id and no event model.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a failing se named an event")
+
+    gadget = pinch_state()
+    models = [
+        beside(sm, gadget)
+        for sm in random_models(random.Random(1980), 300)
+        if "ga" not in sm.poset  # not a pinch composition yet
+    ]
+    reports = [two_walk_se_transform(sm).report for sm in models]
+    monkeypatch.setattr(transforms, "_shared_id", unreachable)
+    monkeypatch.setattr(transforms, "build_event_model", unreachable)
+    monkeypatch.setattr(transforms, "build_poset", unreachable)
+    for sm, report in zip(models, reports):
+        assert se_transform(sm).report == report
+    assert len(models) >= 200
