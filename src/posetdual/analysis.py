@@ -61,10 +61,10 @@ from .errors import (
 )
 
 # Nothing here calls build_poset, build_state_model, check_width_extensible,
-# enumerate_width_antichains or width; they stay bound in this module because
-# perfbench/tracing.py wraps them by these bindings.
+# comparable, enumerate_width_antichains or width; they stay bound in this
+# module because perfbench/tracing.py wraps them by these bindings.
 from .lattice import enumerate_width_antichains, frontier_parts  # noqa: F401
-from .poset import Comparability, build_poset, comparable, oracle_bound, width  # noqa: F401
+from .poset import build_poset, comparable, is_antichain, oracle_bound, width  # noqa: F401
 from .statemodel import (  # noqa: F401
     StateModel,
     build_state_model,
@@ -751,11 +751,7 @@ def _oracle_usefulness(
     }
     p = sm.poset
     for combo in itertools.product(*chains):
-        ok = all(
-            comparable(p, a, b) is Comparability.CONCURRENT
-            for a, b in itertools.combinations(combo, 2)
-        )
-        if ok:
+        if is_antichain(p, combo):
             mark = frozenset(combo)
             for s in combo:
                 if witness[s] is None:

@@ -38,7 +38,11 @@ in the worst case).  The own chains pass ``we`` when ``omega1``,
 count, so by Dilworth the own chains are minimum.  Conversely, a width-extensible model whose own
 chains are minimum satisfies ``omega1``: an initial state below another
 chain's initial state is below that whole chain, so no maximum antichain
-holds it.  :func:`require_width_extensible` gives the partitioned view of a
+holds it.  One function, :func:`_decide`, applies the rule, and every entry
+point calls it: :func:`check_width_extensible` and
+:func:`check_interleaving_consistent` on a state model or a bare poset,
+:func:`run_property_checks` (``check``), and
+:func:`require_width_extensible`, which gives the partitioned view of a
 width-extensible model to enumeration and detection: its own chains under
 ``omega1``, else Kuhn's.
 
@@ -377,8 +381,60 @@ def minimum_view(target: StateModel | Poset) -> StateModel:
     return StateModel(poset=target, chains=minimum_chain_partition(target).chains)
 
 
-def check_width_extensible(p: Poset) -> Verdict:
+#: The checks a state model runs on its own chains, by property name.
+_OWN = {
+    "omega1": check_omega1,
+    "omega2": check_omega2,
+    "omega3": check_omega3,
+    "psi": check_psi,
+}
+
+
+def _decide(
+    target: StateModel | Poset, ic: bool, own: dict[str, Verdict] | None = None
+) -> tuple[Verdict, Verdict | None, StateModel]:
+    """``we`` of *target*, its ``ic`` when *ic* is set (else None), and the
+    view they were decided on, by the one rule of the module docstring.
+
+    A state model whose own ``omega1``, ``omega2`` and ``omega3`` hold passes
+    ``we`` on its own chains, its own view; it passes ``ic`` when its own
+    ``psi`` holds too, else ``ic`` is ``psi`` on Kuhn's partition.  *own*
+    maps :data:`_OWN` names to the verdicts already found on the model; each
+    one needed and missing is checked and added, so none runs twice.  Any other
+    target is decided on :func:`minimum_view` of its poset, Kuhn's partition:
+    ``we`` by :func:`_width_extensible`, and ``ic`` by ``psi`` when ``we``
+    holds, else by :func:`interleaving_consistent_bruteforce` (subject to the
+    oracle bound).  On a width-extensible target the view is
+    :func:`minimum_view` of the target.
+    """
+    if isinstance(target, StateModel):
+        own = {} if own is None else own
+
+        def holds(name: str) -> bool:
+            if name not in own:
+                own[name] = _OWN[name](target)
+            return own[name].ok
+
+        if holds("omega1") and holds("omega2") and holds("omega3"):
+            if not ic:
+                return Verdict(True), None, target
+            psi = Verdict(True) if holds("psi") else check_psi(minimum_view(target.poset))
+            return Verdict(True), psi, target
+        target = target.poset
+    view = minimum_view(target)
+    we = _width_extensible(view)
+    if not ic:
+        return we, None, view
+    return we, check_psi(view) if we else interleaving_consistent_bruteforce(target), view
+
+
+def check_width_extensible(p: StateModel | Poset) -> Verdict:
     """Decide whether every antichain extends to a maximum antichain.
+
+    *p* is a state model or a bare poset.  A state model is decided by the
+    rule of ``check`` (:func:`run_property_checks`): its own chains pass when
+    ``omega1``, ``omega2`` and ``omega3`` hold on them, and a failing verdict
+    is its poset's, named on Kuhn's partition (:func:`_decide`).
 
     It suffices to check antichains of size at most two: singletons need a
     nonempty incomparable run on every other chain of a minimum chain
@@ -423,11 +479,9 @@ def check_width_extensible(p: Poset) -> Verdict:
     per state and chain, with no down-sets.  The partition of a bare
     poset is Kuhn's (:func:`minimum_view`).  On failure the witness is the
     offending antichain; among several failures the lexicographically
-    greatest is reported.  :func:`require_width_extensible` and
-    :func:`run_property_checks` skip the matching when a state model's own
-    chains pass.
+    greatest is reported.
     """
-    return _width_extensible(minimum_view(p))
+    return _decide(p, False)[0]
 
 
 def _width_extensible(sm: StateModel) -> Verdict:
@@ -485,19 +539,15 @@ def _width_extensible_witness(sm: StateModel) -> Verdict:
 def require_width_extensible(target: StateModel | Poset) -> StateModel:
     """:func:`minimum_view` of *target*, which must be width-extensible.
 
-    A model's own chains, the view when its initial states are concurrent,
-    pass when ``omega2`` and ``omega3`` hold too.  Otherwise the poset is
-    decided on Kuhn's partition, the view of any other target.
+    Decided by :func:`_decide`: a model whose own chains pass is its own
+    view, and any other target is decided and viewed on Kuhn's partition.
 
     Raises:
         NotWidthExtensible: with the witness of :func:`check_width_extensible`.
     """
-    view = minimum_view(target)
-    if view is target and check_omega2(view) and check_omega3(view):
-        return view
-    verdict = _width_extensible(view if view is not target else minimum_view(view.poset))
-    if not verdict.ok:
-        raise NotWidthExtensible(verdict.witness)
+    we, _, view = _decide(target, False)
+    if not we.ok:
+        raise NotWidthExtensible(we.witness)
     return view
 
 
@@ -574,18 +624,19 @@ def interleaving_consistent_bruteforce(p: Poset) -> Verdict:
     return Verdict(True)
 
 
-def check_interleaving_consistent(p: Poset) -> Verdict:
-    """Decide interleaving-consistency, on Kuhn's partition of *p*.
+def check_interleaving_consistent(p: StateModel | Poset) -> Verdict:
+    """Decide interleaving-consistency of a state model or a bare poset.
 
-    Fast path: on a width-extensible poset (with a minimum chain partition)
-    the property is equivalent to ``psi``, so the crossing scan decides it.
-    Otherwise the definition is checked by enumerating maximum antichains,
-    subject to the oracle bound (``POSETDUAL_ORACLE_BOUND``).
+    A state model is decided by the rule of ``check``
+    (:func:`run_property_checks`): its own chains pass when ``omega1``,
+    ``omega2``, ``omega3`` and ``psi`` hold on them, and every other verdict
+    is its poset's, on Kuhn's partition (:func:`_decide`).  There, on a
+    width-extensible poset the property is equivalent to ``psi``, so the
+    crossing scan decides it.  Otherwise the definition is checked by
+    enumerating maximum antichains, subject to the oracle bound
+    (``POSETDUAL_ORACLE_BOUND``).
     """
-    view = minimum_view(p)
-    if _width_extensible(view):
-        return check_psi(view)
-    return interleaving_consistent_bruteforce(p)
+    return _decide(p, True)[1]
 
 
 #: The property names :func:`run_property_checks` accepts, in report order,
@@ -621,13 +672,10 @@ def run_property_checks(sm: StateModel, properties: Iterable[str]) -> PropertyRe
     """Run the requested subset of :data:`PROPERTIES` on *sm*.
 
     ``omega1``, ``omega2``, ``omega3`` and ``psi`` are checked on the model's
-    own chains, each at most once.  Those chains can only pass ``we`` (all
-    three omegas hold) and ``ic`` (``psi`` holds too); every failing verdict
-    is the poset's (module docstring), found on Kuhn's partition, built at
-    most once: ``we`` by :func:`check_width_extensible`'s scans, and ``ic``
-    by ``psi`` when ``we`` holds, else by enumerating the maximum antichains
-    (:func:`interleaving_consistent_bruteforce`, subject to the oracle
-    bound).
+    own chains, each at most once.  ``we`` and ``ic`` come from one call of
+    :func:`_decide`, which reads those verdicts: the own chains can only
+    pass, and every failing verdict is the poset's, found on Kuhn's
+    partition, built at most once.
 
     Raises:
         UsageError: a name outside :data:`PROPERTIES`.
@@ -638,29 +686,7 @@ def run_property_checks(sm: StateModel, properties: Iterable[str]) -> PropertyRe
     unknown = sorted(wanted - set(PROPERTIES))
     if unknown:
         raise UsageError(f"unknown properties {unknown}")
-    checks = {
-        "omega1": check_omega1,
-        "omega2": check_omega2,
-        "omega3": check_omega3,
-        "psi": check_psi,
-    }
-    verdicts = {name: check(sm) for name, check in checks.items() if name in wanted}
-
-    def own(name: str) -> Verdict:
-        if name not in verdicts:
-            verdicts[name] = checks[name](sm)
-        return verdicts[name]
-
+    verdicts = {name: check(sm) for name, check in _OWN.items() if name in wanted}
     if wanted & {"we", "ic"}:
-        omegas = own("omega1") and own("omega2") and own("omega3")
-        kuhn = None if omegas else minimum_view(sm.poset)
-        we = Verdict(True) if omegas else _width_extensible(kuhn)
-        if "ic" in wanted:
-            if omegas and own("psi"):
-                verdicts["ic"] = Verdict(True)
-            elif we:
-                verdicts["ic"] = check_psi(kuhn or minimum_view(sm.poset))
-            else:
-                verdicts["ic"] = interleaving_consistent_bruteforce(sm.poset)
-        verdicts["we"] = we
+        verdicts["we"], verdicts["ic"], _ = _decide(sm, "ic" in wanted, verdicts)
     return PropertyReport(**{_FIELDS[n]: v for n, v in verdicts.items() if n in wanted})

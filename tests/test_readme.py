@@ -51,6 +51,12 @@ def test_readme_library_example_says_what_it_computes(capsys):
     verdict, outcome = namespace["verdict"], namespace["outcome"]
     assert not verdict.ok and verdict.witness == frozenset({"b"})
     assert "# false, witness {'b'}" in source
+    assert namespace["ic"].as_json() == {
+        "ok": False,
+        "witness": ["a", "d"],
+        "detail": "no one-step successor maximum antichain",
+    }
+    assert "# false, witness {'a', 'd'}" in source
     assert outcome.event_model is None and outcome.report is not None
     assert "# invalidity report, not an event model" in source
     assert capsys.readouterr().out == f"False {outcome.report.as_json()}\n"

@@ -11,21 +11,29 @@ The reference below transcribes those helpers, ``run_property_checks`` and
 ``require_width_extensible``; reports for random property subsets (an
 ``OracleBoundExceeded`` counts as an outcome) and the chains or witness of
 ``require_width_extensible`` must agree exactly.
+
+The public checks ``check_width_extensible`` and
+``check_interleaving_consistent`` decide a state model by the same rule, so
+each must give the verdict that ``check`` (``run_property_checks``) gives.
 """
 
+import json
 import random
 from collections import Counter
 
 from posetdual import statemodel
+from posetdual.cli import main
 from posetdual.errors import NotWidthExtensible, OracleBoundExceeded, UsageError
 from posetdual.statemodel import (
     PROPERTIES,
     PropertyReport,
     Verdict,
+    check_interleaving_consistent,
     check_omega1,
     check_omega2,
     check_omega3,
     check_psi,
+    check_width_extensible,
     interleaving_consistent_bruteforce,
     minimum_view,
     require_width_extensible,
@@ -103,12 +111,15 @@ def ref_require_width_extensible(target):
 
 
 def outcome(fn, *args, **kwargs):
-    """*fn*'s JSON report or chains, or the class and payload it raised."""
+    """*fn*'s JSON report, verdict or chains, or the class and payload it
+    raised."""
     try:
         result = fn(*args, **kwargs)
     except (OracleBoundExceeded, NotWidthExtensible) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "witness", None)
-    return result.as_json() if isinstance(result, PropertyReport) else result.chains
+    if isinstance(result, (PropertyReport, Verdict)):
+        return result.as_json()
+    return result.chains
 
 
 def models(rng):
@@ -171,3 +182,34 @@ def test_failing_verdicts_scan_kuhn_partition_once(monkeypatch):
         assert not verdict.ok
         assert len(scanned) == 1 and scanned[0] is not sm, scanned
         assert scanned[0].chains == minimum_view(sm.poset).chains
+
+
+def test_public_checks_answer_as_check(monkeypatch):
+    """Given a state model, ``check_width_extensible`` and
+    ``check_interleaving_consistent`` give ``check``'s ``we`` and ``ic``:
+    a failure is named on Kuhn's partition, not on the model's own chains."""
+    monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", str(BOUND))
+    rng = random.Random(1957)
+    branches = Counter()
+    for sm in models(rng):
+        report = outcome(run_property_checks, sm, ["we", "ic"])
+        if isinstance(report, dict):
+            we, ic = report["we"], report["ic"]
+        else:  # ic raised; we alone still has a verdict
+            we, ic = outcome(run_property_checks, sm, ["we"])["we"], report
+        assert outcome(check_width_extensible, sm) == we, sm.chains
+        assert outcome(check_interleaving_consistent, sm) == ic, sm.chains
+        own = [check(sm).ok for _, check in OMEGAS]
+        branches["we fails"] += not we["ok"]
+        branches["only psi fails"] += all(own) and not check_psi(sm).ok
+    assert branches["we fails"] >= 800, branches
+    assert branches["only psi fails"] >= 300, branches
+
+
+def test_interleaving_check_of_pinch_model_is_checks_verdict(fixtures_dir, capsys):
+    """The pinch model is not width-extensible, so ``ic`` enumerates the
+    maximum antichains of its poset, not of the model."""
+    assert main(["check", str(fixtures_dir / "pinch_state.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert check_interleaving_consistent(pinch_state()).as_json() == report["ic"]
+    assert check_width_extensible(pinch_state()).as_json() == report["we"]
