@@ -63,7 +63,7 @@ from .errors import (
 # Nothing here calls build_poset, build_state_model, check_width_extensible,
 # comparable, enumerate_width_antichains or width; they stay bound in this
 # module because perfbench/tracing.py wraps them by these bindings.
-from .lattice import enumerate_width_antichains, frontier_parts  # noqa: F401
+from .lattice import _frontiers, enumerate_width_antichains  # noqa: F401
 from .poset import build_poset, comparable, is_antichain, oracle_bound, width  # noqa: F401
 from .statemodel import (  # noqa: F401
     StateModel,
@@ -89,7 +89,7 @@ _CMP = {
 
 Warn = Callable[[str], None]
 #: A compiled predicate: (frontier vector, warning sink) -> verdict.  A
-#: vector is any sequence of state indices, a list when it comes from the walk.
+#: vector is any sequence of state indices, a tuple when it comes from the walk.
 Test = Callable[[Sequence[int], Warn], bool]
 
 
@@ -528,9 +528,9 @@ def satisfying_frontiers(
 ) -> Iterator[tuple[int, ...]]:
     """:func:`detect_width_predicate` as frontier vectors of ``sm.chains``.
 
-    Each global state costs one compiled evaluation on the list the cut
-    walk carries from the parent cut's (:func:`~posetdual.lattice.frontier_parts`);
-    no state names are built, and a tuple only for a match.
+    Each global state costs one compiled evaluation on the vector the cut
+    walk unpacks from its image (:func:`~posetdual.lattice._frontiers`); no
+    state names are built.
     """
     test = compile_predicate(sm, pred)
     if not _spans_processes(sm):
@@ -541,9 +541,9 @@ def satisfying_frontiers(
         sink.append(msg)
         log.warning(msg)
 
-    for vector in frontier_parts(sm):
+    for vector in _frontiers(sm):
         if test(vector, warn):
-            yield tuple(vector)
+            yield vector
 
 
 def detect_width_predicate(

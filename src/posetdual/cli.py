@@ -21,6 +21,7 @@ import functools
 import gc
 import itertools
 import json
+import operator
 import os
 import sys
 from typing import Iterator
@@ -131,31 +132,35 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _encoded(names) -> list[str]:
-    """Each name as it follows another in a ``cuts`` line."""
-    return [", " + json.dumps(name) for name in names]
+def _between(bitsets, names) -> Iterator[str]:
+    """Per bitset over *names*, its members as they stand between the
+    brackets of a ``cuts`` line: JSON-encoded, comma-separated, in order.
+
+    Each name is encoded once, with the ", " it takes after another name,
+    and the first separator of a cut is cut off.
+    """
+    fields = lattice._named(bitsets, [", " + json.dumps(name) for name in names], "".join)
+    return map(operator.itemgetter(slice(2, None)), map("".join, fields))
 
 
-def _downset_cuts(poset) -> Iterator[list[str]]:
-    """Per downset, its names as parts of a ``cuts`` line, each byte rendered once."""
-    return lattice.downset_parts(poset, _encoded(poset.elements), "".join)
+def _downset_cuts(poset) -> Iterator[str]:
+    """Per downset, its names between the brackets of a ``cuts`` line."""
+    return _between(lattice._downsets(poset), poset.elements)
 
 
-def _antichain_cuts(target) -> Iterator[list[str]]:
-    """Per maximum antichain, its names as parts of a ``cuts`` line."""
+def _antichain_cuts(target) -> Iterator[str]:
+    """Per maximum antichain, its names between the brackets of a ``cuts`` line."""
     sm = statemodel.require_width_extensible(target)
-    return lattice.antichain_parts(sm, _encoded(sm.poset.elements), "".join)
+    return _between(lattice._antichains(sm), sm.poset.elements)
 
 
-def _cut_lines(cuts: list[list[str]]) -> str:
+def _cut_lines(cuts: list[str]) -> str:
     """The ``cuts`` lines of a nonempty chunk of cuts, in one string.
 
-    A cut's parts concatenate to its names, each after ", " (:func:`_encoded`);
-    the first separator is cut off, and one join puts the line breaks and
-    brackets between the cuts.  The chunk is emptied, so a chunk whose
-    write fails is not written again.
+    One join puts the line breaks and brackets between the cuts' names.
+    The chunk is emptied, so a chunk whose write fails is not written again.
     """
-    names = ']}\n{"cut": ['.join([text[2:] for text in map("".join, cuts)])
+    names = ']}\n{"cut": ['.join(cuts)
     cuts.clear()
     return '{"cut": [' + names + "]}\n"
 
@@ -171,7 +176,7 @@ def cmd_cuts(args) -> int:
         cuts = _antichain_cuts(model)
 
     cap, count = args.max_cuts, 0
-    chunk: list[list[str]] = []
+    chunk: list[str] = []
     try:
         while True:
             # extend keeps the cuts taken before an error in the stream

@@ -12,25 +12,36 @@ extension is the one the poset stores (``Poset._order``, the
 lexicographically least), and the exclusion masks come from the covers,
 in O(covers) bitset operations before the first cut.
 
-Every cut is one earlier cut plus one event, so each output is rendered
-from its parent's (:func:`_walk`): a stack frame carries an image bitset,
-which including an event XORs with that event's flip, and the image's
-rendered parts, one per field.  Including an event re-reads only the
-fields its flip touches, from tables filled on first use, and reuses the
-parent's other parts.  For downsets the image is the cut over the sorted
-ids and the fields are its bytes; names are built only at the edge, once
-per byte position and value.
+The walk (:func:`_walk`) carries an image bitset per cut, not a set of
+names: including an event XORs the image with that event's flip.  A frame
+of the walk is an image and ``avail``, the positions neither decided nor
+excluded, and the images of its subtree are its image XOR a list of
+deltas that depend on ``avail`` alone.  By induction on the positions in
+``avail``: the frame with none emits its image (the delta 0); otherwise,
+with ``q`` the lowest position in ``avail``, its subtree is that of
+``avail`` less ``q`` and everything above ``q``, with the same image, then
+that of ``avail`` less ``q``, with ``q``'s flip XORed into the image.
+Neither step reads the image, and XOR commutes, so the deltas of ``avail``
+are those of the first subframe followed by those of the second, each
+XOR ``q``'s flip.  The walk therefore expands frames one at a time only
+while they have more than ``_BLOCK`` positions; a smaller frame emits its
+subtree as one block, ``map(image.__xor__, deltas)``, with the deltas
+built the first time its ``avail`` is met and kept for every later frame
+with the same ``avail``.  Every kept block has been emitted, the latest
+perhaps not yet consumed, so the memo never holds more deltas than the walk
+has emitted plus one block.
 
-Maximum antichains of a state model are enumerated through the duality:
-convert to the event side and walk its cuts, with the image of each cut
-under the bijection as the walk's image.  It starts at every chain's
-initial state, and an event moves each chain it has a slot on to the next
-state.  With a byte per field the parts are the antichain's names in
-sorted-id order (:func:`antichain_parts`); with a field per chain they are
-its frontier vector (:func:`frontier_parts`).  Either way an antichain
-costs O(touched fields) table reads and no per-cut set of names.  The
-family of cuts can be exponential in the model size, so the CLI guards
-enumeration with an explicit cap.
+For downsets the image is the cut over the sorted ids.  Maximum antichains
+of a state model are enumerated through the duality: convert to the event
+side and walk its cuts, with the image of each cut under the bijection as
+the walk's image.  It starts at every chain's initial state, and an event
+moves each chain it has a slot on to the next state.  With a bit per state
+the image is the antichain over the sorted ids; with a counter field per
+chain it is the frontier vector, which ``struct`` unpacks in one call.
+Bitsets are named a chunk at a time (:func:`_named`), in 16-bit fields
+looked up in tables filled on first use, so a cut costs C-level calls
+only, and no per-cut set of names.  The family of cuts can be exponential
+in the model size, so the CLI guards enumeration with an explicit cap.
 
 Streams are lazy and single-consumer; separate enumerations may run in
 parallel.  Materialized lattices are immutable.
@@ -39,7 +50,11 @@ parallel.  Materialized lattices are immutable.
 from __future__ import annotations
 
 import itertools
+import struct
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -72,6 +87,19 @@ def linear_extension(p: Poset) -> tuple[str, ...]:
     return tuple(p.elements[v] for v in p._order)
 
 
+# A frame of the walk with at most this many available positions emits its
+# subtree as one block of images: up to 2**_BLOCK deltas, built once per
+# distinct avail mask (module docstring).  A lower bound expands more frames
+# one at a time in Python; a higher one builds larger blocks, each met fewer
+# times.
+_BLOCK = 16
+
+# Bitsets are named this many at a time: a chunk is some kB of bytes, its
+# setup costs as much as naming a few dozen bitsets, and a lazy stream reads
+# at most this far ahead.
+_CHUNK = 1024
+
+
 class _Table(dict):
     """Field value -> its rendered part, computed on first use."""
 
@@ -86,36 +114,32 @@ class _Table(dict):
         return part
 
 
-# A field of the walk's image: its lowest bit, its bit count, and its table.
-Field = tuple[int, int, Mapping[int, object]]
+def _frames(
+    avail: int, image: int, keep: Sequence[int], flip: Sequence[int], bound: int
+) -> Iterator[tuple[int, int]]:
+    """The frames of the walk below ``(avail, image)`` that have at most
+    *bound* available positions, in walk order, as ``(avail, image)``."""
+    stack = [(avail, image)]
+    while stack:
+        avail, image = stack.pop()
+        while avail.bit_count() > bound:
+            low = avail & -avail
+            q = low.bit_length() - 1
+            stack.append((avail ^ low, image ^ flip[q]))  # include, explored later
+            avail &= keep[q]  # exclude it and everything above it, explored first
+        yield avail, image
 
 
-def _byte_fields(items: Sequence, join: Callable[[list], T]) -> list[Field]:
-    """One field per byte of a bitset over *items* (bit ``i`` is ``items[i]``),
-    rendered as ``join`` of the byte's members in item order."""
-
-    def table(chunk: Sequence) -> _Table:
-        return _Table(lambda byte: join([x for b, x in enumerate(chunk) if byte >> b & 1]))
-
-    return [(b, 8, table(items[b:b + 8])) for b in range(0, len(items), 8)]
-
-
-def _walk(
-    p: Poset, image: int, toggles: Sequence[Iterable[int]], fields: Sequence[Field]
-) -> Iterator[list]:
-    """Every downset of *p* once, rendered through an image bitset.
+def _walk(p: Poset, image: int, flips: Sequence[int]) -> Iterator[map]:
+    """Every downset of *p* once, as an image bitset, in blocks of images.
 
     The walk starts at the empty downset with *image*, and including element
-    ``v`` XORs the image with the bits ``toggles[v]``.  Each downset comes out
-    as its parts: part ``f`` is the table entry of ``fields[f]`` for that
-    field of the image.  A stack frame carries its image and its parts, so
-    including ``v`` re-reads only the fields ``toggles[v]`` touches and
-    reuses the parent's other parts (the ideal tree of Habib, Medina,
-    Nourine & Steiner, DAM 2001).  A yielded list is never changed later.
-
-    The walk is the binary include/exclude tree over the linear extension
-    (module docstring): the empty downset first, the full one last.  Its
-    setup is O(covers) bitset operations.
+    ``v`` XORs the image with ``flips[v]`` (the ideal tree of Habib, Medina,
+    Nourine & Steiner, DAM 2001).  It is the binary include/exclude tree
+    over the linear extension: the empty downset first, the full one last.
+    Each block is the subtree of a frame with at most ``_BLOCK`` available
+    positions, its deltas built on first use (module docstring).  Its setup
+    is O(covers) bitset operations.
     """
     upper, order = p._upper, p._order
     pos = [0] * len(order)
@@ -130,38 +154,52 @@ def _walk(
             mask |= above[pos[w]]
         above[q] = mask
     keep = [~mask for mask in above]
-    reads = [(f, low, (1 << bits) - 1, table) for f, (low, bits, table) in enumerate(fields)]
-    field_of = [f for f, (_, bits, _) in enumerate(fields) for _ in range(bits)]
-    flip = [sum(1 << b for b in toggles[v]) for v in order]
-    touched = [[reads[f] for f in {field_of[b] for b in toggles[v]}] for v in order]
-
-    parts = [table[image >> low & mask] for _, low, mask, table in reads]
-    stack = [((1 << len(order)) - 1, image, parts)]
-    while stack:
-        avail, image, parts = stack.pop()
-        while avail:
-            low = avail & -avail
-            q = low.bit_length() - 1
-            child_image = image ^ flip[q]
-            child = parts.copy()
-            for f, shift, mask, table in touched[q]:
-                child[f] = table[child_image >> shift & mask]
-            stack.append((avail ^ low, child_image, child))  # include, explored later
-            avail &= keep[q]  # exclude it and everything above it, explored first
-        yield parts
+    flip = [flips[v] for v in order]
+    memo: dict[int, list[int]] = {}
+    for avail, image in _frames((1 << len(order)) - 1, image, keep, flip, _BLOCK):
+        deltas = memo.get(avail)
+        if deltas is None:
+            deltas = memo[avail] = [delta for _, delta in _frames(avail, 0, keep, flip, 0)]
+        yield map(image.__xor__, deltas)
 
 
-def downset_parts(
-    p: Poset, items: Sequence, join: Callable[[list], T]
-) -> Iterator[list[T]]:
-    """Every downset of the poset once, as the parts of its bitset.
+def _downsets(p: Poset) -> Iterator[int]:
+    """Every downset of *p* once, as its bitset over ``p.elements``."""
+    return itertools.chain.from_iterable(_walk(p, 0, [1 << v for v in range(len(p.elements))]))
 
-    Bit ``i`` of the bitset is ``items[i]``, which stands for
-    ``p.elements[i]``; part ``b`` is ``join`` of the members of byte ``b``,
-    in sorted-id order, so the parts concatenate to the downset in that
-    order.  The order of the stream is that of :func:`enumerate_downsets`.
+
+def _named(
+    bitsets: Iterable[int], items: Sequence, join: Callable[[list], T]
+) -> Iterator[tuple[T, ...]]:
+    """Per bitset over *items* (bit ``i`` is ``items[i]``), ``join`` of its
+    members in each field of 16 items, in item order.
+
+    A chunk of bitsets becomes one bytes object, read as 16-bit columns, and
+    each column is looked up in its field's table: C-level calls per bitset,
+    and one Python call per field value met for the first time.  Even no
+    items make one field, so the empty bitset is named too.
     """
-    return _walk(p, 0, [(v,) for v in range(len(p.elements))], _byte_fields(items, join))
+
+    def table(chunk: Sequence) -> _Table:
+        return _Table(lambda value: join([x for b, x in enumerate(chunk) if value >> b & 1]))
+
+    tables = [table(items[f:f + 16]) for f in range(0, len(items) or 1, 16)]
+
+    def name(chunk: list[int]) -> Iterator[tuple[T, ...]]:
+        size = repeat(2 * len(tables))
+        columns = array("H", b"".join(map(int.to_bytes, chunk, size, repeat("little"))))
+        if sys.byteorder == "big":
+            columns.byteswap()
+        return zip(*[map(t.__getitem__, columns[f::len(tables)]) for f, t in enumerate(tables)])
+
+    bitsets = iter(bitsets)
+    chunks = iter(lambda: list(itertools.islice(bitsets, _CHUNK)), [])
+    return itertools.chain.from_iterable(map(name, chunks))
+
+
+def _frozensets(bitsets: Iterable[int], items: Sequence[str]) -> Iterator[frozenset[str]]:
+    """Per bitset over *items*, the set of its members."""
+    return map(frozenset, map(itertools.chain.from_iterable, _named(bitsets, items, tuple)))
 
 
 def enumerate_downsets(p: Poset) -> Iterator[frozenset[str]]:
@@ -169,8 +207,7 @@ def enumerate_downsets(p: Poset) -> Iterator[frozenset[str]]:
 
     The empty cut comes first and the full cut last.
     """
-    for parts in downset_parts(p, p.elements, tuple):
-        yield frozenset(itertools.chain.from_iterable(parts))
+    yield from _frozensets(_downsets(p), p.elements)
 
 
 def enumerate_event_cuts(m: EventModel) -> Iterator[frozenset[str]]:
@@ -201,9 +238,14 @@ def cut_to_antichain(m: EventModel, cut: Iterable[str]) -> frozenset[str]:
 
 
 def _parse_state_id(m: EventModel, sid: str) -> tuple[int, int]:
+    """The coordinates of a state id exactly as :func:`cut_to_antichain`
+    names it: ``int`` alone would also read signs, spaces, underscores and
+    leading zeros."""
     try:
         i_str, k_str = sid.split(".")
         i, k = int(i_str), int(k_str)
+        if f"{i}.{k}" != sid:
+            raise ValueError
     except ValueError:
         raise UnknownElement(f"{sid!r} is not an i.k state id") from None
     if not 1 <= i <= m.n or not 0 <= k <= m.chain_length(i):
@@ -237,63 +279,51 @@ def antichain_to_cut(m: EventModel, antichain: Iterable[str]) -> frozenset[str]:
     return cut
 
 
-def _antichain_walk(
-    sm: StateModel, slots: Sequence[Sequence[int]], fields: Sequence[Field]
-) -> Iterator[list]:
-    """The maximum antichains of *sm* through its reverse transform.
+def _antichain_walk(sm: StateModel, start: int, flip: Callable[[int, int], int]) -> Iterator[int]:
+    """The maximum antichains of *sm* as images, through its reverse transform.
 
-    Runs :func:`_walk` on the event side with the antichain as the image:
-    bit ``slots[i][k]`` stands for state ``k`` of ``sm.chains[i]``.  The
-    image starts at every chain's first state, and an event toggles the old
-    and the new state of each of its slots (a shared event flips two or
-    more chains).  The poset must be width-extensible and have as many
-    chains as its width; neither is checked here.
+    Walks the cuts of the event side (:func:`_walk`) with the antichain's
+    image: *start* stands for every chain's initial state, and
+    ``flip(i, k)`` is the bits that move ``sm.chains[i]`` from state
+    ``k - 1`` to state ``k``.  An event flips each chain it has a slot on (a
+    shared event two or more); its slots are on distinct chains, whose bits
+    are disjoint, so their flips sum to the event's.  The images come in the
+    order of the consistent cuts of the reverse transform.  The poset must
+    be width-extensible and have as many chains as its width; neither is
+    checked here.
     """
     outcome = se_transform(sm)
     if not outcome.ok:  # unreachable for width-extensible input
         raise InvalidStateModel(outcome.report)
     m = outcome.event_model
-    toggles = [
-        [b for i, k in m.labels[e] for b in slots[i - 1][k - 1:k + 1]]
-        for e in m.poset.elements
-    ]
-    image = sum(1 << chain[0] for chain in slots)
-    return _walk(m.poset, image, toggles, fields)
+    flips = [sum(flip(i - 1, k) for i, k in m.labels[e]) for e in m.poset.elements]
+    return itertools.chain.from_iterable(_walk(m.poset, start, flips))
 
 
-def antichain_parts(
-    sm: StateModel, items: Sequence, join: Callable[[list], T]
-) -> Iterator[list[T]]:
-    """The maximum antichains of *sm* as the parts of their bitsets.
-
-    Bit ``i`` of the bitset is ``items[i]``, which stands for
-    ``sm.poset.elements[i]``; part ``b`` is ``join`` of the members of byte
-    ``b``, so the parts concatenate to the antichain in sorted-id order.
-    The order of the stream and the precondition are those of
-    :func:`frontier_parts`.
-    """
-    slots = [[sm.poset.index(s) for s in chain] for chain in sm.chains]
-    return _antichain_walk(sm, slots, _byte_fields(items, join))
+def _antichains(sm: StateModel) -> Iterator[int]:
+    """The maximum antichains of *sm* as bitsets over ``sm.poset.elements``,
+    as :func:`_antichain_walk` gives them."""
+    index = [[sm.poset.index(s) for s in chain] for chain in sm.chains]
+    start = sum(1 << chain[0] for chain in index)
+    return _antichain_walk(sm, start, lambda i, k: (1 << index[i][k - 1]) | (1 << index[i][k]))
 
 
-def frontier_parts(sm: StateModel) -> Iterator[list[int]]:
-    """The maximum antichains of *sm* as frontier vectors in the walk's lists.
+def _frontiers(sm: StateModel) -> Iterator[tuple[int, ...]]:
+    """The maximum antichains of *sm* as frontier vectors, as
+    :func:`_antichain_walk` gives them.
 
     Entry ``i`` of a vector is the position of the antichain's state on
-    ``sm.chains[i]``.  The poset must be width-extensible and have as many
-    chains as its width; neither is checked here.  The vectors come in the
-    order of the consistent cuts of the reverse transform.  The image is
-    laid out chain by chain, one field per chain, so an event re-reads the
-    entries of the chains it moves.  A yielded list is never changed later
-    (:func:`_walk`), so a consumer may keep it, or test it and drop it.
+    ``sm.chains[i]``.  The image holds that position in a field of its own
+    per chain, wide enough for the longest chain, so moving chain ``i`` to
+    state ``k`` XORs ``(k - 1) ^ k`` into its field, and one unpack reads the
+    vector off the image's bytes.
     """
-    slots, fields, low = [], [], 0
-    position = _Table(lambda bit: bit.bit_length() - 1)  # one-hot -> index
-    for chain in sm.chains:
-        slots.append(range(low, low + len(chain)))
-        fields.append((low, len(chain), position))
-        low += len(chain)
-    return _antichain_walk(sm, slots, fields)
+    longest = max(map(len, sm.chains), default=1)
+    formats = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+    size, code = next(f for f in formats if longest <= 1 << 8 * f[0])
+    images = _antichain_walk(sm, 0, lambda i, k: ((k - 1) ^ k) << (8 * size * i))
+    vector = struct.Struct("<" + code * sm.n)
+    return map(vector.unpack, map(int.to_bytes, images, repeat(vector.size), repeat("little")))
 
 
 def enumerate_width_antichains(
@@ -311,8 +341,7 @@ def enumerate_width_antichains(
         NotWidthExtensible: the input fails the precondition (with witness).
     """
     sm = require_width_extensible(target)
-    for parts in antichain_parts(sm, sm.poset.elements, tuple):
-        yield frozenset(itertools.chain.from_iterable(parts))
+    yield from _frozensets(_antichains(sm), sm.poset.elements)
 
 
 def lattice_meet_join(
@@ -354,19 +383,12 @@ def materialize_cut_lattice(m: EventModel, max_cuts: int | None = None) -> CutLa
     as in ``cuts``.
     """
     p = m.poset
-    items = [(1 << v, e) for v, e in enumerate(p.elements)]
     chains = [[1 << p.index(e) for e in events] for events in m.proc_events]
     owns = [sum(bits) for bits in chains]
-
-    def join(members: list) -> tuple[int, list[str]]:  # a byte's bits and names
-        return sum(bit for bit, _ in members), [e for _, e in members]
-
-    by_mask: dict[int, frozenset[str]] = {}
-    for parts in downset_parts(p, items, join):
-        mask = sum(bits for bits, _ in parts)
-        by_mask[mask] = frozenset(itertools.chain.from_iterable(names for _, names in parts))
-        if max_cuts is not None and len(by_mask) > max_cuts:
-            raise GuardExceeded(f"cut count exceeds cap {max_cuts}")
+    masks = list(itertools.islice(_downsets(p), None if max_cuts is None else max_cuts + 1))
+    if max_cuts is not None and len(masks) > max_cuts:
+        raise GuardExceeded(f"cut count exceeds cap {max_cuts}")
+    by_mask = dict(zip(masks, _frozensets(masks, p.elements)))
     succ: dict[frozenset[str], tuple[frozenset[str], ...]] = {}
     for mask, cut in by_mask.items():
         nexts = set()

@@ -42,7 +42,7 @@ from posetdual.analysis import (
 )
 from posetdual.cli import _CHUNK, _antichain_cuts, _cut_lines, _downset_cuts
 from posetdual.errors import PredicateError
-from posetdual.lattice import enumerate_downsets, frontier_parts
+from posetdual.lattice import _frontiers, enumerate_downsets
 from posetdual.poset import minimum_chain_partition, width
 from posetdual.statemodel import StateModel, require_width_extensible
 
@@ -323,7 +323,7 @@ def assert_frontiers_equal_reference(target):
     view = require_width_extensible(target)
     ref_view, ref_vectors = ref_width_frontiers(target)
     assert view.chains == ref_view.chains
-    assert list(map(tuple, frontier_parts(view))) == list(ref_vectors)
+    assert list(_frontiers(view)) == list(ref_vectors)
 
 
 def straddling_events(sm):

@@ -20,9 +20,10 @@ from posetdual import (
     materialize_cut_lattice,
     width,
 )
-from posetdual.errors import GuardExceeded
+from posetdual.errors import GuardExceeded, UnknownElement
 from posetdual.lattice import enumerate_downsets, linear_extension
 from posetdual.statemodel import _antichain_leq
+from posetdual.traces import load_trace
 
 from builders import (
     MESSAGE_PAIR_ANTICHAINS,
@@ -131,6 +132,16 @@ def test_bijection_edge_cases():
         antichain_to_cut(m, {"1.0", "2.2"})  # ordered pair, not an antichain
     with pytest.raises(NotWidthAntichain):
         antichain_to_cut(m, {"1.0", "1.1"})
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [{"1.00", "2.0"}, {" 1.0", "2.0 "}, {"1.0", "2.0_0"}, {"+1.0", "2.-0"}, {"1.01", "2.1"}],
+)
+def test_antichain_to_cut_rejects_ids_that_name_no_state(fixtures_dir, ids):
+    _, m = load_trace(fixtures_dir / "message_pair_event.json")
+    with pytest.raises(UnknownElement, match="is not an i.k state id"):
+        antichain_to_cut(m, ids)
 
 
 def test_bijection_is_inverse_on_random_models():

@@ -434,7 +434,7 @@ def test_cuts_guard_boundaries(capsys, tmp_path, family):
 def test_cuts_lines_before_an_error_are_written(capsys, monkeypatch, fixtures_dir):
     def failing(poset):
         for _ in range(300):
-            yield []
+            yield ""
         raise ModelError("stream broke")
 
     monkeypatch.setattr(cli, "_downset_cuts", failing)
@@ -448,14 +448,14 @@ def test_cuts_lines_before_an_error_are_written(capsys, monkeypatch, fixtures_di
 def test_cuts_chunks_may_start_with_the_empty_cut(capsys, monkeypatch, fixtures_dir):
     # Cuts 0, _CHUNK and 2 * _CHUNK are empty: each opens a chunk, and the
     # last is a chunk of its own.  The others hold zero to three names, two
-    # of which json.dumps escapes, between empty parts.
+    # of which json.dumps escapes.
     names = []
     for k in range(2 * cli._CHUNK + 1):
         names.append([] if k % cli._CHUNK == 0 else [f"s{k}", 'q"', "é"][: k % 4])
 
     def cuts(poset):
         for cut in names:
-            yield ["", "".join(", " + json.dumps(name) for name in cut), ""]
+            yield ", ".join(json.dumps(name) for name in cut)
 
     monkeypatch.setattr(cli, "_downset_cuts", cuts)
     path = str(fixtures_dir / "message_pair_event.json")
@@ -464,6 +464,43 @@ def test_cuts_chunks_may_start_with_the_empty_cut(capsys, monkeypatch, fixtures_
     assert out == "".join(json.dumps({"cut": cut}) + "\n" for cut in names) + (
         json.dumps({"count": len(names)}) + "\n"
     )
+
+
+EMPTY_TRACES = {
+    "poset": {"kind": "poset", "version": 1, "elements": [], "relations": []},
+    "state": {"kind": "state", "version": 1, "chains": [], "elements": [], "relations": []},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, family",
+    [("poset", "downsets"), ("poset", "antichains"), ("state", "antichains")],
+)
+def test_cuts_of_an_empty_trace_is_the_empty_cut(capsys, tmp_path, kind, family):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(EMPTY_TRACES[kind]))
+    code, out, err = run_cli(capsys, "cuts", str(path), "--family", family)
+    assert (code, out, err) == (0, '{"cut": []}\n{"count": 1}\n', "")
+
+
+@pytest.mark.parametrize(
+    "mode, want",
+    [
+        (["--count"], '{\n  "count": 1\n}\n'),
+        ([], '{\n  "count": 1,\n  "cuts": [\n    []\n  ]\n}\n'),
+        (["--first"], '{\n  "found": []\n}\n'),
+    ],
+    ids=["count", "list", "first"],
+)
+def test_predicate_on_an_empty_state_trace(capsys, tmp_path, mode, want):
+    model, pred = tmp_path / "state.json", tmp_path / "pred.json"
+    model.write_text(json.dumps(EMPTY_TRACES["state"]))
+    expr = {"op": "const", "value": True}
+    pred.write_text(json.dumps({"kind": "predicate", "version": 1, "expr": expr}))
+    code, out, err = run_cli(
+        capsys, "analyze", "predicate", "--model", str(model), "--pred", str(pred), *mode
+    )
+    assert (code, out, err) == (0, want, "")
 
 
 def test_cuts_antichains_rejects_pinch(capsys, fixtures_dir):
