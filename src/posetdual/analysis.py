@@ -21,9 +21,24 @@ contributions; the others replay each state's warnings.  The first
 match of a conjunction of per-process clauses (Garg & Waldecker, 1994) is
 found without enumerating: it is the least global state all of whose states
 pass their clauses, found by advancing per-process indices along the chain
-clocks in O(states x n^2) steps.  The definitional evaluation on named
-states (``_evaluate``) stays as the reference the fast paths are tested
-against.
+clocks in O(states x n^2) steps.
+
+A count (:func:`count_width_predicate`) takes a block of the cut walk at a
+time when the predicate is an ``and`` (nested or not) of ``attr`` and
+``index`` clauses, constants and at most one ``agg`` whose per-state
+contributions are exact ints (a ``sum`` of ints and bools, or a
+``count``) compared with an int, and no state warns on any clause: the
+chains a block leaves untouched give it a constant part of the aggregate,
+and the sums over the other chains, sorted once per block shape, are
+bisected.  Any other predicate is counted one global state at a time:
+``or``, ``not``, a ``sum`` that meets a float (whose total depends on the
+order of addition), a ``value`` that is not an int, a null or missing
+value under an ``agg``, two ``agg`` clauses, and a clause on which some
+state warns.  Both give the same count and the same warnings.  In a
+conjunction, for the count and the first match alike, ``const true`` is
+dropped and ``const false`` means that no global state matches.  The
+definitional evaluation on named states (``_evaluate``) stays as the
+reference the fast paths are tested against.
 
 Checkpoint analysis takes a marking of local states (initial and final state
 of every process must be marked) and classifies each checkpoint as useful
@@ -46,11 +61,14 @@ disagreement is a bug by definition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import operator
-from bisect import bisect_left
+import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -63,7 +81,7 @@ from .errors import (
 # Nothing here calls build_poset, build_state_model, check_width_extensible,
 # comparable, enumerate_width_antichains or width; they stay bound in this
 # module because perfbench/tracing.py wraps them by these bindings.
-from .lattice import _frontiers, enumerate_width_antichains  # noqa: F401
+from .lattice import _frontier_walk, _frontiers, enumerate_width_antichains  # noqa: F401
 from .poset import build_poset, comparable, is_antichain, oracle_bound, width  # noqa: F401
 from .statemodel import (  # noqa: F401
     StateModel,
@@ -274,13 +292,36 @@ class AggCmp(Predicate):
             return False
         return _compare(self.cmp, agg, self.value, warn)
 
-    def compile(self, sm):
-        # Per process and state: the attribute value (None when missing or
-        # null, which makes the clause false) and the missing-attribute warning.
-        cols = [
+    def _values(self, sm: StateModel) -> list[list[tuple[object, tuple[str, ...]]]]:
+        """Per process and state: the attribute value (None when missing or
+        null, which makes the clause false) and the missing-attribute warning."""
+        return [
             [_probe(sm, i, s, lambda ctx: ctx.attr(i, self.attr)) for s in chain]
             for i, chain in enumerate(sm.chains, start=1)
         ]
+
+    def exact_contributions(self, sm: StateModel) -> list[list[int]] | None:
+        """Per process and state, its contribution to the aggregate, when
+        every one is an exact int and the comparison is with an int.
+
+        None when a state lacks the value or holds null (the clause is then
+        false there, and a missing value warns), when a ``sum`` meets a
+        float (whose total depends on the order of addition) or anything
+        else that is not an int or a bool, or when ``value`` is not an int.
+        """
+        if not isinstance(self.value, int):
+            return None
+        values = [[got for got, _ in col] for col in self._values(sm)]
+        if any(got is None for col in values for got in col):
+            return None
+        if self.fn == "count":
+            return [[1 if got else 0 for got in col] for col in values]
+        if not all(type(got) in (int, bool) for col in values for got in col):
+            return None
+        return [list(map(int, col)) for col in values]
+
+    def compile(self, sm):
+        cols = self._values(sm)
         if self.fn == "sum":
             contrib = [[got for got, _ in col] for col in cols]
             summable = all(type(v) in (int, float, bool) for row in contrib for v in row)
@@ -563,41 +604,150 @@ def detect_width_predicate(
         yield frozenset(map(tuple.__getitem__, sm.chains, vector))
 
 
-def _conjuncts(pred: PredicateLike) -> list[_LocalClause] | None:
-    """The clauses of an ``and`` (nested or not) of per-process clauses."""
-    if isinstance(pred, _LocalClause):
-        return [pred]
-    if not isinstance(pred, And):
-        return None
-    out: list[_LocalClause] = []
-    for arg in pred.args:
-        sub = _conjuncts(arg)
-        if sub is None:
+# Per comparator, how many entries of a sorted list compare so to a value.
+_SORTED_COUNT: dict[str, Callable[[list, object], int]] = {
+    "<": bisect_left,
+    "<=": bisect_right,
+    "==": lambda s, t: bisect_right(s, t) - bisect_left(s, t),
+    "!=": lambda s, t: len(s) - bisect_right(s, t) + bisect_left(s, t),
+    ">=": lambda s, t: len(s) - bisect_left(s, t),
+    ">": lambda s, t: len(s) - bisect_right(s, t),
+}
+
+
+def count_width_predicate(
+    sm: StateModel,
+    pred: PredicateLike,
+    warnings: list | None = None,
+) -> int:
+    """``sum(1 for _ in satisfying_frontiers(sm, pred, warnings))``, with the
+    same warnings, counted a block of the cut walk at a time for the
+    predicates the module docstring names.
+
+    In a block ``(avail, image, deltas)`` of
+    :func:`~posetdual.lattice._frontier_walk`, the chains no delta moves
+    keep their states in ``image``, and the states of the others depend on
+    ``avail`` and the delta alone (the module docstring of
+    :mod:`posetdual.lattice`).  So the first give the block a constant part
+    ``C`` of the aggregate, or rule it out where a clause fails, and the
+    sums of the others are sorted once per ``avail`` (:func:`_block_sums`):
+    the block's count is one or two bisections of them against ``value - C``.
+    """
+    clauses = _conjuncts(pred)
+    table = None if clauses is None else _state_table(sm, clauses)
+    if table is None:
+        return sum(1 for _ in satisfying_frontiers(sm, pred, warnings))
+    if not _spans_processes(sm) or _FALSE in clauses:
+        return 0
+    # With no agg every entry of a passing state is 0: count the sums <= 0.
+    agg = next((c for c in clauses if isinstance(c, AggCmp)), None)
+    count, value = _SORTED_COUNT[agg.cmp if agg else "<="], agg.value if agg else 0
+    vector, blocks = _frontier_walk(sm)
+    known: dict[int, tuple[list, list[int]]] = {}  # avail -> _block_sums
+    total = 0
+    for avail, image, deltas in blocks:
+        entry = known.get(avail)
+        if entry is None:
+            entry = known[avail] = _block_sums(vector, table, image, deltas)
+        fixed, sums = entry
+        v = vector.unpack(image.to_bytes(vector.size, "little"))
+        parts = [col[v[i]] for i, col in fixed]
+        if None not in parts:
+            total += count(sums, value - sum(parts))
+    return total
+
+
+def _block_sums(
+    vector: struct.Struct, table: list[list[int | None]], image: int, deltas: list[int]
+) -> tuple[list[tuple[int, list]], list[int]]:
+    """The chains of a block that no delta moves, as ``(i, table[i])``, and
+    the sorted sums of the other chains' entries on the images of the block
+    where none of those entries is None."""
+    moved = vector.unpack(functools.reduce(operator.or_, deltas).to_bytes(vector.size, "little"))
+    touched = [(i, table[i]) for i, field in enumerate(moved) if field]
+    sums = []
+    images = map(int.to_bytes, map(image.__xor__, deltas), repeat(vector.size), repeat("little"))
+    for v in map(vector.unpack, images):
+        parts = [col[v[i]] for i, col in touched]
+        if None not in parts:
+            sums.append(sum(parts))
+    sums.sort()
+    return [(i, table[i]) for i, field in enumerate(moved) if not field], sums
+
+
+_FALSE = Const(False)
+
+
+def _conjuncts(pred: PredicateLike) -> list[Predicate] | None:
+    """The conjuncts of an ``and`` (nested or not), in the order its
+    compiled test meets them: ``attr``, ``index`` and ``agg`` clauses, and
+    ``const false``, which no global state satisfies.  ``const true`` holds
+    on every state and is dropped.  None when a conjunct is an ``or``, a
+    ``not`` or a callable."""
+    out: list[Predicate] = []
+    todo = [pred]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, And):
+            todo += reversed(node.args)
+        elif isinstance(node, (_LocalClause, AggCmp)):
+            out.append(node)
+        elif not isinstance(node, Const):
             return None
-        out += sub
+        elif not node.value:
+            out.append(_FALSE)
     return out
 
 
-def _admissible_states(sm: StateModel, pred: PredicateLike) -> list[list[bool]] | None:
+def _state_table(sm: StateModel, clauses: list[Predicate]) -> list[list[int | None]] | None:
+    """Per process and state: None where an ``attr`` or ``index`` clause
+    among *clauses* fails on the state, else its contribution to their
+    ``agg`` (0 when there is none).
+
+    None when a state warns on a clause, when there are two ``agg``
+    clauses, or when the ``agg`` has no exact contributions
+    (:meth:`AggCmp.exact_contributions`).  Otherwise the verdict of the
+    conjunction of *clauses* on a global state with no ``const false`` among
+    them is that no entry of its states is None and, with an ``agg``, that
+    the sum of their entries compares to its value; no evaluation has a
+    side effect.
+    """
+    table: list[list[int | None]] = [[0] * len(chain) for chain in sm.chains]
+    aggs = []
+    for clause in clauses:
+        if isinstance(clause, AggCmp):
+            aggs.append(clause)
+        elif isinstance(clause, _LocalClause):
+            col = clause.column(sm)
+            if any(msgs for _, msgs in col):
+                return None
+            row = table[clause.proc - 1]
+            for k, (truth, _) in enumerate(col):
+                if not truth:
+                    row[k] = None
+    if len(aggs) > 1:
+        return None
+    for agg in aggs:
+        contributions = agg.exact_contributions(sm)
+        if contributions is None:
+            return None
+        for row, col in zip(table, contributions):
+            row[:] = [None if x is None else c for x, c in zip(row, col)]
+    return table
+
+
+def _admissible_states(sm: StateModel, clauses: list[Predicate]) -> list[list[bool]] | None:
     """Per process and state, whether every clause on that process holds.
 
-    None unless the predicate is conjunctive and no state can warn: then
-    its verdict on a global state is the conjunction of these flags, and no
-    evaluation has a side effect.
+    None unless *clauses* (:func:`_conjuncts`) hold no ``agg`` and no state
+    can warn: then the verdict of a conjunction without ``const false`` on
+    a global state is the conjunction of these flags, and no evaluation has
+    a side effect.
     """
-    clauses = _conjuncts(pred)
-    if clauses is None:
+    if any(isinstance(clause, AggCmp) for clause in clauses):
         return None
-    admissible = [[True] * len(chain) for chain in sm.chains]
-    for clause in clauses:
-        col = clause.column(sm)
-        if any(msgs for _, msgs in col):
-            return None
-        row = admissible[clause.proc - 1]
-        for k, (truth, _) in enumerate(col):
-            if not truth:
-                row[k] = False
-    return admissible
+    table = _state_table(sm, clauses)
+    return None if table is None else [[x is not None for x in row] for row in table]
 
 
 def _least_frontier(
@@ -647,16 +797,18 @@ def first_width_predicate(
 ) -> frozenset[str] | None:
     """The first antichain :func:`detect_width_predicate` yields, or None.
 
-    A predicate that is an ``and`` of ``attr``/``index`` clauses, none of
-    which can warn on any state, holds on a meet-closed family of global
-    states; its least member is a subset, as a cut, of every other one, so
-    it comes first in the enumeration, and :func:`_least_frontier` finds it
-    without enumerating.  Any other predicate takes the enumeration.
+    A predicate that is an ``and`` of ``attr``/``index`` clauses and
+    constants, none of which can warn on any state, holds on a meet-closed
+    family of global states; its least member is a subset, as a cut, of
+    every other one, so it comes first in the enumeration, and
+    :func:`_least_frontier` finds it without enumerating (a ``const false``
+    conjunct: none).  Any other predicate takes the enumeration.
     """
-    admissible = _admissible_states(sm, pred)
+    clauses = _conjuncts(pred)
+    admissible = None if clauses is None else _admissible_states(sm, clauses)
     if admissible is None:
         return next(detect_width_predicate(sm, pred, warnings), None)
-    if not _spans_processes(sm):
+    if not _spans_processes(sm) or _FALSE in clauses:
         return None
     least = _least_frontier(sm, admissible)
     if least is None:

@@ -204,7 +204,7 @@ def cmd_analyze_predicate(args) -> int:
         found = analysis.first_width_predicate(model, pred, warnings)
         out = {"found": sorted(found) if found is not None else None}
     elif args.count:
-        out = {"count": sum(1 for _ in analysis.satisfying_frontiers(model, pred, warnings))}
+        out = {"count": analysis.count_width_predicate(model, pred, warnings)}
     else:
         cuts = [sorted(c) for c in analysis.detect_width_predicate(model, pred, warnings)]
         out = {"cuts": cuts, "count": len(cuts)}

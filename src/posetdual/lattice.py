@@ -25,9 +25,9 @@ Neither step reads the image, and XOR commutes, so the deltas of ``avail``
 are those of the first subframe followed by those of the second, each
 XOR ``q``'s flip.  The walk therefore expands frames one at a time only
 while they have more than ``_BLOCK`` positions; a smaller frame emits its
-subtree as one block, ``map(image.__xor__, deltas)``, with the deltas
-built the first time its ``avail`` is met and kept for every later frame
-with the same ``avail``.  Every kept block has been emitted, the latest
+subtree as one block, ``(avail, image, deltas)``, with the deltas built
+the first time its ``avail`` is met and kept for every later frame with
+the same ``avail``.  Every kept block has been emitted, the latest
 perhaps not yet consumed, so the memo never holds more deltas than the walk
 has emitted plus one block.
 
@@ -42,6 +42,21 @@ Bitsets are named a chunk at a time (:func:`_named`), in 16-bit fields
 looked up in tables filled on first use, so a cut costs C-level calls
 only, and no per-cut set of names.  The family of cuts can be exponential
 in the model size, so the CLI guards enumeration with an explicit cap.
+
+With counter fields, a block's ``avail`` fixes more than its deltas.  Call
+a chain touched when ``avail`` holds one of its events.  An untouched
+chain keeps the frame image's field in every image of the block, since
+each delta XORs flips of events in ``avail`` only, and none of them moves
+it.  A touched chain's field in ``image ^ delta`` depends on ``avail`` and
+the delta alone.  Let ``a`` be its lowest event in ``avail``.  The walk
+includes only the lowest position of a frame's ``avail``, so every event
+in the frame's cut lies before every position in ``avail``, and no event
+of the chain from ``a`` on is in it.  Every event of the chain below ``a``
+is: it lies below ``a`` in the poset, so excluding it would have excluded
+``a`` with it, and were it undecided it would be in ``avail`` below ``a``.
+So the frame's field is ``a``'s index on the chain less one, fixed by
+``avail``, and the delta moves it from there.  Predicate counts rest on
+this (:func:`posetdual.analysis.count_width_predicate`).
 
 Streams are lazy and single-consumer; separate enumerations may run in
 parallel.  Materialized lattices are immutable.
@@ -130,7 +145,7 @@ def _frames(
         yield avail, image
 
 
-def _walk(p: Poset, image: int, flips: Sequence[int]) -> Iterator[map]:
+def _walk(p: Poset, image: int, flips: Sequence[int]) -> Iterator[tuple[int, int, list[int]]]:
     """Every downset of *p* once, as an image bitset, in blocks of images.
 
     The walk starts at the empty downset with *image*, and including element
@@ -138,8 +153,10 @@ def _walk(p: Poset, image: int, flips: Sequence[int]) -> Iterator[map]:
     Nourine & Steiner, DAM 2001).  It is the binary include/exclude tree
     over the linear extension: the empty downset first, the full one last.
     Each block is the subtree of a frame with at most ``_BLOCK`` available
-    positions, its deltas built on first use (module docstring).  Its setup
-    is O(covers) bitset operations.
+    positions, as ``(avail, image, deltas)``: its images are ``image ^
+    delta`` per delta, in order, and *deltas* is built on first use and is
+    the same list for every block with the same *avail* (module docstring).
+    Its setup is O(covers) bitset operations.
     """
     upper, order = p._upper, p._order
     pos = [0] * len(order)
@@ -160,12 +177,17 @@ def _walk(p: Poset, image: int, flips: Sequence[int]) -> Iterator[map]:
         deltas = memo.get(avail)
         if deltas is None:
             deltas = memo[avail] = [delta for _, delta in _frames(avail, 0, keep, flip, 0)]
-        yield map(image.__xor__, deltas)
+        yield avail, image, deltas
+
+
+def _images(blocks: Iterable[tuple[int, int, list[int]]]) -> Iterator[int]:
+    """The images of the blocks of :func:`_walk`, in order."""
+    return itertools.chain.from_iterable(map(image.__xor__, deltas) for _, image, deltas in blocks)
 
 
 def _downsets(p: Poset) -> Iterator[int]:
     """Every downset of *p* once, as its bitset over ``p.elements``."""
-    return itertools.chain.from_iterable(_walk(p, 0, [1 << v for v in range(len(p.elements))]))
+    return _images(_walk(p, 0, [1 << v for v in range(len(p.elements))]))
 
 
 def _named(
@@ -279,8 +301,11 @@ def antichain_to_cut(m: EventModel, antichain: Iterable[str]) -> frozenset[str]:
     return cut
 
 
-def _antichain_walk(sm: StateModel, start: int, flip: Callable[[int, int], int]) -> Iterator[int]:
-    """The maximum antichains of *sm* as images, through its reverse transform.
+def _antichain_walk(
+    sm: StateModel, start: int, flip: Callable[[int, int], int]
+) -> Iterator[tuple[int, int, list[int]]]:
+    """The maximum antichains of *sm* as blocks of images, through its
+    reverse transform.
 
     Walks the cuts of the event side (:func:`_walk`) with the antichain's
     image: *start* stands for every chain's initial state, and
@@ -297,7 +322,7 @@ def _antichain_walk(sm: StateModel, start: int, flip: Callable[[int, int], int])
         raise InvalidStateModel(outcome.report)
     m = outcome.event_model
     flips = [sum(flip(i - 1, k) for i, k in m.labels[e]) for e in m.poset.elements]
-    return itertools.chain.from_iterable(_walk(m.poset, start, flips))
+    return _walk(m.poset, start, flips)
 
 
 def _antichains(sm: StateModel) -> Iterator[int]:
@@ -305,12 +330,13 @@ def _antichains(sm: StateModel) -> Iterator[int]:
     as :func:`_antichain_walk` gives them."""
     index = [[sm.poset.index(s) for s in chain] for chain in sm.chains]
     start = sum(1 << chain[0] for chain in index)
-    return _antichain_walk(sm, start, lambda i, k: (1 << index[i][k - 1]) | (1 << index[i][k]))
+    blocks = _antichain_walk(sm, start, lambda i, k: (1 << index[i][k - 1]) | (1 << index[i][k]))
+    return _images(blocks)
 
 
-def _frontiers(sm: StateModel) -> Iterator[tuple[int, ...]]:
-    """The maximum antichains of *sm* as frontier vectors, as
-    :func:`_antichain_walk` gives them.
+def _frontier_walk(sm: StateModel) -> tuple[struct.Struct, Iterator[tuple[int, int, list[int]]]]:
+    """The blocks of :func:`_antichain_walk` with frontier vectors for
+    images, and the struct that unpacks an image's bytes into its vector.
 
     Entry ``i`` of a vector is the position of the antichain's state on
     ``sm.chains[i]``.  The image holds that position in a field of its own
@@ -321,9 +347,16 @@ def _frontiers(sm: StateModel) -> Iterator[tuple[int, ...]]:
     longest = max(map(len, sm.chains), default=1)
     formats = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
     size, code = next(f for f in formats if longest <= 1 << 8 * f[0])
-    images = _antichain_walk(sm, 0, lambda i, k: ((k - 1) ^ k) << (8 * size * i))
     vector = struct.Struct("<" + code * sm.n)
-    return map(vector.unpack, map(int.to_bytes, images, repeat(vector.size), repeat("little")))
+    return vector, _antichain_walk(sm, 0, lambda i, k: ((k - 1) ^ k) << (8 * size * i))
+
+
+def _frontiers(sm: StateModel) -> Iterator[tuple[int, ...]]:
+    """The maximum antichains of *sm* as frontier vectors
+    (:func:`_frontier_walk`), in walk order."""
+    vector, blocks = _frontier_walk(sm)
+    images = map(int.to_bytes, _images(blocks), repeat(vector.size), repeat("little"))
+    return map(vector.unpack, images)
 
 
 def enumerate_width_antichains(

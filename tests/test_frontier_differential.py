@@ -36,6 +36,7 @@ from posetdual.analysis import (
     Not,
     Or,
     _admissible_states,
+    _conjuncts,
     _evaluate,
     compile_predicate,
     first_width_predicate,
@@ -532,7 +533,8 @@ def test_conjunctive_first_match_equals_first_of_enumeration():
         warnings = []
         assert first_width_predicate(sm, pred, warnings) == expected, pred
         assert warnings == expected_warnings, pred
-        direct += _admissible_states(sm, pred) is not None
+        clauses = _conjuncts(pred)
+        direct += clauses is not None and _admissible_states(sm, clauses) is not None
         unsatisfiable += expected is None
         narrow += width(sm.poset)[0] < sm.n
     assert direct >= 300 and unsatisfiable >= 50 and narrow >= 30, (

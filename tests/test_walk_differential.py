@@ -136,12 +136,11 @@ def checked_walk(p, image, flips):
     """``lattice._walk``, asserting the memo bound at every block."""
     blocks = WALK(p, image, flips)
     emitted = 0
-    for block in blocks:
-        block = list(block)
+    for avail, image, deltas in blocks:
         held = sum(map(len, blocks.gi_frame.f_locals["memo"].values()))
-        assert held <= emitted + len(block)
-        emitted += len(block)
-        yield iter(block)
+        assert held <= emitted + len(deltas)
+        emitted += len(deltas)
+        yield avail, image, deltas
 
 
 def lines(items, limit=None):
@@ -211,7 +210,8 @@ def test_edge_shapes_equal_reference(bound):
 def test_first_cut_of_a_wide_antichain_builds_one_block():
     p = build_poset([f"x{i:02d}" for i in range(40)], [])
     blocks = lattice._walk(p, 0, [1 << v for v in range(40)])
-    assert next(next(blocks)) == 0
+    _, image, deltas = next(blocks)
+    assert image ^ deltas[0] == 0
     memo = blocks.gi_frame.f_locals["memo"]
     assert len(memo) == 1
     assert sum(map(len, memo.values())) == 2 ** lattice._BLOCK
