@@ -61,7 +61,6 @@ disagreement is a bug by definition.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import operator
@@ -81,7 +80,7 @@ from .errors import (
 # Nothing here calls build_poset, build_state_model, check_width_extensible,
 # comparable, enumerate_width_antichains or width; they stay bound in this
 # module because perfbench/tracing.py wraps them by these bindings.
-from .lattice import _frontier_walk, _frontiers, enumerate_width_antichains  # noqa: F401
+from .lattice import _block_bytes, _frontier_walk, _frontiers, enumerate_width_antichains  # noqa: F401
 from .poset import build_poset, comparable, is_antichain, oracle_bound, width  # noqa: F401
 from .statemodel import (  # noqa: F401
     StateModel,
@@ -648,7 +647,7 @@ def count_width_predicate(
     for avail, image, deltas in blocks:
         entry = known.get(avail)
         if entry is None:
-            entry = known[avail] = _block_sums(vector, table, image, deltas)
+            entry = known[avail] = _block_sums(vector, table, image, *deltas)
         fixed, sums = entry
         v = vector.unpack(image.to_bytes(vector.size, "little"))
         parts = [col[v[i]] for i, col in fixed]
@@ -658,21 +657,25 @@ def count_width_predicate(
 
 
 def _block_sums(
-    vector: struct.Struct, table: list[list[int | None]], image: int, deltas: list[int]
+    vector: struct.Struct, table: list[list[int | None]], image: int, packed: int, n: int
 ) -> tuple[list[tuple[int, list]], list[int]]:
-    """The chains of a block that no delta moves, as ``(i, table[i])``, and
-    the sorted sums of the other chains' entries on the images of the block
-    where none of those entries is None."""
-    moved = vector.unpack(functools.reduce(operator.or_, deltas).to_bytes(vector.size, "little"))
-    touched = [(i, table[i]) for i, field in enumerate(moved) if field]
-    sums = []
-    images = map(int.to_bytes, map(image.__xor__, deltas), repeat(vector.size), repeat("little"))
-    for v in map(vector.unpack, images):
-        parts = [col[v[i]] for i, col in touched]
-        if None not in parts:
-            sums.append(sum(parts))
-    sums.sort()
+    """The chains of a block ``(avail, image, (packed, n))`` that no delta
+    moves, as ``(i, table[i])``, and the sorted sums of the other chains'
+    entries on the images of the block where none of those entries is None.
+
+    The block's vectors come from one ``iter_unpack`` of its bytes, and the
+    entries are summed a chain column at a time.  A block with no touched
+    chain is the frame alone (n is 1), whose sum over no chains is 0.
+    """
+    columns = list(zip(*vector.iter_unpack(_block_bytes(image, packed, n, vector.size))))
+    moved = [min(col) != max(col) for col in columns]
+    touched = [map(table[i].__getitem__, col) for i, col in enumerate(columns) if moved[i]]
+    rows = zip(*touched) if touched else repeat((), n)
+    sums = sorted(map(sum, itertools.filterfalse(_HAS_NONE, rows)))
     return [(i, table[i]) for i, field in enumerate(moved) if not field], sums
+
+
+_HAS_NONE = operator.methodcaller("__contains__", None)
 
 
 _FALSE = Const(False)

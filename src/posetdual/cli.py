@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import json
 import operator
 import os
 import sys
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import analysis, lattice, statemodel, traces, transforms
 from .errors import (
@@ -53,11 +52,6 @@ _EXITS = (
     (ConfigError, EXIT_USAGE, "error"),
     (GuardExceeded, EXIT_GUARD, "guard"),
 )
-
-# Cut lines go to stdout in chunks of this many: one write per chunk, and a
-# chunk stays a few tens of kB however many cuts there are.
-_CHUNK = 256
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit 2; we reserve that
@@ -132,37 +126,60 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _between(bitsets, names) -> Iterator[str]:
-    """Per bitset over *names*, its members as they stand between the
-    brackets of a ``cuts`` line: JSON-encoded, comma-separated, in order.
+def _downset_runs(poset) -> tuple[tuple[str, ...], Iterator[bytes]]:
+    """The names of a poset and its downsets in runs of bitsets
+    (:func:`posetdual.lattice._downsets`)."""
+    return poset.elements, lattice._downsets(poset)
+
+
+def _antichain_runs(target) -> tuple[tuple[str, ...], Iterator[bytes]]:
+    """The state names of a width-extensible poset and its maximum
+    antichains in runs of bitsets (:func:`posetdual.lattice._antichains`)."""
+    sm = statemodel.require_width_extensible(target)
+    return sm.poset.elements, lattice._antichains(sm)
+
+
+# What goes between the names of two ``cuts`` lines.
+_SEP = ']}\n{"cut": ['
+
+
+def _cut_lines(names) -> Callable[[bytes], str]:
+    """The function from a run of bitsets over *names* to their ``cuts``
+    lines, in one string.
 
     Each name is encoded once, with the ", " it takes after another name,
-    and the first separator of a cut is cut off.
+    and each 16-bit column of the run is looked up in its field's table.
+    The parts of all lines go into one list, a column at a time, and one
+    join makes the text.  No part may start a line with ", ": where the
+    anchor column (the first one not all zero) has no zero entry, every
+    cut's first name lies in it (:mod:`posetdual.lattice`), and the anchor
+    is read from a table without the leading ", "; otherwise each cut's
+    names are joined and their first separator cut off.
     """
-    fields = lattice._named(bitsets, [", " + json.dumps(name) for name in names], "".join)
-    return map(operator.itemgetter(slice(2, None)), map("".join, fields))
+    later = lattice._tables([", " + json.dumps(name) for name in names], "".join)
+    first = [lattice._Table(lambda value, t=t: t[value][2:]) for t in later]
+    fields = len(later)
 
+    def lines(run) -> str:
+        columns = lattice._columns(run, fields)
+        count = len(columns[0])
+        anchor = next((f for f, column in enumerate(columns) if any(column)), fields)
+        if anchor == fields:  # every cut is empty
+            return '{"cut": []}\n' * count
+        heads = list(map(first[anchor].__getitem__, columns[anchor]))
+        if "" in heads:  # "" is the part of 0 alone
+            cuts = zip(*[map(t.__getitem__, column) for t, column in zip(later, columns)])
+            text = _SEP.join(map(operator.itemgetter(slice(2, None)), map("".join, cuts)))
+            return '{"cut": [' + text + "]}\n"
+        parts = ([_SEP] + [""] * fields) * count
+        parts[0] = '{"cut": ['
+        parts[anchor + 1::fields + 1] = heads
+        for f in range(anchor + 1, fields):
+            parts[f + 1::fields + 1] = map(later[f].__getitem__, columns[f])
+        parts.append("]}\n")
+        return "".join(parts)
 
-def _downset_cuts(poset) -> Iterator[str]:
-    """Per downset, its names between the brackets of a ``cuts`` line."""
-    return _between(lattice._downsets(poset), poset.elements)
-
-
-def _antichain_cuts(target) -> Iterator[str]:
-    """Per maximum antichain, its names between the brackets of a ``cuts`` line."""
-    sm = statemodel.require_width_extensible(target)
-    return _between(lattice._antichains(sm), sm.poset.elements)
-
-
-def _cut_lines(cuts: list[str]) -> str:
-    """The ``cuts`` lines of a nonempty chunk of cuts, in one string.
-
-    One join puts the line breaks and brackets between the cuts' names.
-    The chunk is emptied, so a chunk whose write fails is not written again.
-    """
-    names = ']}\n{"cut": ['.join(cuts)
-    cuts.clear()
-    return '{"cut": [' + names + "]}\n"
+    return lines
 
 
 def cmd_cuts(args) -> int:
@@ -170,26 +187,21 @@ def cmd_cuts(args) -> int:
     kind, model = traces.load_trace(args.path)
     if args.family == "downsets":
         _need(kind in ("event", "poset"), "downsets need an event or poset trace")
-        cuts = _downset_cuts(model.poset if kind == "event" else model)
+        names, runs = _downset_runs(model.poset if kind == "event" else model)
     else:
         _need(kind in ("state", "poset"), "antichains need a state or poset trace")
-        cuts = _antichain_cuts(model)
+        names, runs = _antichain_runs(model)
 
-    cap, count = args.max_cuts, 0
-    chunk: list[str] = []
-    try:
-        while True:
-            # extend keeps the cuts taken before an error in the stream
-            chunk.extend(itertools.islice(cuts, min(_CHUNK, cap - count)))
-            if not chunk:
-                break
-            count += len(chunk)
-            sys.stdout.write(_cut_lines(chunk))
-        if next(cuts, None) is not None:
-            raise GuardExceeded(f"more than {cap} cuts")
-    finally:  # the lines before a guard or an error are still written
-        if chunk:
-            sys.stdout.write(_cut_lines(chunk))
+    lines, width = _cut_lines(names), lattice._width(len(names))
+    room = args.max_cuts * width  # bytes of runs still within the cap
+    for run in runs:  # each run's lines are written before the next is read
+        if len(run) > room:
+            if room:
+                sys.stdout.write(lines(run[:room]))
+            raise GuardExceeded(f"more than {args.max_cuts} cuts")
+        sys.stdout.write(lines(run))
+        room -= len(run)
+    count = args.max_cuts - room // width
     sys.stdout.write(json.dumps({"count": count}, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -29,7 +29,17 @@ subtree as one block, ``(avail, image, deltas)``, with the deltas built
 the first time its ``avail`` is met and kept for every later frame with
 the same ``avail``.  Every kept block has been emitted, the latest
 perhaps not yet consumed, so the memo never holds more deltas than the walk
-has emitted plus one block.
+has emitted plus one block.  The deltas are packed into one int, a fixed
+width of bytes each, and built by the same induction with a few int
+operations per ``avail`` met: the packed deltas of the first subframe, then
+those of the second XOR ``q``'s flip repeated (:func:`_packed`).  The
+build keeps the deltas of the smaller ``avail`` it meets in a memo of its
+own, dropped once the block is built.  Each of them is a frame at some
+depth of the block's subtree, frames at one depth have disjoint subtrees,
+and every step down removes a position, so that memo holds at most
+``_BLOCK + 1`` times the block's deltas.  A block's images are then one
+XOR of its packed deltas with its image repeated, as bytes, which are read
+in runs of ``_CHUNK`` images (:func:`_runs`).
 
 For downsets the image is the cut over the sorted ids.  Maximum antichains
 of a state model are enumerated through the duality: convert to the event
@@ -37,11 +47,24 @@ side and walk its cuts, with the image of each cut under the bijection as
 the walk's image.  It starts at every chain's initial state, and an event
 moves each chain it has a slot on to the next state.  With a bit per state
 the image is the antichain over the sorted ids; with a counter field per
-chain it is the frontier vector, which ``struct`` unpacks in one call.
-Bitsets are named a chunk at a time (:func:`_named`), in 16-bit fields
-looked up in tables filled on first use, so a cut costs C-level calls
-only, and no per-cut set of names.  The family of cuts can be exponential
-in the model size, so the CLI guards enumeration with an explicit cap.
+chain it is the frontier vector, which ``struct`` unpacks a run at a time.
+Bitsets are named a run at a time, in 16-bit columns looked up in tables
+filled on first use, so a cut costs C-level calls only, and no per-cut set
+of names.  The family of cuts can be exponential in the model size, so the
+CLI guards enumeration with an explicit cap.
+
+The CLI writes a run's ``cuts`` lines with one join over the parts of all
+of them, a column at a time (:func:`posetdual.cli._cut_lines`).  Each name
+is rendered with the ", " it takes after another name, so the first name
+of a cut must drop it.  Call the anchor of a run its first column that is
+not all zero.  If no entry of the anchor is zero, the first name of every
+cut of the run lies in the anchor's field: names are in bit order, every
+cut is zero in the fields before the anchor, since their columns are all
+zero, and nonzero in the anchor's.  So the anchor is read from a table
+whose parts have no leading ", ", and every later field from the tables
+with it.  Otherwise some cut's first name lies in a later field, which
+differs from cut to cut, and the run's lines join each cut's names and
+then drop their first two characters.
 
 With counter fields, a block's ``avail`` fixes more than its deltas.  Call
 a chain touched when ``avail`` holds one of its events.  An untouched
@@ -95,6 +118,9 @@ from .transforms import se_transform
 
 T = TypeVar("T")
 
+# A block of the cut walk: (avail, image, (packed deltas, count)), see _walk.
+_Block = tuple[int, int, tuple[int, int]]
+
 
 def linear_extension(p: Poset) -> tuple[str, ...]:
     """A topological order of the poset, lexicographically tie-broken
@@ -109,10 +135,10 @@ def linear_extension(p: Poset) -> tuple[str, ...]:
 # times.
 _BLOCK = 16
 
-# Bitsets are named this many at a time: a chunk is some kB of bytes, its
-# setup costs as much as naming a few dozen bitsets, and a lazy stream reads
-# at most this far ahead.
-_CHUNK = 1024
+# Images are read this many at a time, as one run of bytes: a run is some kB,
+# its setup costs as much as naming a few dozen images, and a lazy stream
+# reads at most this far ahead.  The CLI writes a run's lines with one write.
+_CHUNK = 256
 
 
 class _Table(dict):
@@ -127,6 +153,31 @@ class _Table(dict):
     def __missing__(self, value: int):
         part = self[value] = self.render(value)
         return part
+
+
+def _width(count: int) -> int:
+    """Bytes per image of a bitset over *count* items: a 16-bit field per 16
+    items, and one field for no items, so the empty bitset is named too."""
+    return 2 * max(1, -(-count // 16))
+
+
+def _tables(items: Sequence, join: Callable[[list], T]) -> list[_Table]:
+    """Per field of 16 items, field value -> ``join`` of its members, in
+    item order."""
+
+    def table(chunk: Sequence) -> _Table:
+        return _Table(lambda value: join([x for b, x in enumerate(chunk) if value >> b & 1]))
+
+    return [table(items[f:f + 16]) for f in range(0, len(items) or 1, 16)]
+
+
+def _columns(run, fields: int) -> list[array]:
+    """The 16-bit columns of a run of images, *fields* per image."""
+    words = array("H")
+    words.frombytes(run)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return [words[f::fields] for f in range(fields)]
 
 
 def _frames(
@@ -145,7 +196,32 @@ def _frames(
         yield avail, image
 
 
-def _walk(p: Poset, image: int, flips: Sequence[int]) -> Iterator[tuple[int, int, list[int]]]:
+def _repeat(value: int, count: int, width: int) -> int:
+    """*count* copies of *value*, one per *width* bytes, as one int."""
+    return int.from_bytes(value.to_bytes(width, "little") * count, "little")
+
+
+def _packed(
+    avail: int, keep: Sequence[int], flip: Sequence[int], width: int, known: dict
+) -> tuple[int, int]:
+    """The deltas of *avail* (module docstring) as ``(packed, count)``: delta
+    ``j`` is bytes ``j * width`` to ``(j + 1) * width`` of *packed*, little
+    endian.  They are those of ``avail & keep[q]`` followed by those of
+    ``avail ^ low``, each XOR ``flip[q]``, for the lowest position ``q``.
+    *known* maps each ``avail`` built so far to its deltas, and 0 to the
+    delta 0 alone, ``(0, 1)``."""
+    got = known.get(avail)
+    if got is None:
+        low = avail & -avail
+        q = low.bit_length() - 1
+        first, n = _packed(avail & keep[q], keep, flip, width, known)
+        second, m = _packed(avail ^ low, keep, flip, width, known)
+        second ^= _repeat(flip[q], m, width)
+        got = known[avail] = (first | second << 8 * width * n, n + m)
+    return got
+
+
+def _walk(p: Poset, image: int, flips: Sequence[int], width: int) -> Iterator[_Block]:
     """Every downset of *p* once, as an image bitset, in blocks of images.
 
     The walk starts at the empty downset with *image*, and including element
@@ -153,10 +229,11 @@ def _walk(p: Poset, image: int, flips: Sequence[int]) -> Iterator[tuple[int, int
     Nourine & Steiner, DAM 2001).  It is the binary include/exclude tree
     over the linear extension: the empty downset first, the full one last.
     Each block is the subtree of a frame with at most ``_BLOCK`` available
-    positions, as ``(avail, image, deltas)``: its images are ``image ^
-    delta`` per delta, in order, and *deltas* is built on first use and is
-    the same list for every block with the same *avail* (module docstring).
-    Its setup is O(covers) bitset operations.
+    positions, as ``(avail, image, (packed, count))``: its images are
+    ``image ^ delta`` per delta of ``(packed, count)`` (:func:`_packed`,
+    *width* bytes per delta), in order, built on first use and the same for
+    every block with the same *avail* (module docstring).  Its setup is
+    O(covers) bitset operations.
     """
     upper, order = p._upper, p._order
     pos = [0] * len(order)
@@ -172,56 +249,66 @@ def _walk(p: Poset, image: int, flips: Sequence[int]) -> Iterator[tuple[int, int
         above[q] = mask
     keep = [~mask for mask in above]
     flip = [flips[v] for v in order]
-    memo: dict[int, list[int]] = {}
+    memo: dict[int, tuple[int, int]] = {}
     for avail, image in _frames((1 << len(order)) - 1, image, keep, flip, _BLOCK):
         deltas = memo.get(avail)
         if deltas is None:
-            deltas = memo[avail] = [delta for _, delta in _frames(avail, 0, keep, flip, 0)]
+            deltas = memo[avail] = _packed(avail, keep, flip, width, {0: (0, 1)})
         yield avail, image, deltas
 
 
-def _images(blocks: Iterable[tuple[int, int, list[int]]]) -> Iterator[int]:
-    """The images of the blocks of :func:`_walk`, in order."""
-    return itertools.chain.from_iterable(map(image.__xor__, deltas) for _, image, deltas in blocks)
+def _block_bytes(image: int, packed: int, count: int, width: int) -> bytes:
+    """The images of a block ``(avail, image, (packed, count))`` of
+    :func:`_walk` as bytes, *width* per image: one XOR with *image*
+    repeated."""
+    return (packed ^ _repeat(image, count, width)).to_bytes(count * width, "little")
 
 
-def _downsets(p: Poset) -> Iterator[int]:
-    """Every downset of *p* once, as its bitset over ``p.elements``."""
-    return _images(_walk(p, 0, [1 << v for v in range(len(p.elements))]))
+def _runs(blocks: Iterable[_Block], width: int) -> Iterator[bytes]:
+    """The images of the blocks of :func:`_walk` as bytes, *width* per image,
+    little endian, in order, in runs of ``_CHUNK`` images (the last perhaps
+    fewer).  A block's images are one XOR of its packed deltas with its
+    image repeated."""
+    step = _CHUNK * width
+    rest = b""
+    for _, image, (packed, count) in blocks:
+        data = rest + _block_bytes(image, packed, count, width)
+        whole = len(data) - len(data) % step
+        if whole:
+            view = memoryview(data)
+            for start in range(0, whole, step):
+                yield view[start:start + step]
+        rest = data[whole:]
+    if rest:
+        yield rest
 
 
-def _named(
-    bitsets: Iterable[int], items: Sequence, join: Callable[[list], T]
-) -> Iterator[tuple[T, ...]]:
-    """Per bitset over *items* (bit ``i`` is ``items[i]``), ``join`` of its
-    members in each field of 16 items, in item order.
-
-    A chunk of bitsets becomes one bytes object, read as 16-bit columns, and
-    each column is looked up in its field's table: C-level calls per bitset,
-    and one Python call per field value met for the first time.  Even no
-    items make one field, so the empty bitset is named too.
-    """
-
-    def table(chunk: Sequence) -> _Table:
-        return _Table(lambda value: join([x for b, x in enumerate(chunk) if value >> b & 1]))
-
-    tables = [table(items[f:f + 16]) for f in range(0, len(items) or 1, 16)]
-
-    def name(chunk: list[int]) -> Iterator[tuple[T, ...]]:
-        size = repeat(2 * len(tables))
-        columns = array("H", b"".join(map(int.to_bytes, chunk, size, repeat("little"))))
-        if sys.byteorder == "big":
-            columns.byteswap()
-        return zip(*[map(t.__getitem__, columns[f::len(tables)]) for f, t in enumerate(tables)])
-
-    bitsets = iter(bitsets)
-    chunks = iter(lambda: list(itertools.islice(bitsets, _CHUNK)), [])
-    return itertools.chain.from_iterable(map(name, chunks))
+def _images(runs: Iterable[bytes], width: int) -> Iterator[int]:
+    """The images in *runs*, *width* bytes each, as ints."""
+    for run in runs:
+        for start in range(0, len(run), width):
+            yield int.from_bytes(run[start:start + width], "little")
 
 
-def _frozensets(bitsets: Iterable[int], items: Sequence[str]) -> Iterator[frozenset[str]]:
-    """Per bitset over *items*, the set of its members."""
-    return map(frozenset, map(itertools.chain.from_iterable, _named(bitsets, items, tuple)))
+def _downsets(p: Poset) -> Iterator[bytes]:
+    """Every downset of *p* once, as its bitset over ``p.elements``, in runs
+    of ``_width(len(p.elements))`` bytes per bitset (:func:`_runs`)."""
+    width = _width(len(p.elements))
+    return _runs(_walk(p, 0, [1 << v for v in range(len(p.elements))], width), width)
+
+
+def _frozensets(runs: Iterable[bytes], items: Sequence[str]) -> Iterator[frozenset[str]]:
+    """Per bitset over *items* in *runs* (bit ``i`` is ``items[i]``), the set
+    of its members: each 16-bit column is looked up in its field's table, so
+    a bitset costs C-level calls only."""
+    tables = _tables(items, tuple)
+
+    def named(run) -> Iterator[tuple[tuple[str, ...], ...]]:
+        columns = _columns(run, len(tables))
+        return zip(*[map(t.__getitem__, col) for t, col in zip(tables, columns)])
+
+    parts = itertools.chain.from_iterable(map(named, runs))
+    return map(frozenset, map(itertools.chain.from_iterable, parts))
 
 
 def enumerate_downsets(p: Poset) -> Iterator[frozenset[str]]:
@@ -302,8 +389,8 @@ def antichain_to_cut(m: EventModel, antichain: Iterable[str]) -> frozenset[str]:
 
 
 def _antichain_walk(
-    sm: StateModel, start: int, flip: Callable[[int, int], int]
-) -> Iterator[tuple[int, int, list[int]]]:
+    sm: StateModel, start: int, flip: Callable[[int, int], int], width: int
+) -> Iterator[_Block]:
     """The maximum antichains of *sm* as blocks of images, through its
     reverse transform.
 
@@ -322,19 +409,22 @@ def _antichain_walk(
         raise InvalidStateModel(outcome.report)
     m = outcome.event_model
     flips = [sum(flip(i - 1, k) for i, k in m.labels[e]) for e in m.poset.elements]
-    return _walk(m.poset, start, flips)
+    return _walk(m.poset, start, flips, width)
 
 
-def _antichains(sm: StateModel) -> Iterator[int]:
+def _antichains(sm: StateModel) -> Iterator[bytes]:
     """The maximum antichains of *sm* as bitsets over ``sm.poset.elements``,
-    as :func:`_antichain_walk` gives them."""
+    as :func:`_antichain_walk` gives them, in runs (:func:`_downsets`)."""
     index = [[sm.poset.index(s) for s in chain] for chain in sm.chains]
     start = sum(1 << chain[0] for chain in index)
-    blocks = _antichain_walk(sm, start, lambda i, k: (1 << index[i][k - 1]) | (1 << index[i][k]))
-    return _images(blocks)
+    width = _width(len(sm.poset.elements))
+    blocks = _antichain_walk(
+        sm, start, lambda i, k: (1 << index[i][k - 1]) | (1 << index[i][k]), width
+    )
+    return _runs(blocks, width)
 
 
-def _frontier_walk(sm: StateModel) -> tuple[struct.Struct, Iterator[tuple[int, int, list[int]]]]:
+def _frontier_walk(sm: StateModel) -> tuple[struct.Struct, Iterator[_Block]]:
     """The blocks of :func:`_antichain_walk` with frontier vectors for
     images, and the struct that unpacks an image's bytes into its vector.
 
@@ -347,16 +437,15 @@ def _frontier_walk(sm: StateModel) -> tuple[struct.Struct, Iterator[tuple[int, i
     longest = max(map(len, sm.chains), default=1)
     formats = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
     size, code = next(f for f in formats if longest <= 1 << 8 * f[0])
-    vector = struct.Struct("<" + code * sm.n)
-    return vector, _antichain_walk(sm, 0, lambda i, k: ((k - 1) ^ k) << (8 * size * i))
+    vector = struct.Struct("<" + (code * sm.n or "x"))  # a pad byte for no chains
+    return vector, _antichain_walk(sm, 0, lambda i, k: ((k - 1) ^ k) << (8 * size * i), vector.size)
 
 
 def _frontiers(sm: StateModel) -> Iterator[tuple[int, ...]]:
     """The maximum antichains of *sm* as frontier vectors
     (:func:`_frontier_walk`), in walk order."""
     vector, blocks = _frontier_walk(sm)
-    images = map(int.to_bytes, _images(blocks), repeat(vector.size), repeat("little"))
-    return map(vector.unpack, images)
+    return itertools.chain.from_iterable(map(vector.iter_unpack, _runs(blocks, vector.size)))
 
 
 def enumerate_width_antichains(
@@ -418,10 +507,13 @@ def materialize_cut_lattice(m: EventModel, max_cuts: int | None = None) -> CutLa
     p = m.poset
     chains = [[1 << p.index(e) for e in events] for events in m.proc_events]
     owns = [sum(bits) for bits in chains]
-    masks = list(itertools.islice(_downsets(p), None if max_cuts is None else max_cuts + 1))
+    width = _width(len(p.elements))
+    images = _images(_downsets(p), width)
+    masks = list(itertools.islice(images, None if max_cuts is None else max_cuts + 1))
     if max_cuts is not None and len(masks) > max_cuts:
         raise GuardExceeded(f"cut count exceeds cap {max_cuts}")
-    by_mask = dict(zip(masks, _frozensets(masks, p.elements)))
+    run = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    by_mask = dict(zip(masks, _frozensets([run], p.elements)))
     succ: dict[frozenset[str], tuple[frozenset[str], ...]] = {}
     for mask, cut in by_mask.items():
         nexts = set()

@@ -374,12 +374,13 @@ def walk_blocks(sm):
     def unpack(image):
         return vector.unpack(image.to_bytes(vector.size, "little"))
 
-    for avail, image, deltas in blocks:
+    for avail, image, (packed, count) in blocks:
         slots = [m.labels[events[q]] for q in range(len(events)) if avail >> q & 1]
         touched = {}
         for i, k in itertools.chain.from_iterable(slots):
             touched[i - 1] = min(k, touched.get(i - 1, k))
-        yield avail, [unpack(image ^ d) for d in deltas], unpack(image), touched
+        vectors = list(vector.iter_unpack(lattice._block_bytes(image, packed, count, vector.size)))
+        yield avail, vectors, unpack(image), touched
 
 
 def test_touched_chains_depend_on_avail_alone(bound):

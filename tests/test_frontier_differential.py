@@ -41,7 +41,7 @@ from posetdual.analysis import (
     compile_predicate,
     first_width_predicate,
 )
-from posetdual.cli import _CHUNK, _antichain_cuts, _cut_lines, _downset_cuts
+from posetdual.cli import _antichain_runs, _cut_lines, _downset_runs
 from posetdual.errors import PredicateError
 from posetdual.lattice import _frontiers, enumerate_downsets
 from posetdual.poset import minimum_chain_partition, width
@@ -126,22 +126,23 @@ def ref_line(cut):
 # --- the CLI's lines -------------------------------------------------------------
 
 
-def cli_lines(cuts):
-    """The ``cuts`` lines of a stream, rendered in chunks as ``cmd_cuts`` does."""
-    cuts, lines = list(cuts), []
-    for start in range(0, len(cuts), _CHUNK):
-        *chunk, tail = _cut_lines(cuts[start:start + _CHUNK]).split("\n")
+def cli_lines(names, runs):
+    """The ``cuts`` lines of a stream, rendered a run at a time as
+    ``cmd_cuts`` does."""
+    render, lines = _cut_lines(names), []
+    for run in runs:
+        *chunk, tail = render(run).split("\n")
         assert tail == ""
         lines += [line + "\n" for line in chunk]
     return lines
 
 
 def _downset_lines(poset):
-    return cli_lines(_downset_cuts(poset))
+    return cli_lines(*_downset_runs(poset))
 
 
 def _antichain_lines(target):
-    return cli_lines(_antichain_cuts(target))
+    return cli_lines(*_antichain_runs(target))
 
 
 def ref_detect(sm, pred, warnings):

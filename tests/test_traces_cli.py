@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import posetdual
-from posetdual import SchemaError, build_poset, build_state_model, cli, es_transform
+from posetdual import SchemaError, build_poset, build_state_model, cli, es_transform, lattice
 from posetdual.cli import main
 from posetdual.errors import ModelError
 from posetdual.lattice import enumerate_event_cuts
@@ -433,11 +433,14 @@ def test_cuts_guard_boundaries(capsys, tmp_path, family):
 
 def test_cuts_lines_before_an_error_are_written(capsys, monkeypatch, fixtures_dir):
     def failing(poset):
-        for _ in range(300):
-            yield ""
-        raise ModelError("stream broke")
+        def runs():
+            for _ in range(300):
+                yield bytes(2)  # a run of one empty cut
+            raise ModelError("stream broke")
 
-    monkeypatch.setattr(cli, "_downset_cuts", failing)
+        return (), runs()
+
+    monkeypatch.setattr(cli, "_downset_runs", failing)
     path = str(fixtures_dir / "message_pair_event.json")
     code, out, _ = run_cli(capsys, "cuts", path, "--family", "downsets")
     written = '{"cut": []}\n' * 300
@@ -450,14 +453,18 @@ def test_cuts_chunks_may_start_with_the_empty_cut(capsys, monkeypatch, fixtures_
     # last is a chunk of its own.  The others hold zero to three names, two
     # of which json.dumps escapes.
     names = []
-    for k in range(2 * cli._CHUNK + 1):
-        names.append([] if k % cli._CHUNK == 0 else [f"s{k}", 'q"', "é"][: k % 4])
+    for k in range(2 * lattice._CHUNK + 1):
+        names.append([] if k % lattice._CHUNK == 0 else [f"s{k}", 'q"', "é"][: k % 4])
 
     def cuts(poset):
-        for cut in names:
-            yield ", ".join(json.dumps(name) for name in cut)
+        items = [f"s{k}" for k in range(len(names))] + ['q"', "é"]
+        index = {name: i for i, name in enumerate(items)}
+        width = lattice._width(len(items))
+        bitsets = [sum(1 << index[name] for name in cut).to_bytes(width, "little") for cut in names]
+        step = lattice._CHUNK
+        return items, (b"".join(bitsets[s:s + step]) for s in range(0, len(bitsets), step))
 
-    monkeypatch.setattr(cli, "_downset_cuts", cuts)
+    monkeypatch.setattr(cli, "_downset_runs", cuts)
     path = str(fixtures_dir / "message_pair_event.json")
     code, out, _ = run_cli(capsys, "cuts", path, "--family", "downsets")
     assert code == 0

@@ -132,34 +132,45 @@ def bound(request, monkeypatch):
 WALK = lattice._walk
 
 
-def checked_walk(p, image, flips):
+def checked_walk(p, image, flips, width):
     """``lattice._walk``, asserting the memo bound at every block."""
-    blocks = WALK(p, image, flips)
+    blocks = WALK(p, image, flips, width)
     emitted = 0
     for avail, image, deltas in blocks:
-        held = sum(map(len, blocks.gi_frame.f_locals["memo"].values()))
-        assert held <= emitted + len(deltas)
-        emitted += len(deltas)
+        held = sum(n for _, n in blocks.gi_frame.f_locals["memo"].values())
+        assert held <= emitted + deltas[1]
+        emitted += deltas[1]
         yield avail, image, deltas
 
 
-def lines(items, limit=None):
-    chunk = list(itertools.islice(items, limit))
-    return cli._cut_lines(chunk).splitlines()
+def lines(names, runs, limit=None):
+    """The ``cuts`` lines of *runs*, rendered a run at a time as
+    ``cmd_cuts`` does, stopping at the run that reaches *limit*."""
+    render, out = cli._cut_lines(names), []
+    for run in runs:
+        if limit is not None and len(out) >= limit:
+            break
+        out += render(run).splitlines()
+    return out[:limit]
+
+
+def images(runs, items, limit=None):
+    return list(itertools.islice(lattice._images(runs, lattice._width(len(items))), limit))
 
 
 def assert_downsets_equal_reference(p, limit=None):
     reference = list(itertools.islice(ref_downsets(p), limit))
-    got = list(itertools.islice(lattice._downsets(p), limit))
+    got = images(lattice._downsets(p), p.elements, limit)
     assert got == [image for image, _ in reference]
-    assert lines(cli._downset_cuts(p), limit) == ref_lines(reference)
+    assert lines(*cli._downset_runs(p), limit) == ref_lines(reference)
 
 
 def assert_antichains_equal_reference(target):
     view = require_width_extensible(target)
     reference = list(ref_antichains(view))
-    assert list(lattice._antichains(view)) == [image for image, _ in reference]
-    assert lines(cli._antichain_cuts(target)) == ref_lines(reference)
+    got = images(lattice._antichains(view), view.poset.elements)
+    assert got == [image for image, _ in reference]
+    assert lines(*cli._antichain_runs(target)) == ref_lines(reference)
     assert list(lattice._frontiers(view)) == ref_frontiers(view)
 
 
@@ -209,9 +220,9 @@ def test_edge_shapes_equal_reference(bound):
 
 def test_first_cut_of_a_wide_antichain_builds_one_block():
     p = build_poset([f"x{i:02d}" for i in range(40)], [])
-    blocks = lattice._walk(p, 0, [1 << v for v in range(40)])
-    _, image, deltas = next(blocks)
-    assert image ^ deltas[0] == 0
+    blocks = lattice._walk(p, 0, [1 << v for v in range(40)], 6)
+    _, image, (packed, count) = next(blocks)
+    assert lattice._block_bytes(image, packed, count, 6)[:6] == bytes(6)  # the empty downset
     memo = blocks.gi_frame.f_locals["memo"]
     assert len(memo) == 1
-    assert sum(map(len, memo.values())) == 2 ** lattice._BLOCK
+    assert count == sum(n for _, n in memo.values()) == 2 ** lattice._BLOCK
