@@ -52,11 +52,13 @@ useless exactly when the transitions entering and leaving it are strongly
 connected.  That graph is the model's own, read off its covers with one
 edge per cover and chain step, with the nodes grouped by checkpoint
 interval (the intervals of Netzer & Xu's zigzag paths), so the fast engine
-finds its components in O(covers) and reads no chain clocks.  It then names
-every useful checkpoint's witness, the least global checkpoint that
-contains it, in one sweep over the components in topological order,
-O(covers x n) after the graph.  It must agree with the oracle everywhere;
-disagreement is a bug by definition.
+finds its components in O(covers) and reads no chain clocks.  The grouped
+graph is built on integer node ids and runs through the reverse
+transform's Tarjan kernel (Tarjan, 1972).  It then names every useful
+checkpoint's witness, the least global checkpoint that contains it, in
+one sweep over the components in topological order, O(covers x n) after
+the graph.  It must agree with the oracle everywhere; disagreement is a
+bug by definition.
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ from .errors import (
 )
 
 # Nothing here calls build_poset, build_state_model, check_width_extensible,
-# comparable, enumerate_width_antichains or width; they stay bound in this
-# module because perfbench/tracing.py wraps them by these bindings.
+# comparable, enumerate_width_antichains, strongly_connected_components,
+# transition_graph or width; they stay bound in this module because
+# perfbench/tracing.py wraps them by these bindings.
 from .lattice import _block_bytes, _frontier_walk, _frontiers, enumerate_width_antichains  # noqa: F401
 from .poset import build_poset, comparable, is_antichain, oracle_bound, width  # noqa: F401
 from .statemodel import (  # noqa: F401
@@ -90,7 +93,12 @@ from .statemodel import (  # noqa: F401
     check_width_extensible,
     require_width_extensible,
 )
-from .transforms import strongly_connected_components, transition_graph
+from .transforms import (  # noqa: F401
+    _components,
+    _tentative_graph,
+    strongly_connected_components,
+    transition_graph,
+)
 
 log = logging.getLogger(__name__)
 
@@ -853,7 +861,7 @@ class CheckpointVerdict:
     useful: bool
     witness: frozenset[str] | None
 
-    def as_json(self) -> dict:
+    def as_json(self, ids: Callable[[frozenset[str]], list[str]] = sorted) -> dict:
         out = {
             "state": self.state,
             "proc": self.proc,
@@ -861,7 +869,7 @@ class CheckpointVerdict:
             "useful": self.useful,
         }
         if self.witness is not None:
-            out["witness"] = sorted(self.witness)
+            out["witness"] = ids(self.witness)
         return out
 
 
@@ -876,10 +884,21 @@ class CheckpointReport:
         return frozenset(v.state for v in self.verdicts if not v.useful)
 
     def as_json(self) -> dict:
+        # A witness that several checkpoints share is sorted once.  Each
+        # verdict still gets a list of its own, as the canonical writer
+        # renders a document whose containers are distinct objects.
+        rendered: dict[frozenset[str], list[str]] = {}
+
+        def ids(witness: frozenset[str]) -> list[str]:
+            got = rendered.get(witness)
+            if got is None:
+                got = rendered[witness] = sorted(witness)
+            return got[:]
+
         out = {
             "engine": self.engine,
             "useless": sorted(self.useless),
-            "verdicts": [v.as_json() for v in self.verdicts],
+            "verdicts": [v.as_json(ids) for v in self.verdicts],
         }
         if self.engines_agree is not None:
             out["engines_agree"] = self.engines_agree
@@ -941,47 +960,75 @@ def _fast_usefulness(
     the full graph's reachability, so its quotient, self-loops dropped, has
     the restriction's components and ancestors.
 
-    Tarjan lists a component after every component it reaches, so in
-    reverse each comes after all its ancestors: one pass in that order
-    carries each component's frontier, per chain the top index among its
-    ancestors, to its successors with one ``max`` per chain and edge.  The
-    graph has one edge per cover and chain step, so that is O(covers x n).
+    Both graphs are on integer ids, the groups numbered chain by chain;
+    ``group`` maps each node of *sm*'s graph to its group.  Tarjan lists a
+    component after every component it reaches, so in reverse each comes
+    after all its ancestors: one pass in that order carries each
+    component's frontier, per chain the top index among its ancestors, to
+    its successors with one ``max`` per chain and edge.  The graph has one
+    edge per cover and chain step, so that is O(covers x n).  Each
+    component's witness is built once, for every checkpoint it names.
     Under the precondition no cover enters an initial state or leaves a
     final one, so each chain's virtual node is a sink entered only by its
     chain edge: it raises no witness.
     """
     if not check_omega1(sm).ok or not check_omega2(sm).ok:
         return None
-    full_nodes, full_succ = transition_graph(sm)
-    group = {(i, k): (i, bisect_left(marks[i - 1], k)) for i, k in full_nodes}
-    succ = {}
-    for node, g in group.items():
-        succ.setdefault(g, []).extend(
-            h for h in map(group.__getitem__, full_succ[node]) if h != g
-        )
-    comps = strongly_connected_components(list(succ), succ)
-    comp_index = {node: ci for ci, comp in enumerate(comps) for node in comp}
-    tops = [[0] * sm.n for _ in comps]
-    for ci in reversed(range(len(comps))):
-        top = tops[ci]
-        for i, k in comps[ci]:
-            top[i - 1] = max(top[i - 1], k)
-        for node in comps[ci]:
-            for nxt in succ[node]:
-                cj = comp_index[nxt]
-                if cj != ci:
-                    tops[cj] = list(map(max, tops[cj], top))
+    full = _tentative_graph(sm)
+    group: list[int] = []  # per node of the full graph, its group
+    at: list[tuple[int, int]] = []  # per group, its chain (from 0) and r
+    for i, idxs in enumerate(marks):
+        g = len(at)
+        for a, b in zip(idxs, idxs[1:]):
+            group += [g] * (b - a)
+            g += 1
+        group.append(g)  # the virtual node
+        at += zip(repeat(i), range(1, len(idxs) + 1))
+    succ: list[list[int]] = [[] for _ in at]
+    for g, out in zip(group, full):
+        row = succ[g]
+        for h in map(group.__getitem__, out):
+            if h != g:
+                row.append(h)
+    comps, comp_of = _components(succ)
+
+    zero = [0] * sm.n
+    tops = [zero] * len(comps)  # shared until a component raises its own
+    for c in reversed(range(len(comps))):
+        top = tops[c][:]
+        # Sorted, so the last node on a chain is its highest.  No ancestor
+        # outside the component is higher on that chain: the chain edges
+        # would put it in the component.
+        for g in comps[c]:
+            i, r = at[g]
+            top[i] = r
+        tops[c] = top
+        for g in comps[c]:
+            for h in succ[g]:
+                d = comp_of[h]
+                if d != c:
+                    other = tops[d]
+                    if other is zero:
+                        tops[d] = top
+                    elif other is not top:
+                        tops[d] = list(map(max, other, top))
 
     base = frozenset(chain[0] for chain in chains)
+    witness: list[frozenset[str] | None] = [None] * len(comps)
     out: dict[str, frozenset[str] | None] = {}
-    for i, chain in enumerate(chains, start=1):
+    g = 0
+    for chain in chains:
         out[chain[0]] = base
         for k in range(1, len(chain)):
-            ci = comp_index[(i, k)]
-            if k < len(chain) - 1 and ci == comp_index[(i, k + 1)]:
+            c = comp_of[g]
+            if k < len(chain) - 1 and c == comp_of[g + 1]:
                 out[chain[k]] = None
             else:
-                out[chain[k]] = frozenset(map(tuple.__getitem__, chains, tops[ci]))
+                if witness[c] is None:
+                    witness[c] = frozenset(map(tuple.__getitem__, chains, tops[c]))
+                out[chain[k]] = witness[c]
+            g += 1
+        g += 1  # the virtual node
     return out
 
 

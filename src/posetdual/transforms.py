@@ -23,6 +23,12 @@ pairs.  The reverse transform reads no clocks: its graph has O(covers)
 edges, its components are screened before any event is named, and the
 collapsed event order is closed from the edges between components.
 
+The graph is built on integer node ids (:func:`_tentative_graph`), and one
+Tarjan kernel over list-indexed arrays (:func:`_components`) serves the
+reverse transform and the fast checkpoint engine of
+:mod:`posetdual.analysis`.  :func:`transition_graph` and
+:func:`strongly_connected_components` name its nodes for callers.
+
 Both transforms are pure; parallel invocation is safe.
 """
 
@@ -119,9 +125,7 @@ class SETransformOutcome:
 
     event_model: EventModel | None
     report: InvalidityReport | None
-    _graph: tuple[list[Node], dict[Node, list[Node]]] | None = field(
-        default=None, repr=False
-    )
+    _graph: tuple[list[Node], list[list[int]]] | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -132,7 +136,46 @@ class SETransformOutcome:
         if self._graph is None:
             return ()
         nodes, succ = self._graph
-        return tuple((a, b) for a in nodes for b in succ[a])
+        return tuple((a, nodes[w]) for a, out in zip(nodes, succ) for w in out)
+
+
+def _nodes(chains: Sequence[Sequence[str]]) -> list[Node]:
+    """The name ``(i,k)`` of each node id, chain by chain (the order of
+    :func:`_tentative_graph`'s ids)."""
+    return [(i, k) for i, chain in enumerate(chains, start=1) for k in range(1, len(chain) + 1)]
+
+
+def _tentative_graph(sm: StateModel) -> list[list[int]]:
+    """The graph of :func:`transition_graph` on integer node ids.
+
+    Node ``(i,k)`` is ``base[i] + k - 1``, where ``base[i]`` counts the
+    states on the chains before ``i``: node ``v`` is the transition out of
+    the ``v``-th state in chain order.  Entry ``v`` lists its successors in
+    the order :func:`transition_graph` lists them, the chain edge first.
+    """
+    p = sm.poset
+    index, upper = p._index, p._upper
+    flat = [index[s] for chain in sm.chains for s in chain]
+    # per element [j,s], the node (j,max(1,s)) its cross covers lead to
+    into = [0] * len(flat)
+    for v, e in enumerate(flat):
+        into[e] = v - 1
+    v = 0
+    for chain in sm.chains:
+        into[flat[v]] = v
+        v += len(chain)
+    succ: list[list[int]] = []
+    end = -1
+    for chain in sm.chains:
+        start, end = end + 1, end + len(chain)
+        for v in range(start, end + 1):
+            out = [v + 1] if v < end else []
+            for w in upper[flat[v]]:
+                w = into[w]
+                if w != v:  # else the cover [i,k-1] < [i,k]
+                    out.append(w)
+            succ.append(out)
+    return succ
 
 
 def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]]:
@@ -157,70 +200,84 @@ def transition_graph(sm: StateModel) -> tuple[list[Node], dict[Node, list[Node]]
     listed chain by chain; each successor list has at most one node per
     chain.
     """
-    p = sm.poset
-    coords = sm._coords()
-    at = [coords[e] for e in p.elements]
-    upper, index = p._upper, p._index
-    nodes: list[Node] = []
-    succ: dict[Node, list[Node]] = {}
-    for i, chain in enumerate(sm.chains, start=1):
-        top = len(chain)
-        for k, state in enumerate(chain, start=1):
-            out = [(i, k + 1)] if k < top else []
-            for w in upper[index[state]]:
-                j, s = at[w]
-                if j != i:
-                    out.append((j, s or 1))
-            nodes.append((i, k))
-            succ[(i, k)] = out
-    return nodes, succ
+    nodes = _nodes(sm.chains)
+    succ = _tentative_graph(sm)
+    return nodes, {a: [nodes[w] for w in out] for a, out in zip(nodes, succ)}
+
+
+def _components(succ: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Tarjan's algorithm, iterative, on the nodes ``0 .. len(succ) - 1``.
+
+    Returns the components, each sorted and listed after every component
+    it reaches (reverse topological order), and each node's component
+    number.  Roots are taken in id order.  The node being searched and an
+    iterator over its successors are locals; ``work`` holds the frames
+    it suspended.  ``number`` is 0 for a node not reached yet, its
+    preorder number (from 1) while it is on the stack, and ``done + c``
+    once it is in component ``c``: above every preorder number, so that it
+    never lowers a ``low``.
+    """
+    done = len(succ) + 1
+    number = [0] * len(succ)
+    low = [0] * len(succ)
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    count = 0
+    for root in range(len(succ)):
+        if number[root]:
+            continue
+        count += 1
+        number[root] = low[root] = count
+        stack.append(root)
+        node, children = root, iter(succ[root])
+        work = []
+        while True:
+            for child in children:
+                seen = number[child]
+                if not seen:
+                    count += 1
+                    number[child] = low[child] = count
+                    stack.append(child)
+                    work.append((node, children))
+                    node, children = child, iter(succ[child])
+                    break
+                if seen < low[node]:
+                    low[node] = seen
+            else:
+                least = low[node]
+                if least == number[node]:
+                    seen = done + len(comps)
+                    member = stack.pop()
+                    number[member] = seen
+                    comp = [member]
+                    while member != node:
+                        member = stack.pop()
+                        number[member] = seen
+                        comp.append(member)
+                    comp.sort()
+                    comps.append(comp)
+                if not work:
+                    break
+                # A root's preorder number is above its parent's low.
+                node, children = work.pop()
+                if least < low[node]:
+                    low[node] = least
+    return comps, [seen - done for seen in number]
 
 
 def strongly_connected_components(
     nodes: Sequence[Node], succ: dict[Node, list[Node]]
 ) -> list[tuple[Node, ...]]:
-    """Tarjan's algorithm, iterative; each component sorted, listed after
-    every component it reaches (reverse topological order).
+    """The components of the graph *succ* on *nodes*, which lists every
+    node: each sorted, listed after every component it reaches (reverse
+    topological order), with roots taken in the order of *nodes*.
 
-    A frame holds a node and an iterator over its successors.  A node has
-    a ``low`` entry exactly while it is on the stack.
+    Runs :func:`_components` on the nodes' positions in *nodes*.
     """
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    stack: list[Node] = []
-    result: list[tuple[Node, ...]] = []
-
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, children = work[-1]
-            for child in children:
-                if child not in index:
-                    index[child] = low[child] = len(index)
-                    stack.append(child)
-                    work.append((child, iter(succ[child])))
-                    break
-                if child in low:
-                    low[node] = min(low[node], index[child])
-            else:
-                work.pop()
-                if low[node] < index[node]:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    continue
-                at = len(stack) - 1
-                while stack[at] != node:
-                    at -= 1
-                component = stack[at:]
-                del stack[at:]
-                for member in component:
-                    del low[member]
-                result.append(tuple(sorted(component)))
-    return result
+    nodes = list(dict.fromkeys(nodes))
+    ids = {node: v for v, node in enumerate(nodes)}
+    comps, _ = _components([[ids[w] for w in succ[a]] for a in nodes])
+    return [tuple(sorted(map(nodes.__getitem__, comp))) for comp in comps]
 
 
 def _shared_id(members: Sequence[Node]) -> str:
@@ -235,18 +292,19 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
     with no chain clocks.  Collapsed shared events get deterministic ids so
     that round-trips compare equal; plain events are named ``e<i>.<k>``.
 
-    The components are screened first: a model with a component holding
-    two nodes of one chain is reported before any event is named.
-    Otherwise the graph is collapsed in one pass over its components, in
-    the order :func:`strongly_connected_components` lists them.  A
-    component with a real node names an event, and every node in it,
-    virtual nodes included, maps to that event.  A component of virtual
-    nodes alone is a relay: it stands for the events its successors map
-    to.  Each process's slot list is filled with the names, in slot
-    order, and handed to :func:`build_event_model` as the loader hands
-    its own, so no label is normalized twice.  The event
-    order is closed from one pair per edge out of a mapped node, with
-    relays expanded.  It is the order of the components' reachability:
+    The graph is built and collapsed on integer node ids; nodes are named
+    only for the result.  The components are screened first: a model with
+    a component holding two nodes of one chain is reported before any
+    event is named.  Otherwise the graph is collapsed in one pass over its
+    components, in the order :func:`_components` lists them.  A component
+    with a real node names an event, and every node in it, virtual nodes
+    included, maps to that event.  A component of virtual nodes alone is a
+    relay: it stands for the events its successors map to.  Each process's
+    slot list is filled with the names, in slot order, and handed to
+    :func:`build_event_model` as the loader hands its own, so no label is
+    normalized twice.  The event order is closed from one pair per edge
+    out of a mapped node, with relays expanded.  It is the order of the
+    components' reachability:
 
     * Paths of virtual nodes follow covers, so they are acyclic.  Hence a
       component with no real node is a single virtual node, and a virtual
@@ -268,13 +326,18 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
     the one event ``e1.1``, whose forward transform drops ``1.1 < 2.0``:
     no transition enters ``2.0``.  Rejecting such models is left open.
     """
-    nodes, succ = transition_graph(sm)
-    virtual = {(i, len(chain)) for i, chain in enumerate(sm.chains, start=1)}
-    components = strongly_connected_components(nodes, succ)
+    succ = _tentative_graph(sm)
+    nodes = _nodes(sm.chains)
+    virtual = [False] * len(succ)
+    end = -1
+    for chain in sm.chains:
+        end += len(chain)
+        virtual[end] = True
+    components, comp_of = _components(succ)
     offending: list[OffendingComponent] = []
     for comp in components:
         if len(comp) > 1:
-            real = tuple(n for n in comp if n not in virtual)
+            real = tuple(nodes[v] for v in comp if not virtual[v])
             twice = [i for (i, _), (j, _) in zip(real, real[1:]) if i == j]
             if twice:
                 offending.append(OffendingComponent(nodes=real, chain=twice[0]))
@@ -285,17 +348,22 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
             _graph=(nodes, succ),
         )
 
-    events: dict[Node, tuple[str, ...]] = {}  # per node, the events it stands for
+    # per component, the events it stands for
+    events: list[tuple[str, ...]] = [()] * len(components)
     labels: dict[str, frozenset[Node]] = {}
-    mapped: list[tuple[str, tuple[Node, ...]]] = []
+    mapped: list[tuple[str, list[int]]] = []
     # per chain, the event of each real node (i,1), (i,2), ...
     slot_events: list[list[str]] = [[""] * (len(chain) - 1) for chain in sm.chains]
-    for comp in components:
-        real = comp if virtual.isdisjoint(comp) else tuple(n for n in comp if n not in virtual)
-        if not real:
-            (relay,) = comp
-            events[relay] = tuple(dict.fromkeys(e for w in succ[relay] for e in events[w]))
+    for c, comp in enumerate(components):
+        if len(comp) > 1:
+            real = tuple(nodes[v] for v in comp if not virtual[v])
+        elif virtual[comp[0]]:
+            events[c] = tuple(
+                dict.fromkeys(e for w in succ[comp[0]] for e in events[comp_of[w]])
+            )
             continue
+        else:
+            real = (nodes[comp[0]],)
         if len(real) == 1:
             ((i, k),) = real
             eid = f"e{i}.{k}"
@@ -305,16 +373,14 @@ def se_transform(sm: StateModel) -> SETransformOutcome:
             slot_events[i - 1][k - 1] = eid
         labels[eid] = frozenset(real)
         mapped.append((eid, comp))
-        target = (eid,)
-        for node in comp:
-            events[node] = target
+        events[c] = (eid,)
 
     pairs = [
         (ea, eb)
         for ea, comp in mapped
         for a in comp
         for b in succ[a]
-        for eb in events[b]
+        for eb in events[comp_of[b]]
         if eb != ea
     ]
     poset = build_poset(labels.keys(), pairs)

@@ -99,6 +99,12 @@ def real_successors(node, succ, virtual, memo):
     return memo[node]
 
 
+def on_ids(nodes, succ):
+    """The graph as an outcome keeps it: each node's successors by position."""
+    ids = {node: v for v, node in enumerate(nodes)}
+    return nodes, [[ids[b] for b in succ[a]] for a in nodes]
+
+
 def two_walk_se_transform(sm):
     nodes, succ = transition_graph(sm)
     virtual = {(i, len(chain)) for i, chain in enumerate(sm.chains, start=1)}
@@ -122,7 +128,7 @@ def two_walk_se_transform(sm):
         return SETransformOutcome(
             event_model=None,
             report=InvalidityReport(tuple(sorted(offending))),
-            _graph=(nodes, succ),
+            _graph=on_ids(nodes, succ),
         )
 
     event_of = {}
@@ -149,7 +155,7 @@ def two_walk_se_transform(sm):
                 pairs.append((ea, eb))
     poset = build_poset(labels.keys(), pairs)
     model = build_event_model(poset, sm.n, labels, allow_empty_process=True)
-    return SETransformOutcome(event_model=model, report=None, _graph=(nodes, succ))
+    return SETransformOutcome(event_model=model, report=None, _graph=on_ids(nodes, succ))
 
 
 def beside(sm, gadget):
