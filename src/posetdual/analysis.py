@@ -861,7 +861,7 @@ class CheckpointVerdict:
     useful: bool
     witness: frozenset[str] | None
 
-    def as_json(self, ids: Callable[[frozenset[str]], list[str]] = sorted) -> dict:
+    def as_json(self) -> dict:
         out = {
             "state": self.state,
             "proc": self.proc,
@@ -869,7 +869,7 @@ class CheckpointVerdict:
             "useful": self.useful,
         }
         if self.witness is not None:
-            out["witness"] = ids(self.witness)
+            out["witness"] = sorted(self.witness)
         return out
 
 
@@ -884,21 +884,10 @@ class CheckpointReport:
         return frozenset(v.state for v in self.verdicts if not v.useful)
 
     def as_json(self) -> dict:
-        # A witness that several checkpoints share is sorted once.  Each
-        # verdict still gets a list of its own, as the canonical writer
-        # renders a document whose containers are distinct objects.
-        rendered: dict[frozenset[str], list[str]] = {}
-
-        def ids(witness: frozenset[str]) -> list[str]:
-            got = rendered.get(witness)
-            if got is None:
-                got = rendered[witness] = sorted(witness)
-            return got[:]
-
         out = {
             "engine": self.engine,
             "useless": sorted(self.useless),
-            "verdicts": [v.as_json(ids) for v in self.verdicts],
+            "verdicts": [v.as_json() for v in self.verdicts],
         }
         if self.engines_agree is not None:
             out["engines_agree"] = self.engines_agree
@@ -992,8 +981,11 @@ def _fast_usefulness(
                 row.append(h)
     comps, comp_of = _components(succ)
 
+    # Most components are entered from one component only and take its
+    # vector as it is, so the vectors are shared until a component raises
+    # its own: that skips most ``max`` passes.
     zero = [0] * sm.n
-    tops = [zero] * len(comps)  # shared until a component raises its own
+    tops = [zero] * len(comps)
     for c in reversed(range(len(comps))):
         top = tops[c][:]
         # Sorted, so the last node on a chain is its highest.  No ancestor

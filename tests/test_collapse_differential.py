@@ -105,8 +105,8 @@ def on_ids(nodes, succ):
     return nodes, [[ids[b] for b in succ[a]] for a in nodes]
 
 
-def two_walk_se_transform(sm):
-    nodes, succ = transition_graph(sm)
+def two_walk_se_transform(sm, graph=transition_graph):
+    nodes, succ = graph(sm)
     virtual = {(i, len(chain)) for i, chain in enumerate(sm.chains, start=1)}
     components = []
     for comp in tarjan_with_on_stack(nodes, succ):

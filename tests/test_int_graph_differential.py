@@ -2,10 +2,10 @@
 graph it replaced.
 
 ``se_transform`` and the fast checkpoint engine once built the tentative
-graph as dicts keyed by ``(i, k)`` nodes, ran Tarjan's algorithm over
-tuple-keyed ``index`` and ``low`` dicts, and grouped the nodes by checkpoint
-interval with one bisection per node.  That graph, that Tarjan pass, that
-collapse and that engine are transcribed below.  The library now numbers
+graph as dicts keyed by ``(i, k)`` nodes and grouped the nodes by checkpoint
+interval with one bisection per node.  That graph and that engine are
+transcribed below; the tuple-keyed Tarjan pass and ``se`` collapse are the
+collapse test's references, fed from that graph.  The library now numbers
 node ``(i, k)`` as ``base[i] + k - 1`` and runs one Tarjan kernel over
 list-indexed arrays for both.  On random models with no chains, one-state
 chains, virtual-node relays, shared events and pinch compositions, under
@@ -23,22 +23,24 @@ from bisect import bisect_left
 
 from posetdual import analysis, build_poset, build_state_model, cli
 from posetdual.analysis import CheckpointMarking, find_useless_checkpoints
-from posetdual.eventmodel import build_event_model
 from posetdual.statemodel import check_omega1, check_omega2
-from posetdual.traces import dumps_canonical, event_to_json, state_to_json
+from posetdual.traces import dumps_canonical, state_to_json
 from posetdual.transforms import (
-    InvalidityReport,
-    OffendingComponent,
     _components,
     _nodes,
-    _shared_id,
     _tentative_graph,
     se_transform,
     strongly_connected_components,
     transition_graph,
 )
 
-from test_collapse_differential import has_relay, random_models
+from test_collapse_differential import (
+    has_relay,
+    outcome_bytes,
+    random_models,
+    tarjan_with_on_stack,
+    two_walk_se_transform,
+)
 
 
 def tuple_transition_graph(sm):
@@ -61,104 +63,6 @@ def tuple_transition_graph(sm):
     return nodes, succ
 
 
-def tuple_components(nodes, succ):
-    index = {}
-    low = {}
-    stack = []
-    result = []
-
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, children = work[-1]
-            for child in children:
-                if child not in index:
-                    index[child] = low[child] = len(index)
-                    stack.append(child)
-                    work.append((child, iter(succ[child])))
-                    break
-                if child in low:
-                    low[node] = min(low[node], index[child])
-            else:
-                work.pop()
-                if low[node] < index[node]:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    continue
-                at = len(stack) - 1
-                while stack[at] != node:
-                    at -= 1
-                component = stack[at:]
-                del stack[at:]
-                for member in component:
-                    del low[member]
-                result.append(tuple(sorted(component)))
-    return result
-
-
-def tuple_se_transform(sm):
-    """The tuple-keyed ``se_transform``: (event model, report, temp_edges)."""
-    nodes, succ = tuple_transition_graph(sm)
-    temp_edges = tuple((a, b) for a in nodes for b in succ[a])
-    virtual = {(i, len(chain)) for i, chain in enumerate(sm.chains, start=1)}
-    components = tuple_components(nodes, succ)
-    offending = []
-    for comp in components:
-        if len(comp) > 1:
-            real = tuple(n for n in comp if n not in virtual)
-            twice = [i for (i, _), (j, _) in zip(real, real[1:]) if i == j]
-            if twice:
-                offending.append(OffendingComponent(nodes=real, chain=twice[0]))
-    if offending:
-        return None, InvalidityReport(tuple(sorted(offending))), temp_edges
-
-    events = {}
-    labels = {}
-    mapped = []
-    slot_events = [[""] * (len(chain) - 1) for chain in sm.chains]
-    for comp in components:
-        real = comp if virtual.isdisjoint(comp) else tuple(n for n in comp if n not in virtual)
-        if not real:
-            (relay,) = comp
-            events[relay] = tuple(dict.fromkeys(e for w in succ[relay] for e in events[w]))
-            continue
-        if len(real) == 1:
-            ((i, k),) = real
-            eid = f"e{i}.{k}"
-        else:
-            eid = _shared_id(real)
-        for i, k in real:
-            slot_events[i - 1][k - 1] = eid
-        labels[eid] = frozenset(real)
-        mapped.append((eid, comp))
-        target = (eid,)
-        for node in comp:
-            events[node] = target
-
-    pairs = [
-        (ea, eb)
-        for ea, comp in mapped
-        for a in comp
-        for b in succ[a]
-        for eb in events[b]
-        if eb != ea
-    ]
-    poset = build_poset(labels.keys(), pairs)
-    per_proc = {
-        i: list(enumerate(row, start=1))
-        for i, row in enumerate(slot_events, start=1)
-        if row
-    }
-    model = build_event_model(
-        poset, sm.n, labels, allow_empty_process=True, _per_proc=per_proc
-    )
-    return model, None, temp_edges
-
-
 def tuple_fast_usefulness(sm, marks, chains):
     if not check_omega1(sm).ok or not check_omega2(sm).ok:
         return None
@@ -169,7 +73,7 @@ def tuple_fast_usefulness(sm, marks, chains):
         succ.setdefault(g, []).extend(
             h for h in map(group.__getitem__, full_succ[node]) if h != g
         )
-    comps = tuple_components(list(succ), succ)
+    comps = tarjan_with_on_stack(list(succ), succ)
     comp_index = {node: ci for ci, comp in enumerate(comps) for node in comp}
     tops = [[0] * sm.n for _ in comps]
     for ci in reversed(range(len(comps))):
@@ -217,7 +121,7 @@ def test_graph_and_components_equal_tuple_keyed():
     for sm in models(2131, 2500):
         nodes, succ = tuple_transition_graph(sm)
         assert transition_graph(sm) == (nodes, succ)
-        want = tuple_components(nodes, succ)
+        want = tarjan_with_on_stack(nodes, succ)
         assert strongly_connected_components(nodes, succ) == want
         names = _nodes(sm.chains)
         comps, comp_of = _components(_tentative_graph(sm))
@@ -244,17 +148,16 @@ def test_se_stdout_exit_codes_and_edges_equal_tuple_keyed(tmp_path):
     counts = {"offending": 0, "shared": 0, "relay": 0}
     path = tmp_path / "model.json"
     for sm in models(2137, 1500):
-        model, report, edges = tuple_se_transform(sm)
-        outcome = se_transform(sm)
-        assert outcome.temp_edges == edges
+        want = two_walk_se_transform(sm, tuple_transition_graph)
+        assert se_transform(sm).temp_edges == want.temp_edges
         path.write_text(dumps_canonical(state_to_json(sm)))
-        if report is None:
-            want = (0, dumps_canonical(event_to_json(model)))
-            counts["shared"] += any(len(s) > 1 for s in model.labels.values())
+        if want.ok:
+            labels = want.event_model.labels.values()
+            counts["shared"] += any(len(s) > 1 for s in labels)
         else:
-            want = (2, dumps_canonical(report.as_json()))
             counts["offending"] += 1
-        assert run_se(path) == want, state_to_json(sm)
+        code = 0 if want.ok else 2
+        assert run_se(path) == (code, outcome_bytes(want)), state_to_json(sm)
         counts["relay"] += has_relay(sm)
     # Failing transforms, shared events and relays must all be compared often.
     assert min(counts.values()) >= 150, counts
