@@ -2,7 +2,11 @@
 
 The small named models double as the on-disk fixture corpus (see
 tests/test_traces_cli.py, which asserts the JSON files stay in sync), and the
-random generators feed the property/acceptance suites.
+random generators feed the property/acceptance suites.  The model families
+at the end feed the differential tests of the tentative graph, its
+components, the clocks and the checkpoint engines against
+``tests/reference.py``; each family's docstring names the kinds of model it
+draws and the floors its differentials assert on them.
 """
 
 from __future__ import annotations
@@ -343,3 +347,162 @@ def random_marking(
         picked = sorted(middle[: rng.randint(0, min(max_marks - 2, len(middle)))])
         marks.append(tuple([0] + picked + ([top] if top else [])))
     return CheckpointMarking(tuple(marks))
+
+
+# --- model families of the differential tests ------------------------------
+
+def chain_poset_model(rng: random.Random, gadget: StateModel, max_elems: int) -> StateModel:
+    """A random chain poset's state model, half the time beside *gadget*."""
+    p, chains = random_chain_poset(
+        rng, max_elems=max_elems, max_chains=rng.choice([3, 5])
+    )
+    if rng.random() < 0.5:
+        return beside(build_state_model(p, chains), gadget)
+    return build_state_model(p, chains)
+
+
+def beside(sm: StateModel, gadget: StateModel) -> StateModel:
+    """*sm* with *gadget*'s chains appended, unrelated to it."""
+    elements = list(sm.poset.elements) + [f"g{s}" for s in gadget.poset.elements]
+    pairs = list(sm.poset.covers) + [(f"g{a}", f"g{b}") for a, b in gadget.poset.covers]
+    chains = [list(c) for c in sm.chains] + [[f"g{s}" for s in c] for c in gadget.chains]
+    return build_state_model(build_poset(elements, pairs), chains)
+
+
+def with_one_state_chains(rng: random.Random, sm: StateModel) -> StateModel:
+    """*sm* with one to three one-state chains, each related at random to
+    states placed before and after it in a random linear extension."""
+    p = sm.poset
+    seq = [p.elements[i] for i in p._order]
+    extra = [f"x{t}" for t in range(rng.randint(1, 3))]
+    for x in extra:
+        seq.insert(rng.randint(0, len(seq)), x)
+    pairs = list(p.covers)
+    for _ in range(rng.randint(1, 3 * len(extra) + 2)):
+        u, v = sorted(rng.sample(range(len(seq)), 2))
+        if seq[u] in extra or seq[v] in extra:
+            pairs.append((seq[u], seq[v]))
+    chains = [list(c) for c in sm.chains] + [[x] for x in extra]
+    return build_state_model(build_poset(seq, pairs), chains)
+
+
+def with_empty_processes(rng: random.Random, m: EventModel) -> EventModel:
+    """*m* with one to three processes that have no events, numbered in
+    among its own."""
+    n = m.n + rng.randint(1, 3)
+    procs = sorted(rng.sample(range(1, n + 1), m.n))
+    labels = {e: {(procs[i - 1], k) for i, k in slots} for e, slots in m.labels.items()}
+    return build_event_model(m.poset, n, labels, allow_empty_process=True)
+
+
+def random_models(rng: random.Random, count: int) -> list[StateModel]:
+    """Chain posets and es models of event computations with shared events,
+    a quarter of them each beside the pinch gadget (so ``se`` fails) and
+    with one-state chains (so edges run through virtual nodes, and a
+    virtual node with out-edges is often a component of its own: a relay).
+
+    Floors asserted on it: ``tests/test_collapse_differential.py`` compares
+    at least 1,000 relay models, 50 failing ``se`` and 1,000 ``se`` outputs
+    with shared events in 5,200 models, 100 hand-offs with shared events
+    and with processes that have no events in 1,500, and 200 failing ``se``
+    in pinch compositions.
+    """
+    gadget = pinch_state()
+    models = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind < 2:
+            p, chains = random_chain_poset(
+                rng, max_elems=rng.choice([8, 16, 24]), max_chains=rng.choice([3, 5])
+            )
+            sm = build_state_model(p, chains)
+        else:
+            sm = es_transform(random_event_model(
+                rng, max_procs=rng.choice([3, 5]), max_events_per_proc=5, max_messages=8
+            ))
+        if kind in (1, 3) and rng.random() < 0.5:
+            sm = beside(sm, gadget)  # a pinch composition: se fails
+        if kind % 2 and rng.random() < 0.7:
+            sm = with_one_state_chains(rng, sm)
+        models.append(sm)
+    return models
+
+
+def models(seed: int, count: int) -> list[StateModel]:
+    """The model with no chains, then ``random_models(Random(seed), count)``.
+
+    Floors asserted on it: ``tests/test_int_graph_differential.py`` compares
+    the model with no chains once and at least 400 models each with
+    one-state chains, relays and cycles in 2,500, and 150 each of failing
+    ``se``, shared events and relays through ``cli.main`` in 1,500;
+    ``tests/test_checkpoint_differential.py`` compares, under
+    :func:`marking`, at least 400 models each decided by the fast engine,
+    falling back to the oracle and with a witness that several checkpoints
+    share, and 400 useless checkpoints.
+    """
+    return [build_state_model(build_poset([], []), [])] + random_models(
+        random.Random(seed), count
+    )
+
+
+def marking(rng: random.Random, sm: StateModel, density: float) -> CheckpointMarking:
+    """Each middle state of each chain marked with probability *density*."""
+    marks = []
+    for chain in sm.chains:
+        top = len(chain) - 1
+        middle = [k for k in range(1, top) if rng.random() < density]
+        marks.append(tuple([0, *middle] + ([top] if top else [])))
+    return CheckpointMarking(tuple(marks))
+
+
+def marked_models(rng: random.Random, trials: int = 3000):
+    """Marked es models of event and ASC computations, chain posets and
+    chain posets beside the pinch gadget, in turn.
+
+    Floors asserted on it by ``tests/test_checkpoint_differential.py``, at
+    an oracle bound of 14, each model's reports compared for the three
+    engines: at least 2,000 models decided by the fast engine and 400 that
+    fall back to the oracle, 500 useless and 6,000 useful verdicts of the
+    fast engine, and 500 fast-engine checkpoints that lie in more than one
+    global checkpoint.  ``tests/test_reference.py`` asserts 500 each of
+    checkpoints in no global checkpoint and in several in 600 trials.
+    """
+    gadget = pinch_state()
+    for trial in range(trials):
+        kind = trial % 4
+        if kind < 2:
+            make = random_event_model if kind else random_asc
+            sm = es_transform(make(
+                rng, max_procs=rng.choice([3, 5]), max_events_per_proc=8, max_messages=20
+            ))
+            max_marks = rng.choice([5, 6])
+        else:
+            if kind == 2:
+                sm = build_state_model(*random_chain_poset(
+                    rng, max_elems=14, max_chains=rng.choice([3, 5])
+                ))
+            else:
+                sm = chain_poset_model(rng, gadget, rng.choice([8, 14]))
+            max_marks = rng.choice([4, 5])
+        yield sm, random_marking(rng, sm, max_marks=max_marks)
+
+
+def clock_families(rng: random.Random, rounds: int):
+    """``(kind, poset, chains)``: partitions (half beside the pinch gadget),
+    event chains, which share events and may include an empty chain, and
+    sub-families that leave elements on no chain.
+
+    Floor asserted on it by ``tests/test_clock_differential.py``: at least
+    300 families each with shared elements, elements on no chain and an
+    empty chain in 1,500 rounds.
+    """
+    gadget = pinch_state()
+    for _ in range(rounds):
+        sm = chain_poset_model(rng, gadget, rng.choice([8, 16, 24]))
+        yield "partition", sm.poset, sm.chains
+        m = random_event_model(
+            rng, max_procs=rng.choice([3, 5]), max_events_per_proc=5, max_messages=8
+        )
+        yield "events", m.poset, list(m.proc_events) + [()] * rng.randint(0, 1)
+        kept = [c for c in sm.chains if rng.random() < 0.7]
+        yield "partial", sm.poset, [[s for s in c if rng.random() < 0.7] for c in kept]

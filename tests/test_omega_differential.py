@@ -28,17 +28,18 @@ from posetdual.statemodel import (
 )
 
 from builders import (
+    chain_poset_model,
     down_sets,
     pinch_state,
     random_chain_poset,
     random_event_model,
     triple_pinch_state,
 )
-from test_clock_differential import chain_clocks_by_popcount, chain_poset_model
+from reference import chain_clocks
 
 
 def omega3_by_bitsets(sm):
-    clocks = chain_clocks_by_popcount(sm.poset, sm.chains)
+    clocks = chain_clocks(sm.poset, sm.chains)
     chains = sm.chains
     p = sm.poset
     down = [[p.down_mask(s) for s in chain] for chain in chains]
@@ -56,7 +57,7 @@ def omega3_by_bitsets(sm):
 
 
 def width_extensible_by_pair_scan(sm):
-    p, clocks = sm.poset, chain_clocks_by_popcount(sm.poset, sm.chains)
+    p, clocks = sm.poset, chain_clocks(sm.poset, sm.chains)
     for s in reversed(p.elements):
         down, up = clocks[s]
         if any(u - d < 2 for d, u in zip(down, up)):
