@@ -58,7 +58,11 @@ transform's Tarjan kernel (Tarjan, 1972).  It then names every useful
 checkpoint's witness, the least global checkpoint that contains it, in
 one sweep over the components in topological order, O(covers x n) after
 the graph.  It must agree with the oracle everywhere; disagreement is a
-bug by definition.
+bug by definition.  One helper (``_usefulness``) chooses the engine and
+gives each marked state's witness; :func:`find_useless_checkpoints` makes
+the :class:`CheckpointReport` of verdict objects from it, and
+:func:`checkpoint_report_text`, which the CLI writes, renders the same
+report's canonical text straight from it, each shared witness once.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ from .statemodel import (  # noqa: F401
     check_width_extensible,
     require_width_extensible,
 )
+from .traces import _ESCAPE
 from .transforms import (  # noqa: F401
     _components,
     _tentative_graph,
@@ -1024,21 +1029,12 @@ def _fast_usefulness(
     return out
 
 
-def find_useless_checkpoints(
-    sm: StateModel, marking: CheckpointMarking, engine: str = "fast"
-) -> CheckpointReport:
-    """Classify every marked checkpoint as useful or useless.
-
-    ``engine`` selects ``fast`` (cycle structure of the model's sparse
-    tentative graph, grouped by checkpoint interval), ``oracle``
-    (definition scan over the marked states), or ``both`` (run both and
-    record agreement).  The restriction to the marked states inherits the
-    model's order, so both engines read *sm* and build no second model.
-    The fast engine silently defers to the oracle when the endpoints are
-    not pairwise concurrent, which cannot happen for models of actual
-    computations.  The oracle raises OracleBoundExceeded when the marked
-    chains have more than ``2 ** oracle_bound()`` one-per-chain tuples.
-    """
+def _usefulness(
+    sm: StateModel, marking: CheckpointMarking, engine: str
+) -> tuple[str, bool | None, tuple[tuple[str, ...], ...], dict[str, frozenset[str] | None]]:
+    """The engine choice of :func:`find_useless_checkpoints`: the engine
+    label, ``engines_agree``, the marked chains, and each marked state's
+    witness (None when it is useless)."""
     if engine not in ("fast", "oracle", "both"):
         raise ModelError(f"unknown engine {engine!r}")
     marking.validate(sm)
@@ -1059,26 +1055,79 @@ def find_useless_checkpoints(
         used = "oracle-fallback"
     else:
         used = engine
-    primary = fast if fast is not None else oracle
     agree = None
     if engine == "both" and fast is not None:
         agree = all((fast[s] is None) == (oracle[s] is None) for s in fast)
+    return used, agree, chains, fast if fast is not None else oracle
 
-    verdicts = []
+
+def find_useless_checkpoints(
+    sm: StateModel, marking: CheckpointMarking, engine: str = "fast"
+) -> CheckpointReport:
+    """Classify every marked checkpoint as useful or useless.
+
+    ``engine`` selects ``fast`` (cycle structure of the model's sparse
+    tentative graph, grouped by checkpoint interval), ``oracle``
+    (definition scan over the marked states), or ``both`` (run both and
+    record agreement).  The restriction to the marked states inherits the
+    model's order, so both engines read *sm* and build no second model.
+    The fast engine silently defers to the oracle when the endpoints are
+    not pairwise concurrent, which cannot happen for models of actual
+    computations.  The oracle raises OracleBoundExceeded when the marked
+    chains have more than ``2 ** oracle_bound()`` one-per-chain tuples.
+    """
+    used, agree, chains, witness = _usefulness(sm, marking, engine)
+    verdicts = tuple(
+        CheckpointVerdict(state, i, k, witness[state] is not None, witness[state])
+        for i, (idxs, chain) in enumerate(zip(marking.marks, chains), start=1)
+        for k, state in zip(idxs, chain)
+    )
+    return CheckpointReport(verdicts=verdicts, engine=used, engines_agree=agree)
+
+
+# A verdict of the report's canonical text, with its index, process and
+# escaped state, and for a useful one its witness's escaped states, joined.
+_USEFUL = (
+    '    {\n      "index": %d,\n      "proc": %d,\n      "state": %s,\n'
+    '      "useful": true,\n      "witness": [\n        %s\n      ]\n    }'
+)
+_USELESS = (
+    '    {\n      "index": %d,\n      "proc": %d,\n      "state": %s,\n'
+    '      "useful": false\n    }'
+)
+
+
+def checkpoint_report_text(
+    sm: StateModel, marking: CheckpointMarking, engine: str = "fast"
+) -> str:
+    """``dumps_canonical(find_useless_checkpoints(sm, marking,
+    engine).as_json())``, for a marking of ints, without building verdicts
+    or the document.
+
+    Each name is escaped once, and each witness, which checkpoints share
+    (the fast engine builds one per component), is sorted and rendered once.
+    """
+    used, agree, chains, witness = _usefulness(sm, marking, engine)
+    names: dict[str, str] = {}
+    for chain in chains:
+        names.update(zip(chain, map(_ESCAPE, chain)))
+    name = names.__getitem__
+    lists: dict[frozenset[str], str] = {}  # per witness, its joined names
+    verdicts: list[str] = []
     for i, (idxs, chain) in enumerate(zip(marking.marks, chains), start=1):
-        for orig_k, state in zip(idxs, chain):
-            w = primary[state]
-            verdicts.append(
-                CheckpointVerdict(
-                    state=state,
-                    proc=i,
-                    index=orig_k,
-                    useful=w is not None,
-                    witness=w,
-                )
-            )
-    return CheckpointReport(
-        verdicts=tuple(verdicts),
-        engine=used,
-        engines_agree=agree,
+        for k, state in zip(idxs, chain):
+            w = witness[state]
+            if w is None:
+                verdicts.append(_USELESS % (k, i, names[state]))
+                continue
+            text = lists.get(w)
+            if text is None:
+                text = lists[w] = ",\n        ".join(map(name, sorted(w)))
+            verdicts.append(_USEFUL % (k, i, names[state], text))
+    useless = sorted(state for state, w in witness.items() if w is None)
+    return '{\n  "engine": %s,\n%s  "useless": %s,\n  "verdicts": %s\n}\n' % (
+        _ESCAPE(used),
+        "" if agree is None else '  "engines_agree": %s,\n' % ("true" if agree else "false"),
+        "[\n    " + ",\n    ".join(map(name, useless)) + "\n  ]" if useless else "[]",
+        "[\n" + ",\n".join(verdicts) + "\n  ]" if verdicts else "[]",
     )

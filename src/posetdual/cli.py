@@ -23,6 +23,7 @@ import json
 import operator
 import os
 import sys
+from pathlib import Path
 from typing import Callable, Iterator
 
 from . import analysis, lattice, statemodel, traces, transforms
@@ -101,20 +102,20 @@ def cmd_transform(args) -> int:
     want = "event" if args.direction == "es" else "state"
     _need(kind == want, f"--direction {args.direction} needs a {want} trace, got {kind}")
     if args.direction == "es":
-        out = traces.state_to_json(transforms.es_transform(model))
+        text = traces.state_text(transforms.es_transform(model))
     else:
         outcome = transforms.se_transform(model)
         if not outcome.ok:
             _emit(outcome.report.as_json())
             return EXIT_SEMANTIC
-        out = traces.event_to_json(outcome.event_model)
+        text = traces.event_text(outcome.event_model)
     if args.output:
         try:
-            traces.write_trace(args.output, out)
+            Path(args.output).write_text(text)
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
-        _emit(out)
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -231,8 +232,7 @@ def cmd_analyze_checkpoints(args) -> int:
     marks = traces.load_marks(args.marks)
     _need(kind == "state", "checkpoint analysis needs a state trace")
     marking = analysis.CheckpointMarking(tuple(tuple(m) for m in marks))
-    report = analysis.find_useless_checkpoints(model, marking, engine=args.engine)
-    _emit(report.as_json())
+    sys.stdout.write(analysis.checkpoint_report_text(model, marking, engine=args.engine))
     return EXIT_OK
 
 

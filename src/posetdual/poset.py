@@ -14,7 +14,8 @@ one pass over the unique pairs, with one bitset union per pair; matching
 works on whole bitsets.  So their Python-level steps grow with the unique
 input pairs and the matching's search steps, not with the closure's pairs.
 Chain clocks are one sweep over the covers in each direction:
-O(covers x chains) integer steps.  Instances are immutable after
+O(covers x chains) integer steps; a reader of the up-clocks alone runs
+the reverse sweep alone (:func:`up_clocks`).  Instances are immutable after
 construction and safe to share between threads; enumeration generators are
 single-consumer.
 
@@ -290,11 +291,16 @@ def build_poset(
 
     # Reverse sweep: everything above v is above a direct successor or is a
     # direct successor, and the covers of v are the direct successors above
-    # none of the others, so only they need their own bit.
+    # none of the others, so only they need their own bit.  One direct
+    # successor is the one cover: a chain step takes no cover test.
     up = [0] * n
     for v in reversed(order):
         ws = succ[v]
         if not ws:
+            continue
+        if len(ws) == 1:
+            w = ws[0]
+            up[v] = up[w] | 1 << w
             continue
         above = 0
         for w in ws:
@@ -532,23 +538,40 @@ def chain_clocks(
     One sweep over the covers in ``p._order`` pushes each element's
     inclusive clock to its upper covers; the first cover it reaches shares
     the vector, and each later one takes the max into a new vector.  ``up``
-    is the elementwise min over the upper covers, in one reverse sweep,
-    copied from the first cover's only when an own position lowers an
-    entry.  Any topological order would give the same clocks.  So the cost
-    is O(covers x chains) integer steps, and vectors may be shared between
-    elements: readers must not change them.
+    is the elementwise min over the upper covers, in one reverse sweep
+    (:func:`up_clocks` alone), copied from the first cover's only when an
+    own position lowers an entry.  Any topological order would give the
+    same clocks.  So the cost is O(covers x chains) integer steps, and
+    vectors may be shared between elements: readers must not change them.
     """
-    n = len(p.elements)
-    own: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    own = _own_positions(p, chains)
+    down = _down_sweep(p, own, len(chains))
+    up = _up_sweep(p, own, [len(chain) for chain in chains])
+    return dict(zip(p.elements, zip(down, up)))
+
+
+def up_clocks(p: Poset, chains: Sequence[Sequence[str]]) -> dict[str, list[int]]:
+    """The ``up`` half of :func:`chain_clocks`, from its reverse sweep alone."""
+    up = _up_sweep(p, _own_positions(p, chains), [len(chain) for chain in chains])
+    return dict(zip(p.elements, up))
+
+
+def _own_positions(p: Poset, chains: Sequence[Sequence[str]]) -> list[list[tuple[int, int]]]:
+    """Per element index, its ``(chain, position)`` on each chain holding it."""
+    own: list[list[tuple[int, int]]] = [[] for _ in p.elements]
     index = p._index
     for c, chain in enumerate(chains):
         for pos, e in enumerate(chain):
             own[index[e]].append((c, pos))
-    upper, order = p._upper, p._order
+    return own
 
-    down: list = [None] * n
-    bottom = [-1] * len(chains)
-    for v in order:
+
+def _down_sweep(p: Poset, own: list[list[tuple[int, int]]], width: int) -> list[list[int]]:
+    """The ``down`` clocks by element index: one sweep in ``p._order``."""
+    upper = p._upper
+    down: list = [None] * len(upper)
+    bottom = [-1] * width
+    for v in p._order:
         d = down[v]
         if d is None:
             d = down[v] = bottom
@@ -562,10 +585,15 @@ def chain_clocks(
         for w in ws:
             low = down[w]
             down[w] = d if low is None else [x if x > y else y for x, y in zip(low, d)]
+    return down
 
-    up: list = [None] * n
-    top = [len(chain) for chain in chains]
-    for v in reversed(order):
+
+def _up_sweep(p: Poset, own: list[list[tuple[int, int]]], top: list[int]) -> list[list[int]]:
+    """The ``up`` clocks by element index, *top* the chain lengths: one
+    sweep in reverse ``p._order``."""
+    upper = p._upper
+    up: list = [None] * len(upper)
+    for v in reversed(p._order):
         ws = upper[v]
         if not ws:
             up[v] = top
@@ -581,7 +609,7 @@ def chain_clocks(
                         u = first.copy()
                     u[c] = pos
         up[v] = u
-    return dict(zip(p.elements, zip(down, up)))
+    return up
 
 
 def incomparable_interval(

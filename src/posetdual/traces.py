@@ -6,6 +6,14 @@ fields listed in ``docs/formats.md``.  Unknown fields are rejected.  Emission
 is canonical (sorted keys, sorted element/relation lists, two-space indent),
 so dumping a loaded canonical file reproduces it byte for byte.
 
+A document's canonical text is ``json.dumps(doc, indent=2, sort_keys=True)``
+plus a newline.  :func:`state_to_json` and :func:`event_to_json` build the
+model documents, and :func:`dumps_canonical` writes any document, a column
+of alike values at a time.  :func:`state_text` and :func:`event_text` write
+the same text of a model straight from it, for the CLI's ``transform``:
+each name escaped once, each cover pair, chain, event and slot through one
+fixed template, one join per list, and no document built.
+
 Event files list per-event slots; same-process ordering is implied by the
 slot indices (the loader inserts the chain edges), while cross-process
 causality must be given as explicit edges.  State files list explicit chains
@@ -432,6 +440,67 @@ def _groups(values: list) -> list[tuple[list[int] | None, Any]]:
     for i, shape in enumerate(shapes):
         by.setdefault(shape, []).append(i)
     return [(members, shape) for shape, members in by.items()]
+
+
+# The canonical text of the two model documents, written straight from the
+# model: each name is escaped once, each entry goes through one fixed
+# template at its indent, and each list is one join.
+_PAIR = "    [\n      %s,\n      %s\n    ]"
+_CHAIN = "    [\n      %s\n    ]"
+_EVENT = '    {\n      "id": %s,\n      "slots": [\n%s\n      ]\n    }'
+_SLOT = '        {\n          "idx": %d,\n          "proc": %d\n        }'
+_ONE_SLOT_EVENT = _EVENT % ("%s", _SLOT)
+
+
+def _items(body: str) -> str:
+    """A list at the top level of a document, from its entries' joined text."""
+    return "[\n" + body + "\n  ]" if body else "[]"
+
+
+def state_text(sm: StateModel) -> str:
+    """``dumps_canonical(state_to_json(sm))``, without building the document.
+
+    A model with ``attrs`` (arbitrary JSON values) goes through the
+    document.
+    """
+    if sm.attrs:
+        return dumps_canonical(state_to_json(sm))
+    p = sm.poset
+    names = list(map(_ESCAPE, p.elements))
+    name = dict(zip(p.elements, names)).__getitem__
+    chains = [_CHAIN % ",\n      ".join(map(name, chain)) for chain in sm.chains]
+    elements = "    " + ",\n    ".join(names) if names else ""
+    return (
+        '{\n  "chains": %s,\n  "elements": %s,\n  "kind": "state",\n'
+        '  "relations": %s,\n  "version": %d\n}\n'
+        % (_items(",\n".join(chains)), _items(elements), _items(_pairs(p, names)), VERSION)
+    )
+
+
+def event_text(m: EventModel) -> str:
+    """``dumps_canonical(event_to_json(m))``, without building the document."""
+    p = m.poset
+    names = list(map(_ESCAPE, p.elements))
+    labels = m.labels
+    events = []
+    for e, name in zip(p.elements, names):
+        label = labels[e]
+        if len(label) == 1:  # most events: one template, no sort
+            [(i, k)] = label
+            events.append(_ONE_SLOT_EVENT % (name, k, i))
+        else:
+            events.append(_EVENT % (name, ",\n".join([_SLOT % (k, i) for i, k in sorted(label)])))
+    return (
+        '{\n%s  "edges": %s,\n  "events": %s,\n  "kind": "event",\n'
+        '  "n": %s,\n  "version": %d\n}\n'
+        % ("" if all(m.proc_events) else '  "allow_empty_process": true,\n',
+           _items(_pairs(p, names)), _items(",\n".join(events)), json.dumps(m.n), VERSION)
+    )
+
+
+def _pairs(p: Poset, names: list[str]) -> str:
+    """The joined cover pairs of *p*, its escaped *names* by index."""
+    return ",\n".join([_PAIR % (names[v], names[w]) for v, ws in enumerate(p._upper) for w in ws])
 
 
 def write_trace(path: str | Path, data: Mapping[str, Any]) -> None:

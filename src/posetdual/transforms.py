@@ -15,8 +15,9 @@ converted.  Only reachability in that graph matters, so it is read off the
 covers: the chain edges and one edge per cross cover, plus one virtual node
 per chain for the transition out of its final state, which names no event.
 
-The forward transform reads the order from
-:func:`~posetdual.poset.chain_clocks` instead of testing pairs: walking
+The forward transform reads the order from up-clocks
+(:func:`~posetdual.poset.up_clocks`, the reverse sweep of
+:func:`~posetdual.poset.chain_clocks`) instead of testing pairs: walking
 each chain from the top down, it emits one pair per change of target and
 leaves out the pairs a chain edge implies, at most O(events x processes)
 pairs.  The reverse transform reads no clocks: its graph has O(covers)
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .eventmodel import EventModel, build_event_model
-from .poset import build_poset, chain_clocks
+from .poset import build_poset, up_clocks
 from .statemodel import StateModel, build_state_model
 
 Node = tuple[int, int]
@@ -51,7 +52,7 @@ def es_transform(m: EventModel) -> StateModel:
     omega checks by construction.  Each state ``[i,r]`` is below the lowest
     ``[j,s]`` of each other process ``j`` whose entering event is, or
     happened after, the event leaving ``[i,r]``.  That target is read off
-    the chain clocks of the event poset over the processes, and it never
+    the up-clocks of the event poset over the processes, and it never
     rises from ``[i,r]`` to ``[i,r+1]``.  Each chain is walked from the top
     down, and a pair is emitted only where the target on ``j`` changes: the
     chain edge ``[i,r] < [i,r+1]`` implies the others, and the closure
@@ -61,7 +62,7 @@ def es_transform(m: EventModel) -> StateModel:
     chains = [
         [f"{i}.{k}" for k in range(m.chain_length(i) + 1)] for i in range(1, m.n + 1)
     ]
-    clocks = chain_clocks(m.poset, m.proc_events)
+    ups = up_clocks(m.poset, m.proc_events)
     labels = m.labels
     pairs: list[tuple[str, str]] = []
     for i, chain in enumerate(chains):
@@ -72,7 +73,7 @@ def es_transform(m: EventModel) -> StateModel:
         events = m.proc_events[i]
         for r in range(len(events) - 1, -1, -1):
             e = events[r]
-            targets = [u + 1 for u in clocks[e][1]]
+            targets = [u + 1 for u in ups[e]]
             # A shared event itself enters a state on each of its processes.
             for j, k in labels[e]:
                 targets[j - 1] = k

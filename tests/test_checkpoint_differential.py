@@ -8,10 +8,14 @@ the model to the marked states (``builders.restricted_model``) and names,
 for each checkpoint, the first one-per-chain tuple of pairwise concurrent
 marked states that holds it, in product order.  Every report, with its
 witnesses, engine and agreement, and every ``OracleBoundExceeded`` must be
-the reference's, for each engine.
+the reference's, for each engine.  The text ``checkpoint_report_text``
+writes must be the definition of canonical text, ``json.dumps(doc,
+indent=2, sort_keys=True) + "\n"``, of the reference's report document,
+for each engine and for the oracle fallback.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -20,7 +24,7 @@ import pytest
 import reference
 from posetdual import OracleBoundExceeded, es_transform
 from posetdual import analysis, statemodel
-from posetdual.analysis import find_useless_checkpoints
+from posetdual.analysis import checkpoint_report_text, find_useless_checkpoints
 from posetdual.traces import dumps_canonical, state_to_json
 
 from builders import (
@@ -35,22 +39,36 @@ from builders import (
 )
 
 
-def outcome(find, sm, marks, engine):
+def outcome(call, sm, marks, engine, *writers):
+    """Each writer's text of what *call* returns, or for each the
+    OracleBoundExceeded message."""
     try:
-        return dumps_canonical(find(sm, marks, engine).as_json())
+        report = call(sm, marks, engine)
     except OracleBoundExceeded as exc:
-        return str(exc)
+        return [str(exc)] * len(writers)
+    return [write(report) for write in writers]
+
+
+def canonical(report):
+    return dumps_canonical(report.as_json())
+
+
+def defined(report):
+    """The report as the definition of canonical text."""
+    return json.dumps(report.as_json(), indent=2, sort_keys=True) + "\n"
 
 
 def compare(sm, marks, engines, counts):
-    """Assert each engine's report bytes are the reference's and count the
+    """Assert each engine's report bytes, and the text
+    ``checkpoint_report_text`` writes, are the reference's, and count the
     fallbacks and useless verdicts compared; *engines* starts with
     ``fast``.  Returns the fast engine's report, or None where it defers to
     the oracle."""
     for engine in engines:
-        got = outcome(find_useless_checkpoints, sm, marks, engine)
-        want = outcome(reference.checkpoint_report, sm, marks, engine)
-        assert got == want, (state_to_json(sm), marks.as_json(), engine)
+        [got] = outcome(find_useless_checkpoints, sm, marks, engine, canonical)
+        [text] = outcome(checkpoint_report_text, sm, marks, engine, str)
+        want = outcome(reference.checkpoint_report, sm, marks, engine, canonical, defined)
+        assert [got, text] == want, (state_to_json(sm), marks.as_json(), engine)
         if engine == "fast":
             counts["oracle-fallback"] += '"engine": "oracle-fallback"' in got
             counts["useless"] += got.count('"useful": false')

@@ -14,14 +14,20 @@ engine through the seam they build their graph at, ``_tentative_graph``, on
 node ids (``on_node_ids``), the same ``se`` bytes and checkpoint reports, on
 models that send edges through virtual nodes.
 
-``chain_clocks`` itself, one sweep over the covers in each direction, is
-compared with the reference's counts of the chain members below and above
-each element, on partitions, on event chains that share events, and on
-families that leave elements on no chain.  Its vectors may be shared
-between elements, so no reader may change one.
+``chain_clocks`` itself, one sweep over the covers in each direction, and
+``up_clocks``, its reverse sweep alone, are compared with the reference's
+counts of the chain members below and above each element, on partitions,
+on event chains that share events, and on families that leave elements on
+no chain.  Their vectors may be shared between elements, so no reader may
+change one.
+
+The text ``state_text`` writes for an ``es`` result must be the definition
+of canonical text, ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, of
+the reference's state document.
 """
 
 import copy
+import json
 import random
 
 import reference
@@ -34,7 +40,7 @@ from posetdual import (
 )
 from posetdual import analysis, poset, statemodel, transforms
 from posetdual.analysis import find_useless_checkpoints
-from posetdual.traces import dumps_canonical, event_to_json, state_to_json
+from posetdual.traces import dumps_canonical, event_to_json, state_text, state_to_json
 from posetdual.transforms import (
     event_signature,
     se_transform,
@@ -129,7 +135,9 @@ def test_es_equals_pair_scans_with_shared_events_and_empty_processes():
         if rng.random() < 0.5:
             m = with_empty_processes(rng, m)
         sm = es_transform(m)
-        assert state_to_json(sm) == state_to_json(reference.es(m))
+        want = state_to_json(reference.es(m))
+        assert state_to_json(sm) == want
+        assert state_text(sm) == json.dumps(want, indent=2, sort_keys=True) + "\n"
         assert event_signature(se_transform(sm).event_model) == event_signature(m)
         counts["shared"] += any(len(slots) > 1 for slots in m.labels.values())
         counts["empty"] += any(not events for events in m.proc_events)
@@ -225,9 +233,9 @@ def test_cover_sweep_clocks_equal_popcounts():
     rng = random.Random(2003)
     seen = {"shared": 0, "unplaced": 0, "empty chain": 0}
     for kind, p, chains in clock_families(rng, 1500):
-        assert poset.chain_clocks(p, chains) == reference.chain_clocks(p, chains), (
-            kind, p.covers, chains,
-        )
+        want = reference.chain_clocks(p, chains)
+        assert poset.chain_clocks(p, chains) == want, (kind, p.covers, chains)
+        assert poset.up_clocks(p, chains) == {e: up for e, (_, up) in want.items()}
         placed = [s for c in chains for s in c]
         seen["shared"] += len(placed) > len(set(placed))
         seen["unplaced"] += len(set(placed)) < len(p)
@@ -237,16 +245,20 @@ def test_cover_sweep_clocks_equal_popcounts():
 
 
 def recording_chain_clocks(monkeypatch):
-    """Make every chain_clocks call keep its result and a deep copy of it."""
+    """Make every chain_clocks and up_clocks call keep its result and a deep
+    copy of it."""
     made = []
 
-    def record(p, chains):
-        clocks = poset.chain_clocks(p, chains)
-        made.append((clocks, copy.deepcopy(clocks)))
-        return clocks
+    def recording(clocks_of):
+        def record(p, chains):
+            clocks = clocks_of(p, chains)
+            made.append((clocks, copy.deepcopy(clocks)))
+            return clocks
 
-    for module in (statemodel, transforms):
-        monkeypatch.setattr(module, "chain_clocks", record)
+        return record
+
+    monkeypatch.setattr(statemodel, "chain_clocks", recording(poset.chain_clocks))
+    monkeypatch.setattr(transforms, "up_clocks", recording(poset.up_clocks))
     return made
 
 

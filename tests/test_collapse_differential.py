@@ -10,15 +10,19 @@ edge into a virtual node on to the real nodes it reaches through virtual
 nodes alone.  Every emitted event trace and report byte, every
 ``temp_edges`` tuple and every component list must be the same as the
 reference's, and so must the components of the textbook Tarjan pass on
-random graphs and on a 10^5-node path and cycle.
+random graphs and on a 10^5-node path and cycle.  The text ``event_text``
+writes for an ``se`` result must be the definition of canonical text,
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, of the reference's
+event document.
 """
 
+import json
 import random
 
 import reference
 from posetdual import build_event_model
 from posetdual import transforms
-from posetdual.traces import dumps_canonical, event_to_json, state_to_json
+from posetdual.traces import dumps_canonical, event_text, event_to_json, state_to_json
 from posetdual.transforms import _components, se_transform, strongly_connected_components
 
 from builders import beside, pinch_state, random_models
@@ -53,6 +57,9 @@ def test_one_pass_collapse_equals_two_walk_collapse():
     for sm in models:
         got, want = se_transform(sm), reference.se_collapse(sm)
         assert outcome_bytes(got) == outcome_bytes(want), state_to_json(sm)
+        if got.ok:
+            doc = event_to_json(want.event_model)
+            assert event_text(got.event_model) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert got.temp_edges == want.temp_edges
         counts["relay"] += has_relay(sm)
         counts["offending"] += not got.ok

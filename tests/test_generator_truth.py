@@ -30,11 +30,31 @@ for every run:
 
 Floors: at least 150 runs with shared events, 250 with two or more
 processes and a message, 100 with a useless checkpoint, and 50,000 cuts
-in all (177, 282, 129 and 74,461 are compared).  Time budget: 60 s; the
-module takes about 2.5 s on a 2-CPU VM.
+in all (177, 282, 129 and 74,461 are compared).
+
+Predicates, on the same 400 runs with a load of 0 to 9 drawn for every
+state from ``Random(f"truth-pred:{t}")``, which also draws the clauses:
+
+* ``analyze predicate --count`` of an ``and`` of an ``attr`` clause and a
+  ``sum`` (counted a block of the cut walk at a time) and of an ``or``
+  with a ``not`` (counted one global state at a time) prints the number of
+  ``frontiers()`` on which :func:`holds`, an evaluator of the clause
+  language written here, holds;
+* ``--first`` of an ``and`` of one to three ``attr`` and ``index`` clauses
+  on distinct processes prints the least frontier on which it holds, the
+  per-process minimum of those frontiers, which must itself hold (such
+  predicates are closed under meets), or null when none does.
+
+Floors: at least 200 counts strictly between 0 and the number of cuts for
+each of the two counted predicates, and at least 200 first matches and 80
+runs without one (252, 246, 274 and 126 are compared).
+
+Time budget: 60 s for each of the two tests; the module takes about 4 s
+on a 2-CPU VM.
 """
 
 import json
+import operator
 import random
 import sys
 import time
@@ -124,4 +144,95 @@ def test_commands_equal_the_generators_truth(tmp_path, capsys):
     # enough cuts must all be compared.
     assert counts["shared"] >= 150 and counts["messages"] >= 250, counts
     assert counts["useless"] >= 100 and counts["cuts"] >= 50_000, counts
+    assert elapsed < BUDGET_S, elapsed
+
+
+CMP = {"<": operator.lt, "<=": operator.le, "==": operator.eq, "!=": operator.ne,
+       ">=": operator.ge, ">": operator.gt}
+
+
+def holds(expr, frontier, load):
+    """The clause language on a frontier (one state index per process),
+    *load* the attribute ``load`` of each state ``(i, k)``."""
+    op = expr["op"]
+    if op == "and":
+        return all(holds(arg, frontier, load) for arg in expr["args"])
+    if op == "or":
+        return any(holds(arg, frontier, load) for arg in expr["args"])
+    if op == "not":
+        return not holds(expr["arg"], frontier, load)
+    if op == "agg":  # a sum of loads
+        got = sum(load[i, k] for i, k in enumerate(frontier, start=1))
+    elif op == "attr":
+        got = load[expr["proc"], frontier[expr["proc"] - 1]]
+    else:  # index
+        got = frontier[expr["proc"] - 1]
+    return CMP[expr["cmp"]](got, expr["value"])
+
+
+def predicates(rng, n, k):
+    """Two predicates to count, one of each way of counting, and a local
+    conjunction to find the least match of."""
+    def attr(proc):
+        return {"op": "attr", "proc": proc, "attr": "load",
+                "cmp": rng.choice(sorted(CMP)), "value": rng.randint(0, 9)}
+
+    def index(proc):
+        return {"op": "index", "proc": proc, "cmp": rng.choice(sorted(CMP)),
+                "value": rng.randint(0, k)}
+
+    procs = range(1, n + 1)
+    by_blocks = {"op": "and", "args": [
+        attr(rng.choice(procs)),
+        {"op": "agg", "fn": "sum", "attr": "load", "cmp": rng.choice(("<=", ">=")),
+         "value": rng.randint(3 * n, 6 * n)},
+    ]}
+    by_states = {"op": "or", "args": [
+        attr(rng.choice(procs)), {"op": "not", "arg": index(rng.choice(procs))},
+    ]}
+    local = {"op": "and", "args": [
+        rng.choice((attr, index))(proc)
+        for proc in rng.sample(procs, rng.randint(1, min(3, n)))
+    ]}
+    return by_blocks, by_states, local
+
+
+def test_predicates_equal_the_generators_truth(tmp_path, capsys):
+    state_path, pred_path = tmp_path / "state.json", tmp_path / "pred.json"
+
+    def run_cli(expr, mode):
+        write(pred_path, {"kind": "predicate", "version": 1, "expr": expr})
+        code = main(["analyze", "predicate", "--model", str(state_path),
+                     "--pred", str(pred_path), mode])
+        return code, json.loads(capsys.readouterr().out)
+
+    counts = {"by blocks": 0, "by states": 0, "found": 0, "none": 0}
+    start = time.perf_counter()
+    for t in range(RUNS):
+        run, _ = gen_case(t)
+        down = run.state_down()
+        rng = random.Random(f"truth-pred:{t}")
+        load = {s: rng.randint(0, 9) for s in sorted(down)}
+        write(state_path, gen.state_doc(down, run.lengths, {s: {"load": v} for s, v in load.items()}))
+        by_blocks, by_states, local = predicates(rng, run.n, max(run.lengths))
+        frontiers = list(run.frontiers())
+
+        for name, expr in (("by blocks", by_blocks), ("by states", by_states)):
+            want = sum(holds(expr, f, load) for f in frontiers)
+            assert run_cli(expr, "--count") == (0, {"count": want}), (t, expr)
+            counts[name] += 0 < want < len(frontiers)
+
+        matches = [f for f in frontiers if holds(local, f, load)]
+        found = None
+        if matches:
+            least = tuple(map(min, zip(*matches)))
+            assert least in matches, (t, local)
+            found = sorted(f"{i}.{k}" for i, k in enumerate(least, start=1))
+        assert run_cli(local, "--first") == (0, {"found": found}), (t, local)
+        counts["found" if matches else "none"] += 1
+    elapsed = time.perf_counter() - start
+    # Both ways of counting must meet counts that are neither 0 nor all,
+    # and --first must meet runs with a match and runs without one.
+    assert counts["by blocks"] >= 200 and counts["by states"] >= 200, counts
+    assert counts["found"] >= 200 and counts["none"] >= 80, counts
     assert elapsed < BUDGET_S, elapsed

@@ -9,6 +9,7 @@ import pytest
 
 import posetdual
 from posetdual import SchemaError, build_poset, build_state_model, cli, es_transform, lattice
+from posetdual import analysis, traces, transforms
 from posetdual.cli import main
 from posetdual.errors import ModelError
 from posetdual.lattice import enumerate_event_cuts
@@ -589,6 +590,67 @@ def test_transform_roundtrip_through_files(tmp_path, capsys, fixtures_dir):
     assert event_signature(model) == event_signature(builders.barrier_event())
     _, sm = load_trace(out_state)
     assert state_signature(sm) == state_signature(builders.barrier_state())
+
+
+def defined_text(doc):
+    """The definition of canonical text."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Non-ASCII, astral, control, lone-surrogate, quote and backslash ids, and
+# "~" and DEL, which sort before "é" raw but after its "\u00e9" escape.
+ODD = ["\u00e9t\u00e9", "\U0001f600", "\x01", "\ud800", 'q"', "b\\s", "~", "\x7f"]
+
+
+def test_texts_written_from_models_are_their_documents_text(capsys, tmp_path):
+    a, b, c, d, e, f, g, h = ODD
+    # Four processes, the third empty; b and f are shared, f by three.
+    labels = {
+        b: {(1, 1), (2, 1)}, e: {(1, 2)}, f: {(1, 3), (2, 3), (4, 3)},
+        c: {(2, 2)}, a: {(4, 1)}, d: {(4, 2)}, g: {(1, 4)}, h: {(4, 4)},
+    }
+    pairs = [(b, e), (e, f), (b, c), (c, f), (a, d), (d, f), (f, g), (f, h), (a, e)]
+    events = posetdual.build_event_model(
+        build_poset(ODD, pairs), 4, labels, allow_empty_process=True
+    )
+    # The zigzag of the checkpoint fixtures: d < b < g makes b useless.
+    chains = [[e, b, a], [d, c, g, h], [f]]
+    steps = [pair for chain in chains for pair in zip(chain, chain[1:])]
+    order = build_poset(ODD, [*steps, (d, b), (b, g)])
+    states = build_state_model(order, chains)
+    attrs = {a: {"z": [1, {"y": None}], "b\\": 1.5}, g: {}, h: {"\ud800": "\U0001f600"}}
+    event_models = [
+        events,
+        posetdual.build_event_model(build_poset([], []), 0, {}),
+        posetdual.build_event_model(build_poset([a], []), 2, {a: {(2, 1)}}, allow_empty_process=True),
+    ]
+    state_models = [
+        states,
+        build_state_model(order, chains, attrs),
+        build_state_model(build_poset([d, a], []), [[d], [a]]),  # no relations
+        build_state_model(build_poset([], []), []),
+        es_transform(events),
+    ]
+    for m in event_models:
+        assert traces.event_text(m) == defined_text(event_to_json(m))
+    for sm in state_models:
+        assert traces.state_text(sm) == defined_text(state_to_json(sm))
+    marks = analysis.CheckpointMarking(((0, 1, 2), (0, 2, 3), (0,)))
+    for engine in ("fast", "oracle", "both"):
+        report = analysis.find_useless_checkpoints(states, marks, engine)
+        assert analysis.checkpoint_report_text(states, marks, engine) == defined_text(report.as_json())
+    assert any(v.witness for v in report.verdicts)
+    assert not all(v.useful for v in report.verdicts)
+
+    # Through the CLI, -o writes the bytes stdout prints.
+    for doc, direction in ((event_to_json(events), "es"), (state_to_json(states), "se")):
+        path, out = tmp_path / f"{direction}.json", tmp_path / f"{direction}.out.json"
+        write_trace(path, doc)
+        code, text, err = run_cli(capsys, "transform", str(path), "--direction", direction)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, "transform", str(path), "--direction", direction, "-o", str(out)) == (0, "", "")
+        assert out.read_text() == text
+    assert text == traces.event_text(transforms.se_transform(states).event_model)
 
 
 @pytest.mark.parametrize(

@@ -244,7 +244,7 @@ def test_se_and_fast_checkpoints_read_no_clocks(fixtures_dir, monkeypatch):
             refuse()
         return poset.chain_clocks(model.poset, model.chains)
 
-    monkeypatch.setattr(transforms, "chain_clocks", refuse)
+    monkeypatch.setattr(transforms, "up_clocks", refuse)
     monkeypatch.setattr(statemodel, "chain_clocks", refuse)
     monkeypatch.setattr(StateModel, "clocks", clocks_of_marked_model_only)
     assert outputs(barrier, pinch, zigzag) == expected
