@@ -97,7 +97,7 @@ from .statemodel import (  # noqa: F401
     check_width_extensible,
     require_width_extensible,
 )
-from .traces import _ESCAPE
+from .traces import _ESCAPE, _items
 from .transforms import (  # noqa: F401
     _components,
     _tentative_graph,
@@ -1128,6 +1128,6 @@ def checkpoint_report_text(
     return '{\n  "engine": %s,\n%s  "useless": %s,\n  "verdicts": %s\n}\n' % (
         _ESCAPE(used),
         "" if agree is None else '  "engines_agree": %s,\n' % ("true" if agree else "false"),
-        "[\n    " + ",\n    ".join(map(name, useless)) + "\n  ]" if useless else "[]",
-        "[\n" + ",\n".join(verdicts) + "\n  ]" if verdicts else "[]",
+        _items("    " + ",\n    ".join(map(name, useless)) if useless else ""),
+        _items(",\n".join(verdicts)),
     )

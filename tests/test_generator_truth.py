@@ -213,7 +213,8 @@ def test_predicates_equal_the_generators_truth(tmp_path, capsys):
         down = run.state_down()
         rng = random.Random(f"truth-pred:{t}")
         load = {s: rng.randint(0, 9) for s in sorted(down)}
-        write(state_path, gen.state_doc(down, run.lengths, {s: {"load": v} for s, v in load.items()}))
+        attrs = {s: {"load": v} for s, v in load.items()}
+        write(state_path, gen.state_doc(down, run.lengths, attrs))
         by_blocks, by_states, local = predicates(rng, run.n, max(run.lengths))
         frontiers = list(run.frontiers())
 

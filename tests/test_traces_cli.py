@@ -622,7 +622,9 @@ def test_texts_written_from_models_are_their_documents_text(capsys, tmp_path):
     event_models = [
         events,
         posetdual.build_event_model(build_poset([], []), 0, {}),
-        posetdual.build_event_model(build_poset([a], []), 2, {a: {(2, 1)}}, allow_empty_process=True),
+        posetdual.build_event_model(
+            build_poset([a], []), 2, {a: {(2, 1)}}, allow_empty_process=True
+        ),
     ]
     state_models = [
         states,
@@ -638,7 +640,8 @@ def test_texts_written_from_models_are_their_documents_text(capsys, tmp_path):
     marks = analysis.CheckpointMarking(((0, 1, 2), (0, 2, 3), (0,)))
     for engine in ("fast", "oracle", "both"):
         report = analysis.find_useless_checkpoints(states, marks, engine)
-        assert analysis.checkpoint_report_text(states, marks, engine) == defined_text(report.as_json())
+        text = analysis.checkpoint_report_text(states, marks, engine)
+        assert text == defined_text(report.as_json())
     assert any(v.witness for v in report.verdicts)
     assert not all(v.useful for v in report.verdicts)
 
@@ -646,9 +649,10 @@ def test_texts_written_from_models_are_their_documents_text(capsys, tmp_path):
     for doc, direction in ((event_to_json(events), "es"), (state_to_json(states), "se")):
         path, out = tmp_path / f"{direction}.json", tmp_path / f"{direction}.out.json"
         write_trace(path, doc)
-        code, text, err = run_cli(capsys, "transform", str(path), "--direction", direction)
+        argv = ["transform", str(path), "--direction", direction]
+        code, text, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
-        assert run_cli(capsys, "transform", str(path), "--direction", direction, "-o", str(out)) == (0, "", "")
+        assert run_cli(capsys, *argv, "-o", str(out)) == (0, "", "")
         assert out.read_text() == text
     assert text == traces.event_text(transforms.se_transform(states).event_model)
 
