@@ -11,7 +11,9 @@ order, the lexicographically least linear extension.  No down-sets are
 stored; the few readers that need one read it off the up-sets or the
 covers.  Closure and reduction walk per-element successor lists built in
 one pass over the unique pairs, with one bitset union per pair; matching
-works on whole bitsets.  So their Python-level steps grow with the unique
+works on whole bitsets, on a copy of the up-sets in reversed index built
+for the matching alone, so that a search step finds its next neighbor with
+two n-bit operations.  So their Python-level steps grow with the unique
 input pairs and the matching's search steps, not with the closure's pairs.
 Chain clocks are one sweep over the covers in each direction:
 O(covers x chains) integer steps; a reader of the up-clocks alone runs
@@ -317,11 +319,14 @@ def build_poset(
 def chain_break(p: Poset, ids: Sequence[int]) -> int:
     """First ``k`` with ``ids[k]`` not below ``ids[k + 1]``, or -1 if none.
 
-    *ids* are element indices; one bit test of an up-set per step.
+    *ids* are element indices.  A cover step is below by definition and is
+    found by a scan of ``a``'s short cover list; only a step that is not a
+    cover shifts ``a``'s up-set, which on a long chain is as wide as the
+    poset.
     """
-    up = p._up
+    up, upper = p._up, p._upper
     for k, (a, b) in enumerate(zip(ids, ids[1:])):
-        if not up[a] >> b & 1:
+        if b not in upper[a] and not up[a] >> b & 1:
             return k
     return -1
 
@@ -346,46 +351,63 @@ def _maximum_matching(p: Poset) -> tuple[list[int], list[int]]:
     -1 for an unmatched copy; both readers of the matching, the chain
     partition and the Koenig antichain, take them as they are.
     Deterministic: vertices and neighbors are scanned in sorted-id order.
+
+    The search runs on right copies in reversed index, element ``i`` as bit
+    ``n-1-i``: ``rup`` holds the up-sets in that index, built by one sweep
+    over the covers in reverse ``_order``, and lives only while the
+    matching runs.  The lowest unvisited index of an up-set is then the
+    highest bit of ``rup[u] & unvisited``, which ``bit_length`` reads off
+    without a negation, so a search step costs two n-bit operations (the
+    ``&``, and clearing the visited bit through the single-bit table) and
+    tries the neighbors in the same order as a scan in sorted-id order.
     """
-    up = p._up
-    n = len(up)
+    upper = p._upper
+    n = len(upper)
+    last = n - 1
+    bit = [1 << b for b in range(n)]
+    rup = [0] * n
+    for v in reversed(p._order):
+        above = 0
+        for w in upper[v]:
+            above |= rup[w] | bit[last - w]
+        rup[v] = above
     everything = (1 << n) - 1
-    mate_l = [-1] * n  # partners, -1 for none
-    mate_r = [-1] * n
+    mate_l = [-1] * n  # right partners by element, -1 for none
+    mate_rr = [-1] * n  # left partners by reversed right index
     for root in range(n):
-        # Kuhn's augmenting-path search as an explicit-stack DFS: path[d] is
-        # the right vertex tried from stack[d], so depth is not bounded by
-        # the recursion limit.  Every neighbor a frame has tried is visited,
-        # and visited only grows, so the frame's next neighbor in sorted
-        # order is the lowest bit of its up-set (``top`` for the top frame)
-        # still in ``unvisited``.
+        # Kuhn's augmenting-path search as an explicit-stack DFS, so depth
+        # is not bounded by the recursion limit.  Every neighbor a frame has
+        # tried is visited, and visited only grows, so the frame's next
+        # neighbor in sorted order is the highest bit of its reversed up-set
+        # (``top`` for the top frame) still in ``unvisited``.  A frame above
+        # the root was pushed as the partner of the vertex its parent tried,
+        # so the path is the stack: each frame takes the old partner of the
+        # frame above it, and the top frame takes the free vertex.
         unvisited = everything
         stack = [root]
-        path: list[int] = []
-        top = up[root]
+        top = rup[root]
         while True:
             free = top & unvisited
             if not free:
                 stack.pop()
                 if not stack:
                     break
-                path.pop()
-                top = up[stack[-1]]
+                top = rup[stack[-1]]
                 continue
-            low = free & -free
-            unvisited ^= low
-            v = low.bit_length() - 1
-            path.append(v)
-            w = mate_r[v]
+            b = free.bit_length() - 1
+            unvisited ^= bit[b]
+            w = mate_rr[b]
             if w >= 0:
                 stack.append(w)
-                top = up[w]
+                top = rup[w]
                 continue
-            for u, x in zip(stack, path):
-                mate_l[u] = x
-                mate_r[x] = u
+            v = last - b
+            for u in reversed(stack):
+                mate_rr[last - v] = u
+                v, mate_l[u] = mate_l[u], v
             break
-    return mate_l, mate_r
+    mate_rr.reverse()  # now by element: mate_r
+    return mate_l, mate_rr
 
 
 def _matching_to_partition(p: Poset, mate_l, mate_r) -> ChainPartition:
@@ -430,9 +452,10 @@ def width(p: Poset) -> tuple[int, frozenset[str]]:
     the witness comes from the matching's vertex cover, so the Dilworth
     equality ``chain count == antichain size`` holds by construction.  The
     witness is deterministic but otherwise unspecified.  Kuhn's method runs
-    one search per element; each search step takes the next neighbor as the
-    lowest bit of an up-set outside the visited bitset, so a step costs one
-    bitset operation, and a search may visit every element: O(elements^2)
+    one search per element; each search step takes the next neighbor in
+    sorted-id order as the highest bit of a reversed up-set outside the
+    visited bitset, so a step costs two n-bit operations (an ``&`` and one
+    bit cleared), and a search may visit every element: O(elements^2)
     steps in the worst case, as on long chains.  The first call matches
     once and keeps the antichain and the chain partition in the poset's one
     cache, which :func:`minimum_chain_partition` reads too; an empty poset

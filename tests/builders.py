@@ -4,7 +4,7 @@ The small named models double as the on-disk fixture corpus (see
 tests/test_traces_cli.py, which asserts the JSON files stay in sync), and the
 random generators feed the property/acceptance suites.  The model families
 at the end feed the differential tests of the tentative graph, its
-components, the clocks and the checkpoint engines against
+components, the clocks, the checkpoint engines and the matching against
 ``tests/reference.py``; each family's docstring names the kinds of model it
 draws and the floors its differentials assert on them.
 """
@@ -269,6 +269,15 @@ def random_chain_poset(
     sizes = [1] * n
     for _ in range(total - n):
         sizes[rng.randrange(n)] += 1
+    return _chain_poset(rng, sizes, 2 * n)
+
+
+def _chain_poset(
+    rng: random.Random, sizes: list[int], max_cross: int
+) -> tuple[Poset, list[list[str]]]:
+    """Chains ``i.0 .. i.(sizes[i-1]-1)`` and up to *max_cross* random cross
+    relations, each forward in a random interleaving of the chains."""
+    n, total = len(sizes), sum(sizes)
     chains = [[f"{i + 1}.{k}" for k in range(sizes[i])] for i in range(n)]
     # random interleaving = linear extension; cross edges only go forward in it
     tags = [i for i in range(n) for _ in range(sizes[i])]
@@ -280,7 +289,7 @@ def random_chain_poset(
         nxt[i] += 1
     relations = [pair for c in chains for pair in zip(c, c[1:])]
     chain_of = {s: i for i, c in enumerate(chains) for s in c}
-    for _ in range(rng.randint(0, 2 * n)):
+    for _ in range(rng.randint(0, max_cross)):
         u, v = sorted(rng.sample(range(total), 2)) if total > 1 else (0, 0)
         if u != v and chain_of[seq[u]] != chain_of[seq[v]]:
             relations.append((seq[u], seq[v]))
@@ -506,3 +515,18 @@ def clock_families(rng: random.Random, rounds: int):
         yield "events", m.poset, list(m.proc_events) + [()] * rng.randint(0, 1)
         kept = [c for c in sm.chains if rng.random() < 0.7]
         yield "partial", sm.poset, [[s for s in c if rng.random() < 0.7] for c in kept]
+
+
+def long_chain_poset(rng: random.Random) -> Poset:
+    """Two or three ``i.k``-named chains of 10 to 120 states each, with up
+    to one random cross relation per ten states.  Sorted-id order (``1.10``
+    before ``1.2``) crosses chain order, so Kuhn's searches in sorted-id
+    order reroute long augmenting paths.
+
+    Floor asserted by ``tests/test_bitset_differential.py`` on 120 of these
+    posets, 120 ``perfbench/gen.py`` runs and 80 copies with renamed ids:
+    at least 200 posets whose longest augmenting path, counted by
+    ``reference.kuhn``, has 20 or more steps.
+    """
+    sizes = [rng.randint(10, 120) for _ in range(rng.randint(2, 3))]
+    return _chain_poset(rng, sizes, sum(sizes) // 10)[0]

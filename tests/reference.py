@@ -27,7 +27,11 @@ is the transition out of state ``[i,k-1]``):
 * :func:`omega3`, :func:`psi`, :func:`es` and :func:`chain_clocks`: pair
   scans over ``Poset.less`` (or the event order);
 * :func:`checkpoint_report`: the checkpoint oracle on the restriction to
-  the marked states (``builders.restricted_model``).
+  the marked states (``builders.restricted_model``);
+* :func:`closure_and_covers`: the order of a relation list, closed by a
+  sweep over an adjacency matrix and reduced by testing every closure pair;
+* :func:`kuhn`: Kuhn's matching on the split graph of the order, over
+  neighbour lists in sorted-id order and a visited set (Kuhn 1955).
 """
 
 from __future__ import annotations
@@ -386,3 +390,84 @@ def checkpoint_report(sm, marking, engine):
             verdicts.append(CheckpointVerdict(state, i + 1, k, witness is not None, witness))
     agree = True if engine == "both" and fast else None
     return CheckpointReport(tuple(verdicts), used, agree)
+
+
+# --- closure, covers and the matching ----------------------------------------
+
+def closure_and_covers(elements, relation_pairs):
+    """``(elements, up, down, covers)`` of the order *relation_pairs*
+    generates on *elements*: ids sorted, element ``i`` as bit ``i``, ``up``
+    and ``down`` the strict up- and down-sets as bitsets, and ``covers``
+    the sorted pairs ``a < b`` with nothing between them, each closure pair
+    tested."""
+    els = tuple(sorted(set(elements)))
+    index = {e: i for i, e in enumerate(els)}
+    n = len(els)
+    adj = [0] * n
+    indeg = [0] * n
+    for a, b in set(relation_pairs):
+        adj[index[a]] |= 1 << index[b]
+        indeg[index[b]] += 1
+    order = []
+    ready = [i for i in range(n) if indeg[i] == 0]
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for w in range(n):
+            if adj[v] >> w & 1:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
+    up = [0] * n
+    for v in reversed(order):
+        up[v] = adj[v]
+        for w in range(n):
+            if adj[v] >> w & 1:
+                up[v] |= up[w]
+    down = [0] * n
+    for i, j in itertools.permutations(range(n), 2):
+        if up[i] >> j & 1:
+            down[j] |= 1 << i
+    covers = sorted(
+        (els[i], els[j])
+        for i, j in itertools.permutations(range(n), 2)
+        if up[i] >> j & 1 and not up[i] & down[j]
+    )
+    return els, tuple(up), tuple(down), tuple(covers)
+
+
+def kuhn(p):
+    """Kuhn's maximum matching between left copies (sources of ``<``) and
+    right copies (targets): one augmenting-path search per left vertex in
+    sorted-id order, each a DFS that scans a neighbour list in sorted-id
+    order and skips the right vertices it has visited.  Returns the partner
+    lists ``mate_l, mate_r`` by element index (-1 for none) and the longest
+    augmenting path, counted in right vertices."""
+    els = p.elements
+    n = len(els)
+    neighbors = [[j for j in range(n) if p.less(els[i], els[j])] for i in range(n)]
+    mate_l, mate_r = [-1] * n, [-1] * n
+    longest = 0
+    for root in range(n):
+        visited = set()
+        stack = [(root, iter(neighbors[root]))]
+        path = []
+        while stack:
+            v = next((v for v in stack[-1][1] if v not in visited), None)
+            if v is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            visited.add(v)
+            path.append(v)
+            if mate_r[v] >= 0:
+                w = mate_r[v]
+                stack.append((w, iter(neighbors[w])))
+                continue
+            longest = max(longest, len(path))
+            for (u, _), x in zip(stack, path):
+                mate_l[u] = x
+                mate_r[x] = u
+            break
+    return mate_l, mate_r, longest

@@ -1,15 +1,22 @@
-"""Bitset kernels of closure, matching and width-extensibility against the
-element-at-a-time loops they replaced.
+"""Bitset kernels of closure, matching and width-extensibility against
+element-at-a-time references.
 
-The reference functions transcribe the earlier implementations: the cover
-relation found by testing every closure pair, Kuhn's matching over explicit
-neighbour lists and over bitsets with partners in dicts, and the
-width-extensibility pair loop over chain clocks.  Orders, matchings,
-partitions, witnesses and verdicts must agree exactly.
+Closure and covers are compared with ``reference.closure_and_covers``, the
+covers found by testing every closure pair, and Kuhn's matching with
+``reference.kuhn``, which scans neighbour lists in sorted-id order with a
+visited set.  The Koenig antichain and the width-extensibility pair loop
+over chain clocks transcribe the earlier implementations.  Orders,
+matchings, partitions, witnesses and verdicts must agree exactly.  The
+matching is compared on families where sorted-id order crosses chain order
+(``i.k`` ids with ``1.10`` before ``1.2``, ``perfbench/gen.py`` runs with
+shared events, and copies with escaped and non-ASCII ids), where Kuhn's
+searches take long augmenting paths.
 """
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from posetdual import (
     Verdict,
@@ -20,6 +27,7 @@ from posetdual import (
 from posetdual.poset import (
     _matching_to_partition,
     _maximum_matching,
+    chain_break,
     chain_clocks,
     minimum_chain_partition,
     width,
@@ -27,122 +35,23 @@ from posetdual.poset import (
 from posetdual.statemodel import minimum_view
 from posetdual.traces import load_trace
 
+import reference
 from builders import (
     down_sets,
+    long_chain_poset,
     random_chain_poset,
     random_event_model,
     triple_pinch_poset,
 )
 
-
-def build_by_closure_pairs(elements, relation_pairs):
-    """``(elements, up, down, covers)`` with covers tested pair by pair."""
-    els = tuple(sorted(set(elements)))
-    index = {e: i for i, e in enumerate(els)}
-    n = len(els)
-    adj = [0] * n
-    indeg = [0] * n
-    for a, b in set(relation_pairs):
-        adj[index[a]] |= 1 << index[b]
-        indeg[index[b]] += 1
-    order = []
-    ready = [i for i in range(n) if indeg[i] == 0]
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in range(n):
-            if adj[v] >> w & 1:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-    up = [0] * n
-    for v in reversed(order):
-        up[v] = adj[v]
-        for w in range(n):
-            if adj[v] >> w & 1:
-                up[v] |= up[w]
-    down = [0] * n
-    for i, j in itertools.permutations(range(n), 2):
-        if up[i] >> j & 1:
-            down[j] |= 1 << i
-    covers = sorted(
-        (els[i], els[j])
-        for i, j in itertools.permutations(range(n), 2)
-        if up[i] >> j & 1 and not up[i] & down[j]
-    )
-    return els, tuple(up), tuple(down), tuple(covers)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
 
 
-def kuhn_by_lists(p):
-    """Kuhn's matching with per-vertex neighbour lists and a visited set."""
-    n = len(p.elements)
-    neighbors = [[j for j in range(n) if p._up[i] >> j & 1] for i in range(n)]
-    match_l, match_r = {}, {}
-    for root in range(n):
-        visited = set()
-        stack = [(root, iter(neighbors[root]))]
-        path = []
-        while stack:
-            v = next((v for v in stack[-1][1] if v not in visited), None)
-            if v is None:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            visited.add(v)
-            path.append(v)
-            if v in match_r:
-                w = match_r[v]
-                stack.append((w, iter(neighbors[w])))
-                continue
-            for (u, _), x in reversed(list(zip(stack, path))):
-                match_l[u] = x
-                match_r[x] = u
-            break
-    return match_l, match_r
-
-
-def kuhn_by_dicts(p):
-    """Kuhn's matching on up-set bitsets with partners in dicts: the loop
-    before partners moved to ``-1``-filled lists."""
-    up = p._up
-    everything = (1 << len(up)) - 1
-    match_l, match_r = {}, {}
-    for root in range(len(up)):
-        unvisited = everything
-        stack = [root]
-        path = []
-        while stack:
-            free = up[stack[-1]] & unvisited
-            if not free:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            low = free & -free
-            unvisited ^= low
-            v = low.bit_length() - 1
-            path.append(v)
-            w = match_r.get(v)
-            if w is not None:
-                stack.append(w)
-                continue
-            for u, x in reversed(list(zip(stack, path))):
-                match_l[u] = x
-                match_r[x] = u
-            break
-    return match_l, match_r
-
-
-def as_dicts(mates):
-    """Partner lists, -1 for none, as the dicts of their matched copies."""
-    return tuple({u: x for u, x in enumerate(mate) if x >= 0} for mate in mates)
-
-
-def antichain_by_sets(p, match_l, match_r):
+def antichain_by_sets(p, mate_l, mate_r):
     """Koenig antichain with alternating reachability over element sets."""
     n = len(p.elements)
-    z_left = {i for i in range(n) if i not in match_l}
+    z_left = {i for i in range(n) if mate_l[i] < 0}
     z_right = set()
     frontier = list(z_left)
     while frontier:
@@ -150,8 +59,8 @@ def antichain_by_sets(p, match_l, match_r):
         for v in range(n):
             if p._up[u] >> v & 1 and v not in z_right:
                 z_right.add(v)
-                w = match_r.get(v)
-                if w is not None and w not in z_left:
+                w = mate_r[v]
+                if w >= 0 and w not in z_left:
                     z_left.add(w)
                     frontier.append(w)
     return frozenset(p.elements[i] for i in z_left - z_right)
@@ -217,14 +126,13 @@ def test_bitset_kernels_equal_pair_loops():
     for _ in range(2000):
         elements, pairs = random_relation_list(rng)
         p = build_poset(elements, pairs)
-        assert (p.elements, p._up, down_sets(p), p.covers) == build_by_closure_pairs(
+        assert (p.elements, p._up, down_sets(p), p.covers) == reference.closure_and_covers(
             elements, pairs
         )
 
         mates = _maximum_matching(p)
-        match_l, match_r = kuhn_by_lists(p)
-        assert as_dicts(mates) == (match_l, match_r)
-        assert width(p)[1] == antichain_by_sets(p, match_l, match_r)
+        assert mates == reference.kuhn(p)[:2]
+        assert width(p)[1] == antichain_by_sets(p, *mates)
         assert minimum_chain_partition(p) == _matching_to_partition(p, *mates)
 
         verdict = check_width_extensible(p).as_json()
@@ -234,9 +142,69 @@ def test_bitset_kernels_equal_pair_loops():
     assert pair_failures >= 100, pair_failures
 
 
-def test_list_partner_matching_equals_dict_loop(fixtures_dir):
+def chain_break_by_shifts(p, ids):
+    """The first ``k`` with ``ids[k]`` not below ``ids[k + 1]``, or -1: one
+    up-set shift per step, covers or not."""
+    for k, (a, b) in enumerate(zip(ids, ids[1:])):
+        if not p._up[a] >> b & 1:
+            return k
+    return -1
+
+
+def test_chain_break_equals_the_shift_scan():
+    rng = random.Random(1950)
+    counts = {"passing non-cover step": 0, "break": 0, "no break": 0}
+    for trial in range(1500):
+        p = long_chain_poset(rng) if trial % 5 == 0 else build_poset(*random_relation_list(rng))
+        n = len(p)
+        ids = [rng.randrange(n)]
+        for _ in range(rng.randint(0, 12)):
+            a = ids[-1]
+            above = [j for j in range(n) if p._up[a] >> j & 1]
+            draw = rng.random()
+            if draw < 0.1:
+                ids.append(rng.randrange(n))  # mostly not above: a break
+            elif not above:
+                break
+            elif draw < 0.5:
+                ids.append(rng.choice(p._upper[a]))
+            else:
+                ids.append(rng.choice(above))
+        k = chain_break(p, ids)
+        assert k == chain_break_by_shifts(p, ids), (p.elements, ids)
+        passed = ids[1:] if k < 0 else ids[1:k + 1]
+        counts["passing non-cover step"] += any(
+            b not in p._upper[a] for a, b in zip(ids, passed)
+        )
+        counts["break" if k >= 0 else "no break"] += len(ids) > 1
+    assert min(counts.values()) >= 250, counts
+
+
+# Characters that sort apart from digits and letters, escaped or non-ASCII
+# in canonical text: a quote, a backslash, controls, DEL, Latin-1, the BMP
+# and an astral character.
+ODD = ['"', "\\", "\n", "\x01", "\x7f", "~", "\u00e9", "\u20ac", "\U0001d11e", ""]
+
+
+def renamed(rng, p):
+    """*p* with each id behind a random prefix of :data:`ODD`, so that
+    sorted-id order, the order Kuhn's searches follow, is reshuffled."""
+    name = {e: rng.choice(ODD) + e for e in p.elements}
+    return build_poset(name.values(), [(name[a], name[b]) for a, b in p.covers])
+
+
+def gen_poset(rng):
+    """The state order of a ``perfbench/gen.py`` run of two to four
+    processes with 5 to 30 events each and a fifth of them shared."""
+    n, k = rng.randint(2, 4), rng.randint(5, 30)
+    run = gen.gen_run(rng, n, k, rng.randint(0, n * k), shared_frac=0.2)
+    doc = gen.state_doc(run.state_down(), run.lengths)
+    return build_poset(doc["elements"], doc["relations"])
+
+
+def test_matching_equals_reference_kuhn(fixtures_dir):
     rng = random.Random(1956)
-    posets = []
+    posets = [build_poset([], []), build_poset(["x"], [])]
     for trial in range(600):
         if trial % 3 == 0:
             posets.append(build_poset(*random_relation_list(rng)))
@@ -248,10 +216,18 @@ def test_list_partner_matching_equals_dict_loop(fixtures_dir):
         for path in sorted(fixtures_dir.glob(f"*_{kind}.json")):
             model = load_trace(path)[1]
             posets.append(model if kind == "poset" else model.poset)
-    assert len(posets) >= 610, len(posets)
-    matched = 0
+    # Families where sorted-id order crosses chain order.
+    for trial in range(240):
+        p = long_chain_poset(rng) if trial % 2 else gen_poset(rng)
+        posets.append(p)
+        if trial % 3 == 0:
+            posets.append(renamed(rng, p))
+    assert len(posets) >= 930, len(posets)
+    matched = long_paths = 0
     for p in posets:
-        expected = kuhn_by_dicts(p)
-        assert as_dicts(_maximum_matching(p)) == expected, p.elements
-        matched += bool(expected[0])
-    assert matched >= 500, matched
+        mate_l, mate_r, longest = reference.kuhn(p)
+        assert _maximum_matching(p) == (mate_l, mate_r), p.elements
+        matched += any(x >= 0 for x in mate_l)
+        long_paths += longest >= 20
+    assert matched >= 800, matched
+    assert long_paths >= 200, long_paths

@@ -3,8 +3,9 @@
 The differential tests take these references as the meaning of their
 layers, so each search in them is checked here against the plainest
 statement of what it finds: Tarjan's components against the classes of
-mutual reachability, and the pruned search for global checkpoints against
-the full product scan.  The 10^5-node path and cycle of
+mutual reachability, the pruned search for global checkpoints against
+the full product scan, and Kuhn's matching against Dilworth's theorem on
+the largest antichain found by a subset scan.  The 10^5-node path and cycle of
 ``test_collapse_differential.py`` keep the reference Tarjan iterative.
 """
 
@@ -13,7 +14,7 @@ import random
 
 import reference
 
-from builders import marked_models, restricted_model
+from builders import marked_models, random_chain_poset, restricted_model
 
 
 def reached(nodes, succ):
@@ -71,3 +72,27 @@ def test_global_checkpoints_are_the_product_scan_tuples():
                 counts["several"] += len(want) > 1
     # Checkpoints in no global checkpoint, and in several, must be compared.
     assert min(counts.values()) >= 500, counts
+
+
+def test_kuhn_matching_is_maximum():
+    rng = random.Random(1955)
+    counts = {"matched": 0, "rerouted": 0}
+    for _ in range(800):
+        p, _ = random_chain_poset(rng, max_elems=12, max_chains=rng.choice([2, 4]))
+        els = p.elements
+        mate_l, mate_r, longest = reference.kuhn(p)
+        pairs = [(u, x) for u, x in enumerate(mate_l) if x >= 0]
+        assert all(p.less(els[u], els[x]) and mate_r[x] == u for u, x in pairs)
+        assert sum(x >= 0 for x in mate_r) == len(pairs)
+        # Dilworth: a maximum matching leaves one chain per element of a
+        # largest antichain.
+        largest = max(
+            r
+            for r in range(len(els) + 1)
+            for subset in itertools.combinations(els, r)
+            if not any(p.less(a, b) or p.less(b, a) for a, b in itertools.combinations(subset, 2))
+        )
+        assert len(els) - len(pairs) == largest, els
+        counts["matched"] += bool(pairs)
+        counts["rerouted"] += longest >= 2
+    assert min(counts.values()) >= 100, counts

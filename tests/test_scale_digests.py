@@ -2,8 +2,11 @@
 
 The inputs are regenerated from ``perfbench/gen.py`` (read only), as in CI:
 the state traces of ``gen_run(Random("scale:NxK"), N, K, N*K//2)`` at
-32x300 and 64x200, and the 8x60 run composed in parallel with the pinch
-gadget (``gen.add_pinch``), whose ``we`` and ``se`` fail.  Each command runs
+32x300 and 64x200, the 8x60 run composed in parallel with the pinch
+gadget (``gen.add_pinch``), whose ``we`` and ``se`` fail, and a 16x100
+barrier run (``gen_run(Random("scale:16x100:barrier"), 16, 100, 800,
+shared_frac=0.2)``), whose default ``check`` names a failing ``ic``
+witness on Kuhn's minimum chain partition.  Each command runs
 in process through ``cli.main``; its exit code and the sha256 of its stdout
 (of the written file, for ``transform -o``) must equal the row of
 ``fixtures/goldens/scale_digests.json``.  A change to any output byte of the
@@ -72,29 +75,38 @@ def scale_commands(directory: Path) -> list[tuple[str, list[str], str | None]]:
         ("8x60+pinch check", ["check", pinch], None),
         ("8x60+pinch se", ["transform", pinch, "--direction", "se"], None),
     ]
+    run = gen.gen_run(random.Random("scale:16x100:barrier"), 16, 100, 800, shared_frac=0.2)
+    barrier = _write(directory / "16x100.barrier.json", gen.state_doc(run.state_down(), run.lengths))
+    commands.append(("16x100 barrier check", ["check", barrier], None))
     return commands
 
 
-def run_commands(directory: Path, capsys) -> dict[str, dict]:
-    """Each command's exit code and output digest, by row name."""
-    rows = {}
+def run_commands(directory: Path, capsys) -> tuple[dict[str, dict], dict[str, bytes]]:
+    """Each command's exit code and output digest, and its output, by row
+    name."""
+    rows, outputs = {}, {}
     for name, argv, output in scale_commands(directory):
         rc = main(argv)
         out = capsys.readouterr().out
-        data = Path(output).read_bytes() if output else out.encode()
+        data = outputs[name] = Path(output).read_bytes() if output else out.encode()
         rows[name] = {"rc": rc, "sha256": hashlib.sha256(data).hexdigest()}
         if output:
             rows[name]["stdout"] = out
-    return rows
+    return rows, outputs
 
 
 def test_scale_outputs_equal_digest_table(tmp_path, capsys):
     want = json.loads(TABLE.read_text())
-    got = run_commands(tmp_path, capsys)
+    got, outputs = run_commands(tmp_path, capsys)
     assert list(got) == list(want)
     # The hashes quoted for these inputs before the table was written.
     assert want["32x300 check"]["sha256"].startswith("93128c64c42b")
     assert want["32x300 checkpoints"]["sha256"].startswith("95266b85eb09")
+    # The barrier row's digest, taken before the matching searched on
+    # reversed up-sets; its ic fails, so the witness is named on Kuhn's
+    # partition.
+    assert want["16x100 barrier check"]["sha256"].startswith("26e737ad7ecc")
+    assert json.loads(outputs["16x100 barrier check"])["ic"]["ok"] is False
     mismatched = [name for name in want if got[name] != want[name]]
     assert not mismatched, {name: got[name] for name in mismatched}
     for tag in ("32x300", "64x200"):
