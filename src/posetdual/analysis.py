@@ -63,6 +63,11 @@ gives each marked state's witness; :func:`find_useless_checkpoints` makes
 the :class:`CheckpointReport` of verdict objects from it, and
 :func:`checkpoint_report_text`, which the CLI writes, renders the same
 report's canonical text straight from it, each shared witness once.
+
+The listing the CLI writes without ``--count`` or ``--first``
+(:func:`predicate_listing_text`) is likewise rendered straight from the
+frontier vectors: each state name escaped once, each cut through one fixed
+template, one join, and the sorted distinct warnings at the end.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ from .statemodel import (  # noqa: F401
     check_width_extensible,
     require_width_extensible,
 )
-from .traces import _ESCAPE, _items
+from .traces import _ESCAPE, _NAMES, _items
 from .transforms import (  # noqa: F401
     _components,
     _tentative_graph,
@@ -614,6 +619,34 @@ def detect_width_predicate(
     """
     for vector in satisfying_frontiers(sm, pred, warnings):
         yield frozenset(map(tuple.__getitem__, sm.chains, vector))
+
+
+def predicate_listing_text(sm: StateModel, pred: PredicateLike) -> str:
+    """The canonical text of the document ``{"count": len(cuts), "cuts":
+    cuts, "warnings": sorted(set(warnings))}``, for ``cuts = [sorted(c) for
+    c in detect_width_predicate(sm, pred, warnings)]`` and ``warnings``
+    present only when some were emitted, without building it.
+
+    Each state name is escaped once, each cut goes through one fixed
+    template, and the cuts are one join.
+    """
+    warnings: list[str] = []
+    vectors = satisfying_frontiers(sm, pred, warnings)
+    if sm.chains:
+        names: dict[str, str] = {}
+        for chain in sm.chains:
+            names.update(zip(chain, map(_ESCAPE, chain)))
+        sep = ",\n      "
+        cuts = [
+            _NAMES % sep.join(map(names.__getitem__, sorted(map(tuple.__getitem__, sm.chains, v))))
+            for v in vectors
+        ]
+    else:  # the one global state of a model with no processes is empty
+        cuts = ["    []" for _ in vectors]
+    notes = ""
+    if warnings:
+        notes = ',\n  "warnings": ' + _items("    " + ",\n    ".join(map(_ESCAPE, sorted(set(warnings)))))
+    return '{\n  "count": %d,\n  "cuts": %s%s\n}\n' % (len(cuts), _items(",\n".join(cuts)), notes)
 
 
 # Per comparator, how many entries of a sorted list compare so to a value.

@@ -212,15 +212,15 @@ def cmd_analyze_predicate(args) -> int:
     expr = traces.load_predicate_data(args.pred)
     _need(kind == "state", "predicate detection needs a state trace")
     pred = analysis.predicate_from_json(expr)
+    if not (args.first or args.count):
+        sys.stdout.write(analysis.predicate_listing_text(model, pred))
+        return EXIT_OK
     warnings: list = []
     if args.first:
         found = analysis.first_width_predicate(model, pred, warnings)
         out = {"found": sorted(found) if found is not None else None}
-    elif args.count:
-        out = {"count": analysis.count_width_predicate(model, pred, warnings)}
     else:
-        cuts = [sorted(c) for c in analysis.detect_width_predicate(model, pred, warnings)]
-        out = {"cuts": cuts, "count": len(cuts)}
+        out = {"count": analysis.count_width_predicate(model, pred, warnings)}
     if warnings:
         out["warnings"] = sorted(set(warnings))
     _emit(out)

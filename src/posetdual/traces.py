@@ -8,11 +8,12 @@ so dumping a loaded canonical file reproduces it byte for byte.
 
 A document's canonical text is ``json.dumps(doc, indent=2, sort_keys=True)``
 plus a newline.  :func:`state_to_json` and :func:`event_to_json` build the
-model documents, and :func:`dumps_canonical` writes any document, a column
-of alike values at a time.  :func:`state_text` and :func:`event_text` write
-the same text of a model straight from it, for the CLI's ``transform``:
-each name escaped once, each cover pair, chain, event and slot through one
-fixed template, one join per list, and no document built.
+model documents, and :func:`dumps_canonical` writes any document a value at
+a time, for the CLI's small documents (reports, diagnostics, counts).
+:func:`state_text` and :func:`event_text` write the same text of a model
+straight from it, for the CLI's ``transform``: each name escaped once, each
+cover pair, chain, event and slot through one fixed template, one join per
+list, and no document built.
 
 Event files list per-event slots; same-process ordering is implied by the
 slot indices (the loader inserts the chain edges), while cross-process
@@ -25,8 +26,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -292,11 +292,11 @@ def event_to_json(m: EventModel) -> dict:
 
 
 # Canonical text is ``json.dumps(data, indent=2, sort_keys=True) + "\n"``.
-# json writes an indented document in its pure-Python encoder, one generator
-# step per value.  dumps_canonical writes the same text a column at a time:
-# the values at one depth that render alike (the strings, the ints, the
-# lists, the dicts with one set of keys, ...) are rendered together by
-# C-level maps and joins, off an explicit list of columns, without recursion.
+# json writes an indented document in its pure-Python encoder, whose nested
+# closures leave reference cycles behind on every call.  dumps_canonical
+# writes the same text a value at a time off one explicit stack, without
+# recursion and without closures, so it leaves nothing to the cyclic
+# collector that ``cli.main`` pauses.
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _INFINITY = float("inf")
@@ -322,17 +322,17 @@ _SCALARS = {
 }
 
 # A document nested deeper than this goes to json.dumps whole, so that it
-# meets json's own recursion limit.  The documents posetdual builds nest
-# five deep, plus what nesting ``attrs`` values bring from the input.
+# meets json's own recursion limit, and a circular one meets json's check.
+# The documents posetdual builds nest five deep, plus what nesting
+# ``attrs`` values bring from the input.
 _DEEPEST = 100
-_NEWLINE = ["\n" + "  " * level for level in range(_DEEPEST + 2)]
+_NEWLINE = ["\n" + "  " * level for level in range(_DEEPEST + 1)]
 
 
 class _Unsupported(Exception):
     """Something dumps_canonical leaves to json.dumps: a value other than
-    str, exact int, float, bool, None, list, tuple and dict with str keys; a
-    container met twice in one column (shared, or circular); a document
-    nested deeper than ``_DEEPEST``."""
+    str, exact int, float, bool, None, list, tuple and dict with str keys,
+    or a container nested deeper than ``_DEEPEST``."""
 
 
 def dumps_canonical(data: Any) -> str:
@@ -350,103 +350,58 @@ def dumps_canonical(data: Any) -> str:
 
 
 def _render(data: Any) -> str:
-    # Breadth first: column t holds values at one indent level.  A group of
-    # lists or tuples adds the column of all their items; a group of dicts
-    # with the same keys adds one column per key, in sorted order.  Each
-    # container in a column is a distinct object, so no column is longer
-    # than the document.  Per group, the plan holds (members, kind, detail,
-    # arg): "text", the scalars and their renderer; "list", the lengths and
-    # the items' column; "dict", the sorted keys and the first key's column.
-    columns: list[tuple[list, int]] = [([data], 0)]
-    plans: list[list[tuple]] = []
-    for values, level in columns:
-        if level > _DEEPEST:
+    # The stack holds what is still to be written, the next on top, as
+    # (text before the value, value, its indent level), or as (a closing
+    # bracket's text, None, None).
+    parts: list[str] = []
+    stack: list[tuple[str, Any, int | None]] = [("", data, 0)]
+    pop = stack.pop
+    while stack:
+        head, value, level = pop()
+        parts.append(head)
+        if level is None:
+            continue
+        kind = type(value)
+        render = _SCALARS.get(kind)
+        if render is not None:
+            parts.append(render(value))
+            continue
+        if level >= _DEEPEST:
             raise _Unsupported
-        plan = []
-        for members, shape in _groups(values):
-            group = values if members is None else list(map(values.__getitem__, members))
-            render = _SCALARS.get(shape)
-            if render is not None:
-                plan.append((members, "text", group, render))
-                continue
-            if len(set(map(id, group))) != len(group):
-                raise _Unsupported
-            if shape is list or shape is tuple:
-                plan.append((members, "list", list(map(len, group)), len(columns)))
-                columns.append((list(chain.from_iterable(group)), level + 1))
-            elif type(shape) is tuple and all(type(key) is str for key in shape):
-                keys = sorted(shape)
-                plan.append((members, "dict", keys, len(columns)))
-                columns.extend((list(map(itemgetter(key), group)), level + 1) for key in keys)
-            else:
-                raise _Unsupported
-        plans.append(plan)
-
-    # Then deepest first, each group's rows from its item columns' rows.
-    # Columns, plans and rows are dropped once read, so a column's texts
-    # are not held beside the rows made of them.
-    rows: list[list[str] | None] = [None] * len(columns)
-    for t in reversed(range(len(columns))):
-        values, level = columns.pop()
-        inner, outer = _NEWLINE[level + 1], _NEWLINE[level]
-        done: list = [None] * len(values)
-        for members, kind, detail, arg in plans.pop():
-            if kind == "text":
-                part = list(map(arg, detail))
-            elif not detail:  # dicts without keys
-                part = ["{}"] * len(values if members is None else members)
-            elif kind == "dict":
-                texts = []
-                head = "{" + inner
-                for at, key in enumerate(detail, start=arg):
-                    texts += (repeat(head + _ESCAPE(key) + ": "), rows[at])
-                    rows[at] = None
-                    head = "," + inner
-                texts.append(repeat(outer + "}"))
-                part = list(map("".join, zip(*texts)))
-            else:
-                items, rows[arg] = rows[arg], None
-                start, sep, end = "[" + inner, "," + inner, outer + "]"
-                width = detail[0]
-                if width and detail.count(width) == len(detail):
-                    bodies = map(sep.join, zip(*[iter(items)] * width))
-                    part = list(map("".join, zip(repeat(start), bodies, repeat(end))))
-                else:
-                    it = iter(items)
-                    part = [start + sep.join(islice(it, n)) + end if n else "[]" for n in detail]
-            if members is None:
-                done = part
-            else:
-                for i, text in zip(members, part):
-                    done[i] = text
-        rows[t] = done
-    return rows[0][0] + "\n"
-
-
-def _groups(values: list) -> list[tuple[list[int] | None, Any]]:
-    """A column's members by how they render: ``(indices, shape)`` pairs,
-    indices None for the whole column.  The shape is the type, or for a
-    dict its keys as inserted."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1 and dict not in kinds:
-        return [(None, kinds.pop())]
-    if kinds == {dict}:
-        shapes = list(map(tuple, values))
-        if shapes.count(shapes[0]) == len(shapes):
-            return [(None, shapes[0])]
-    else:
-        shapes = [tuple(v) if type(v) is dict else type(v) for v in values]
-    by: dict[Any, list[int]] = {}
-    for i, shape in enumerate(shapes):
-        by.setdefault(shape, []).append(i)
-    return [(members, shape) for shape, members in by.items()]
+        inner = _NEWLINE[level + 1]
+        if kind is dict and {str}.issuperset(map(type, value)):
+            keys = sorted(value)
+            items = list(map(value.__getitem__, keys))
+            heads = [",%s%s: " % (inner, key) for key in map(_ESCAPE, keys)]
+            start, end = "{", "}"
+        elif kind is list or kind is tuple:
+            items = value
+            heads = ["," + inner] * len(items)
+            start, end = "[", "]"
+        else:
+            raise _Unsupported
+        if not items:
+            parts.append(start + end)
+            continue
+        heads[0] = start + heads[0][1:]
+        end = _NEWLINE[level] + end
+        kinds = set(map(type, items))
+        render = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if render is not None:  # scalars of one type: all at once
+            parts += map(str.__add__, heads, map(render, items))
+            parts.append(end)
+        else:
+            stack.append((end, None, None))
+            stack.extend(zip(reversed(heads), reversed(items), repeat(level + 1)))
+    parts.append("\n")
+    return "".join(parts)
 
 
 # The canonical text of the two model documents, written straight from the
 # model: each name is escaped once, each entry goes through one fixed
 # template at its indent, and each list is one join.
 _PAIR = "    [\n      %s,\n      %s\n    ]"
-_CHAIN = "    [\n      %s\n    ]"
+_NAMES = "    [\n      %s\n    ]"  # a list of names in a top-level list
 _EVENT = '    {\n      "id": %s,\n      "slots": [\n%s\n      ]\n    }'
 _SLOT = '        {\n          "idx": %d,\n          "proc": %d\n        }'
 _ONE_SLOT_EVENT = _EVENT % ("%s", _SLOT)
@@ -468,7 +423,7 @@ def state_text(sm: StateModel) -> str:
     p = sm.poset
     names = list(map(_ESCAPE, p.elements))
     name = dict(zip(p.elements, names)).__getitem__
-    chains = [_CHAIN % ",\n      ".join(map(name, chain)) for chain in sm.chains]
+    chains = [_NAMES % ",\n      ".join(map(name, chain)) for chain in sm.chains]
     elements = "    " + ",\n    ".join(names) if names else ""
     return (
         '{\n  "chains": %s,\n  "elements": %s,\n  "kind": "state",\n'

@@ -8,11 +8,17 @@ strings with non-ASCII, astral, control and lone-surrogate characters,
 quotes and backslashes; NaN, the infinities, -0.0 and ints near the
 4,300-digit limit of int-to-str conversion; dicts with int, float, bool or
 None keys; lists of same-keyed dicts and of string lists, the shapes of
-posetdual's own documents.  The writer renders those shapes a column at a
-time, so a column mixing shapes and types is drawn as often as a uniform
-one.
+posetdual's own documents.  The writer renders a list or dict of scalars of
+one type in one step and anything else a value at a time, so containers
+mixing shapes and types are drawn as often as uniform ones.
+
+The writer exists because json's indenting encoder is pure Python and
+leaves reference cycles behind on every call, which would pile up while
+``cli.main`` pauses the cyclic collector; so the documents the writer
+renders itself must leave the collector nothing.
 """
 
+import gc
 import json
 import sys
 
@@ -75,6 +81,13 @@ def _containers(inner):
 
 
 documents = st.recursive(scalars, _containers, max_leaves=30)
+# The documents the writer renders itself: no int beyond the limit, and
+# far from its depth bound.
+own_documents = st.recursive(
+    st.one_of(strings, st.integers(), st.floats(), st.booleans(), st.none()),
+    _containers,
+    max_leaves=30,
+)
 # Values json.dumps accepts but this writer may leave to it, and values
 # json.dumps rejects.
 odd_documents = st.recursive(
@@ -112,6 +125,19 @@ def test_random_documents_match_json(data):
 @given(odd_documents)
 def test_odd_values_match_json_or_its_exception(data):
     assert_same(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(own_documents)
+def test_written_documents_leave_no_cycles(data):
+    gc.collect()
+    gc.disable()
+    try:
+        dumps_canonical(data)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def _nested(depth):

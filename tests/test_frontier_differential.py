@@ -7,15 +7,22 @@ from each cut through the per-event frontier scan, ``cuts`` lines rendered by
 ``json.dumps`` of the sorted members, and detection evaluating the AST on a
 ``{process: state}`` context per antichain (``_evaluate``, kept as the
 oracle).  Lines must agree byte for byte and in order; verdicts and warning
-lists must agree exactly.
+lists must agree exactly.  The ``analyze predicate`` listing, written from
+the frontier vectors, must be ``json.dumps`` of the document built from the
+detection stream, with the same exit code and the same warnings logged.
 """
 
 import heapq
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetdual
 from posetdual import (
     NotWidthExtensible,
     build_event_model,
@@ -40,12 +47,14 @@ from posetdual.analysis import (
     _evaluate,
     compile_predicate,
     first_width_predicate,
+    predicate_from_json,
 )
-from posetdual.cli import _antichain_runs, _cut_lines, _downset_runs
+from posetdual.cli import _antichain_runs, _cut_lines, _diagnostic, _downset_runs, main
 from posetdual.errors import PredicateError
 from posetdual.lattice import _frontiers, enumerate_downsets
 from posetdual.poset import minimum_chain_partition, width
 from posetdual.statemodel import StateModel, require_width_extensible
+from posetdual.traces import state_to_json, write_trace
 
 from builders import down_sets, random_chain_poset, random_event_model
 
@@ -164,10 +173,10 @@ def ref_detect(sm, pred, warnings):
 NAME_PARTS = ["a", "B", "z", "é", '"', "\\", "☃", "0", " "]
 
 
-def renamed(rng, elements):
+def renamed(rng, elements, parts=NAME_PARTS):
     names = set()
     while len(names) < len(elements):
-        names.add("".join(rng.choice(NAME_PARTS) for _ in range(rng.randint(1, 3))))
+        names.add("".join(rng.choice(parts) for _ in range(rng.randint(1, 3))))
     names = list(names)
     rng.shuffle(names)
     return dict(zip(elements, names))
@@ -540,4 +549,123 @@ def test_conjunctive_first_match_equals_first_of_enumeration():
         narrow += width(sm.poset)[0] < sm.n
     assert direct >= 300 and unsatisfiable >= 50 and narrow >= 30, (
         direct, unsatisfiable, narrow,
+    )
+
+
+# --- the predicate listing --------------------------------------------------------
+
+# Id parts beyond NAME_PARTS: lone surrogates, an astral character, a
+# control character, and "~" and DEL, which sort before "é" raw but after
+# its "\u00e9" escape.  The surrogates are low ones only: a high one before
+# them would be escaped as a pair, which json.loads reads back as one
+# astral character.
+ODD_PARTS = NAME_PARTS + ["\udc00", "\udfff", "\U0001f600", "\x01", "~", "\x7f"]
+
+
+def odd_named(rng, sm):
+    """*sm*, attributes kept, with its states renamed to ids of ``ODD_PARTS``."""
+    name = renamed(rng, sm.poset.elements, ODD_PARTS)
+    poset = build_poset(name.values(), [(name[a], name[b]) for a, b in sm.poset.covers])
+    chains = [[name[s] for s in chain] for chain in sm.chains]
+    return build_state_model(poset, chains, {name[s]: m for s, m in sm.attrs.items()})
+
+
+def parsed_predicate(rng, n):
+    """A random predicate as the CLI reads it back from its JSON."""
+    while True:
+        try:
+            return predicate_from_json(json.loads(json.dumps(random_predicate(rng, n).as_json())))
+        except PredicateError:  # an index compared with a string
+            continue
+
+
+def ref_listing(sm, pred):
+    """Exit code, stdout and logged warnings of ``analyze predicate`` on *sm*,
+    from the document built of the detection stream."""
+    warnings = []
+    try:
+        cuts = [sorted(c) for c in detect_width_predicate(sm, pred, warnings)]
+    except NotWidthExtensible as exc:
+        doc = {"ok": False, "error": _diagnostic(exc)}
+        code = 2
+    else:
+        doc = {"count": len(cuts), "cuts": cuts}
+        if warnings:
+            doc["warnings"] = sorted(set(warnings))
+        code = 0
+    return code, json.dumps(doc, indent=2, sort_keys=True) + "\n", warnings
+
+
+def cli_listing(capsys, caplog, tmp_path, sm, pred):
+    """Exit code, stdout, stderr and logged warnings of ``analyze
+    predicate`` on *sm* through ``main``."""
+    model, expr = tmp_path / "model.json", tmp_path / "pred.json"
+    write_trace(model, state_to_json(sm))
+    write_trace(expr, {"kind": "predicate", "version": 1, "expr": pred.as_json()})
+    caplog.clear()
+    code = main(["analyze", "predicate", "--model", str(model), "--pred", str(expr)])
+    out = capsys.readouterr()
+    return code, out.out, out.err, [record.getMessage() for record in caplog.records]
+
+
+def listing_cases(rng):
+    """(model, predicate) pairs: random models with odd ids, some of width
+    below their process count, random predicates, and the fixed cases."""
+    ghost = AttrCmp(1, "ghost", "==", 1)  # no state has it
+    uncomparable = AttrCmp(1, "x", "<", "s")
+    empty = build_state_model(build_poset([], []), [])
+    cases = [(empty, Const(True)), (empty, Const(False)), (empty, AggCmp("sum", "x", "==", 0))]
+    for trial in range(160):
+        sm = odd_named(rng, random_state_model(rng))
+        if trial % 4 == 0 and any(len(chain) > 1 for chain in sm.chains):
+            split = split_chain(rng, sm)
+            sm = build_state_model(split.poset, split.chains, sm.attrs)
+        pred = parsed_predicate(rng, sm.n)
+        if trial % 8 == 1:
+            pred = Or((ghost, uncomparable, pred))
+        elif trial % 8 == 3:
+            pred = Const(False)
+        cases.append((sm, pred))
+    return cases
+
+
+def test_listing_equals_the_document_of_the_detection_stream(capsys, caplog, tmp_path):
+    rng = random.Random(4107)
+    seen = {"warned": 0, "missing": 0, "uncomparable": 0, "none": 0, "narrow": 0,
+            "failed": 0, "empty model": 0}
+    for sm, pred in listing_cases(rng):
+        want_code, want_out, want_warnings = ref_listing(sm, pred)
+        got = cli_listing(capsys, caplog, tmp_path, sm, pred)
+        # pytest's log capture takes the warnings the CLI writes to stderr
+        assert got == (want_code, want_out, "", want_warnings), pred
+        seen["warned"] += bool(want_warnings)
+        seen["missing"] += any("has no attribute" in w for w in want_warnings)
+        seen["uncomparable"] += any(w.startswith("cannot compare") for w in want_warnings)
+        seen["none"] += '"cuts": []' in want_out
+        seen["failed"] += want_code == 2
+        if want_code == 0:
+            seen["narrow"] += require_width_extensible(sm).n < sm.n
+        seen["empty model"] += '"cuts": [\n    []\n  ]' in want_out
+    assert min(seen.values()) >= 1 and seen["narrow"] >= 10, seen
+
+
+def test_listing_writes_its_warnings_to_stderr_once(tmp_path):
+    # Outside pytest's log capture, each warning goes to stderr as logged.
+    sm = odd_named(random.Random(4108), build_state_model(
+        build_poset(["a", "b"], []), [["a"], ["b"]], {"a": {"x": "s"}}))
+    pred = Or((AttrCmp(1, "x", "<", 1), AttrCmp(2, "x", "==", 0)))
+    code, out, warnings = ref_listing(sm, pred)
+    assert len(warnings) == 2
+    model, expr = tmp_path / "model.json", tmp_path / "pred.json"
+    write_trace(model, state_to_json(sm))
+    write_trace(expr, {"kind": "predicate", "version": 1, "expr": pred.as_json()})
+    src = str(Path(posetdual.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "posetdual", "analyze", "predicate",
+         "--model", str(model), "--pred", str(expr)],
+        capture_output=True, encoding="utf-8",
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8"),
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (
+        code, out, "".join(w + "\n" for w in warnings)
     )
