@@ -2,9 +2,10 @@
 
 The small named models double as the on-disk fixture corpus (see
 tests/test_traces_cli.py, which asserts the JSON files stay in sync), and the
-random generators feed the property/acceptance suites.  The model families
-at the end feed the differential tests of the tentative graph, its
-components, the clocks, the checkpoint engines and the matching against
+random generators feed the property/acceptance suites; :func:`renamed` gives
+a model ids of a chosen alphabet.  The model families at the end feed the
+differential tests of the tentative graph, its components, the clocks, the
+checkpoint engines, the matching and the property checks against
 ``tests/reference.py``; each family's docstring names the kinds of model it
 draws and the floors its differentials assert on them.
 """
@@ -358,6 +359,61 @@ def random_marking(
     return CheckpointMarking(tuple(marks))
 
 
+def _names(rng: random.Random, count: int, alphabet: str) -> list[str]:
+    """*count* distinct strings of one to three characters of *alphabet*,
+    in random order."""
+    names: set[str] = set()
+    while len(names) < count:
+        names.add("".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3))))
+    return rng.sample(sorted(names), count)
+
+
+def renamed(rng: random.Random, model, alphabet: str):
+    """*model*, a poset, an event model or a state model (attributes kept),
+    with its ids renamed to strings of *alphabet* (:func:`_names`), so that
+    sorted-id order crosses the order of the old ids."""
+    p = model if isinstance(model, Poset) else model.poset
+    name = dict(zip(p.elements, _names(rng, len(p.elements), alphabet)))
+    poset = build_poset(name.values(), [(name[a], name[b]) for a, b in p.covers])
+    if isinstance(model, EventModel):
+        return build_event_model(poset, model.n, {name[e]: s for e, s in model.labels.items()})
+    if isinstance(model, StateModel):
+        chains = [[name[s] for s in chain] for chain in model.chains]
+        return build_state_model(poset, chains, {name[s]: a for s, a in model.attrs.items()})
+    return poset
+
+
+def random_poset(rng: random.Random, n: int, alphabet: str) -> Poset:
+    """A poset on *n* ids of *alphabet* (:func:`_names`): each pair of ids
+    is ordered, forward in their random order, with one probability drawn
+    per poset."""
+    names = _names(rng, n, alphabet)
+    density = rng.choice([0.0, 0.03, 0.1, 0.3])
+    pairs = [
+        (names[a], names[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < density
+    ]
+    return build_poset(names, pairs)
+
+
+def random_state_model(rng: random.Random, n: int, alphabet: str) -> StateModel:
+    """A state model on *n* ids of *alphabet* (:func:`_names`): up to four
+    chains interleaved at random in the order of the ids, and a few forward
+    edges between chains."""
+    names = _names(rng, n, alphabet)
+    k = rng.randint(1, min(n, 4)) if n else 0
+    tags = [rng.randrange(k) for _ in range(n)]
+    chains = [[name for name, tag in zip(names, tags) if tag == i] for i in range(k)]
+    chains = [chain for chain in chains if chain]
+    pairs = [pair for chain in chains for pair in zip(chain, chain[1:])]
+    chain_of = {name: i for i, chain in enumerate(chains) for name in chain}
+    for _ in range(rng.randint(0, 2 * k)):
+        if n > 1:
+            a, b = sorted(rng.sample(range(n), 2))
+            if chain_of[names[a]] != chain_of[names[b]]:
+                pairs.append((names[a], names[b]))
+    return build_state_model(build_poset(names, pairs), chains)
+
+
 # --- model families of the differential tests ------------------------------
 
 def chain_poset_model(rng: random.Random, gadget: StateModel, max_elems: int) -> StateModel:
@@ -530,3 +586,70 @@ def long_chain_poset(rng: random.Random) -> Poset:
     """
     sizes = [rng.randint(10, 120) for _ in range(rng.randint(2, 3))]
     return _chain_poset(rng, sizes, sum(sizes) // 10)[0]
+
+
+def omega_models(rng: random.Random, rounds: int, max_elems: int):
+    """Models on their own chains: half random chain posets beside the pinch
+    gadget or the triple pinch, a quarter bare ones, and a quarter es
+    transforms of event models.
+
+    Floors asserted on it: ``tests/test_omega_differential.py`` compares at
+    least 500 failing and 1,000 passing ``omega3`` verdicts in 3,000 models
+    of up to 24 states, 800 passing and failing ``we`` verdicts each on the
+    own chains and on Kuhn's partition in 4,000, and 300 failing ``we``
+    reports in 1,500; ``tests/test_statemodel.py`` grows 100 antichains and
+    meets 100 of each kind of witness in 1,500.  In 2,000 of these and
+    2,000 :func:`partition_models`, ``tests/test_verdict_rule_differential.py``
+    meets at least 800 failing ``omega1``, 400 failing ``we`` where
+    ``omega1`` holds, 300 failing only ``psi`` and 1,000 raising in
+    ``require_width_extensible``.
+    """
+    gadgets = [pinch_state(), triple_pinch_state()]
+    for trial in range(rounds):
+        if trial % 4 == 3:
+            m = random_event_model(
+                rng, max_procs=rng.choice([2, 3]), max_events_per_proc=3, max_messages=4
+            )
+            yield es_transform(m)
+        elif trial % 2:
+            p, chains = random_chain_poset(
+                rng, max_elems=max_elems, max_chains=rng.choice([3, 4])
+            )
+            yield build_state_model(p, chains)
+        else:
+            yield chain_poset_model(rng, rng.choice(gadgets), max_elems - 9)
+
+
+def pinch_composition(rng: random.Random) -> StateModel:
+    """A random chain-partitioned poset beside a pinch gadget, with a few
+    edges from the random part into the gadget."""
+    p, chains = random_chain_poset(rng, max_elems=11, max_chains=3)
+    gadget = rng.choice([pinch_state, triple_pinch_state])()
+    elements = list(p.elements) + [f"g{s}" for s in gadget.poset.elements]
+    pairs = list(p.covers) + [(f"g{a}", f"g{b}") for a, b in gadget.poset.covers]
+    for _ in range(rng.randint(0, 2)):
+        pairs.append((rng.choice(p.elements), f"g{rng.choice(gadget.poset.elements)}"))
+    chains = chains + [[f"g{s}" for s in c] for c in gadget.chains]
+    return build_state_model(build_poset(elements, pairs), chains)
+
+
+def partition_models(rng: random.Random, count: int):
+    """Chain posets, es transforms of event models and pinch compositions,
+    in turn.
+
+    Floors asserted on it by ``tests/test_partition_differential.py`` in
+    3,000 models: at least 50 with concurrent initial states that are not
+    width-extensible, 500 width-extensible but not interleaving-consistent,
+    and 1,000 whose own chains are a minimum partition.
+    """
+    for trial in range(count):
+        kind = trial % 3
+        if kind == 0:
+            p, chains = random_chain_poset(
+                rng, max_elems=rng.choice([8, 14, 20]), max_chains=rng.choice([3, 5])
+            )
+            yield build_state_model(p, chains)
+        elif kind == 1:
+            yield es_transform(random_event_model(rng, max_events_per_proc=4))
+        else:
+            yield pinch_composition(rng)

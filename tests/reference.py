@@ -6,10 +6,11 @@ public constructors (``build_poset``, ``build_state_model``,
 ``build_event_model``), the result types, the models' coordinate
 accessors, ``Poset.less`` and ``Poset.covers`` (and
 ``builders.restricted_model``, which restricts the order with
-``Poset.restrict``), but never the library's own graph, component, clock or
-checkpoint code (``_tentative_graph``, ``_components``,
+``Poset.restrict``), but never the library's own graph, component, clock,
+checkpoint or lattice code (``_tentative_graph``, ``_components``,
 ``transition_graph``, ``strongly_connected_components``, ``chain_clocks``,
-``_fast_usefulness``, ``_oracle_usefulness``).  A faster library path is
+``_fast_usefulness``, ``_oracle_usefulness``, ``se_transform``, anything of
+``posetdual.lattice``).  A faster library path is
 checked by one more comparison with the reference of its layer, not by a
 transcription of the code it replaced.
 
@@ -31,12 +32,31 @@ is the transition out of state ``[i,k-1]``):
 * :func:`closure_and_covers`: the order of a relation list, closed by a
   sweep over an adjacency matrix and reduced by testing every closure pair;
 * :func:`kuhn`: Kuhn's matching on the split graph of the order, over
-  neighbour lists in sorted-id order and a visited set (Kuhn 1955).
+  neighbour lists in sorted-id order and a visited set (Kuhn 1955);
+  :func:`width_extensible`: every element and every incomparable pair
+  tested for room on the other chains of Kuhn's partition, by
+  :func:`chain_clocks`;
+* :func:`downsets`: the include/exclude walk over the least linear
+  extension (:func:`linear_extension`, a heap over ``Poset.covers``), one
+  frozenset per downset, excluding with ``Poset.less``;
+  :func:`frontiers` and :func:`width_antichains`: the maximum antichains of
+  a width-extensible view, one per cut of :func:`se_collapse`'s event side,
+  with each chain at the top slot the cut holds on it (the event/state
+  duality); :func:`cut_line`: a ``cuts`` line, ``json.dumps`` of the sorted
+  cut.  The view is an input: the tests take it from
+  ``require_width_extensible``, whose partition policy
+  ``tests/test_partition_differential.py`` checks.
+
+Beyond the inputs above, :func:`width_extensible` reads the partition
+``minimum_chain_partition`` gives (whose matching :func:`kuhn` checks), and
+:func:`se_text` writes an ``se`` outcome with ``traces.event_to_json``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import json
 
 from posetdual import (
     OracleBoundExceeded,
@@ -46,7 +66,8 @@ from posetdual import (
     build_state_model,
 )
 from posetdual.analysis import CheckpointReport, CheckpointVerdict
-from posetdual.poset import oracle_bound
+from posetdual.poset import minimum_chain_partition, oracle_bound
+from posetdual.traces import event_to_json
 from posetdual.transforms import (
     InvalidityReport,
     OffendingComponent,
@@ -236,6 +257,23 @@ def se_collapse(sm):
     poset = build_poset(labels.keys(), pairs)
     model = build_event_model(poset, sm.n, labels, allow_empty_process=True)
     return SETransformOutcome(event_model=model, report=None, _graph=graph)
+
+
+def has_relay(sm):
+    """Whether a virtual node with out-edges is a component on its own."""
+    nodes, succ = cover_graph(sm)
+    virtual = virtual_nodes(sm)
+    return any(
+        len(comp) == 1 and comp[0] in virtual and succ[comp[0]]
+        for comp in tarjan(nodes, succ)
+    )
+
+
+def se_text(outcome):
+    """The canonical text of an ``se`` outcome: its event document, or its
+    report where it failed."""
+    doc = event_to_json(outcome.event_model) if outcome.ok else outcome.report.as_json()
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # --- chain checks, the forward transform and chain clocks ------------------
@@ -471,3 +509,100 @@ def kuhn(p):
                 mate_r[x] = u
             break
     return mate_l, mate_r, longest
+
+
+def width_extensible(p):
+    """Width-extensibility on Kuhn's partition (``minimum_chain_partition``),
+    read off :func:`chain_clocks`: an element fails when some other chain
+    has no state concurrent with it, and an incomparable pair when some
+    third chain has no state concurrent with both.  The witness is the last
+    failing element in sorted-id order, else the last failing pair in
+    ``itertools.combinations`` order."""
+    chains = minimum_chain_partition(p).chains
+    at = {s: (c, k) for c, chain in enumerate(chains) for k, s in enumerate(chain)}
+    clocks = chain_clocks(p, chains)
+
+    def room(lows, highs, skip):
+        return all(high - low >= 2 for c, (low, high) in enumerate(zip(lows, highs)) if c not in skip)
+
+    singles = [s for s in p.elements if not room(*clocks[s], {at[s][0]})]
+    if singles:
+        return Verdict(False, frozenset({singles[-1]}), "no maximum antichain contains it")
+    pairs = []
+    for a, b in itertools.combinations(p.elements, 2):
+        (da, ua), (db, ub) = clocks[a], clocks[b]
+        cb, kb = at[b]
+        if da[cb] < kb < ua[cb] and not room(map(max, da, db), map(min, ua, ub), {at[a][0], cb}):
+            pairs.append((a, b))
+    if pairs:
+        return Verdict(False, frozenset(pairs[-1]), "no maximum antichain contains both")
+    return Verdict(True)
+
+
+# --- the lattice of cuts ---------------------------------------------------------
+
+def linear_extension(p):
+    """The lexicographically least linear extension of *p*: a heap of the
+    ids whose lower covers are all placed, least first."""
+    below = {e: 0 for e in p.elements}
+    upper = {e: [] for e in p.elements}
+    for a, b in p.covers:
+        below[b] += 1
+        upper[a].append(b)
+    ready = [e for e in p.elements if not below[e]]
+    order = []
+    while ready:
+        e = heapq.heappop(ready)
+        order.append(e)
+        for f in upper[e]:
+            below[f] -= 1
+            if not below[f]:
+                heapq.heappush(ready, f)
+    return order
+
+
+def downsets(p):
+    """Every downset of *p* once, as a frozenset, in the order of the
+    include/exclude walk over :func:`linear_extension`: the first undecided
+    element of the extension is excluded with everything above it, and
+    that subtree walked, then included.  The walk is lazy."""
+    order = linear_extension(p)
+    above = {e: {f for f in order[q + 1:] if p.less(e, f)} for q, e in enumerate(order)}
+    stack = [(order, frozenset())]
+    while stack:
+        undecided, cut = stack.pop()
+        if not undecided:
+            yield cut
+            continue
+        e, rest = undecided[0], undecided[1:]
+        stack.append((rest, cut | {e}))
+        stack.append(([f for f in rest if f not in above[e]], cut))
+
+
+def frontiers(view):
+    """The maximum antichains of the width-extensible *view*, by the
+    event/state duality: per cut of the event side of :func:`se_collapse`,
+    in :func:`downsets` order, the position of each chain's state, which is
+    the top slot the cut holds on that chain (0 for none)."""
+    m = se_collapse(view).event_model
+    for cut in downsets(m.poset):
+        tops = [0] * view.n
+        for e in cut:
+            for i, k in m.labels[e]:
+                tops[i - 1] = max(tops[i - 1], k)
+        yield tuple(tops)
+
+
+def width_antichain(view, tops):
+    """The states of *view* at the positions *tops*, one per chain."""
+    return frozenset(chain[k] for chain, k in zip(view.chains, tops))
+
+
+def width_antichains(view):
+    """The antichains of :func:`frontiers`, as sets of states."""
+    return (width_antichain(view, tops) for tops in frontiers(view))
+
+
+def cut_line(cut):
+    """The ``cuts`` line of *cut*, without its newline."""
+    return json.dumps({"cut": sorted(cut)})

@@ -2,37 +2,30 @@
 element-at-a-time references.
 
 Closure and covers are compared with ``reference.closure_and_covers``, the
-covers found by testing every closure pair, and Kuhn's matching with
+covers found by testing every closure pair, Kuhn's matching with
 ``reference.kuhn``, which scans neighbour lists in sorted-id order with a
-visited set.  The Koenig antichain and the width-extensibility pair loop
-over chain clocks transcribe the earlier implementations.  Orders,
-matchings, partitions, witnesses and verdicts must agree exactly.  The
-matching is compared on families where sorted-id order crosses chain order
-(``i.k`` ids with ``1.10`` before ``1.2``, ``perfbench/gen.py`` runs with
-shared events, and copies with escaped and non-ASCII ids), where Kuhn's
-searches take long augmenting paths.
+visited set, and width-extensibility with ``reference.width_extensible``,
+the pair loop over chain clocks.  The Koenig antichain transcribes the
+earlier implementation.  Orders, matchings, partitions, witnesses and
+verdicts must agree exactly.  The matching is compared on families where
+sorted-id order crosses chain order (``i.k`` ids with ``1.10`` before
+``1.2``, ``perfbench/gen.py`` runs with shared events, and copies renamed
+to escaped and non-ASCII ids), where Kuhn's searches take long augmenting
+paths.
 """
 
-import itertools
 import random
 import sys
 from pathlib import Path
 
-from posetdual import (
-    Verdict,
-    build_poset,
-    check_width_extensible,
-    es_transform,
-)
+from posetdual import build_poset, check_width_extensible, es_transform
 from posetdual.poset import (
     _matching_to_partition,
     _maximum_matching,
     chain_break,
-    chain_clocks,
     minimum_chain_partition,
     width,
 )
-from posetdual.statemodel import minimum_view
 from posetdual.traces import load_trace
 
 import reference
@@ -41,6 +34,7 @@ from builders import (
     long_chain_poset,
     random_chain_poset,
     random_event_model,
+    renamed,
     triple_pinch_poset,
 )
 
@@ -64,39 +58,6 @@ def antichain_by_sets(p, mate_l, mate_r):
                     z_left.add(w)
                     frontier.append(w)
     return frozenset(p.elements[i] for i in z_left - z_right)
-
-
-def we_by_pair_loop(p):
-    """Width-extensibility testing every incomparable pair on every chain."""
-    if not p.elements:
-        return Verdict(True)
-    cp = minimum_chain_partition(p)
-    coords = minimum_view(p).coords
-    clocks = chain_clocks(p, cp.chains)
-    failing = None
-    for s in p.elements:
-        down, up = clocks[s]
-        own = coords(s)[0] - 1
-        if any(up[ci] - down[ci] < 2 for ci in range(cp.n) if ci != own):
-            failing = s
-    if failing is not None:
-        return Verdict(False, frozenset({failing}), "no maximum antichain contains it")
-    for a, b in itertools.combinations(p.elements, 2):
-        (da, ua), (db, ub) = clocks[a], clocks[b]
-        cb, kb = coords(b)
-        cb -= 1
-        if not da[cb] < kb < ua[cb]:
-            continue
-        ca = coords(a)[0] - 1
-        if any(
-            min(ua[ci], ub[ci]) - max(da[ci], db[ci]) < 2
-            for ci in range(cp.n)
-            if ci != ca and ci != cb
-        ):
-            failing = (a, b)
-    if failing is not None:
-        return Verdict(False, frozenset(failing), "no maximum antichain contains both")
-    return Verdict(True)
 
 
 def random_relation_list(rng):
@@ -136,7 +97,7 @@ def test_bitset_kernels_equal_pair_loops():
         assert minimum_chain_partition(p) == _matching_to_partition(p, *mates)
 
         verdict = check_width_extensible(p).as_json()
-        assert verdict == we_by_pair_loop(p).as_json(), (elements, pairs)
+        assert verdict == reference.width_extensible(p).as_json(), (elements, pairs)
         pair_failures += len(verdict.get("witness", ())) == 2
     # The pair phase must fail often enough for its witness to be compared.
     assert pair_failures >= 100, pair_failures
@@ -183,14 +144,7 @@ def test_chain_break_equals_the_shift_scan():
 # Characters that sort apart from digits and letters, escaped or non-ASCII
 # in canonical text: a quote, a backslash, controls, DEL, Latin-1, the BMP
 # and an astral character.
-ODD = ['"', "\\", "\n", "\x01", "\x7f", "~", "\u00e9", "\u20ac", "\U0001d11e", ""]
-
-
-def renamed(rng, p):
-    """*p* with each id behind a random prefix of :data:`ODD`, so that
-    sorted-id order, the order Kuhn's searches follow, is reshuffled."""
-    name = {e: rng.choice(ODD) + e for e in p.elements}
-    return build_poset(name.values(), [(name[a], name[b]) for a, b in p.covers])
+ODD = '"\\\n\x01\x7f~\u00e9\u20ac\U0001d11e'
 
 
 def gen_poset(rng):
@@ -221,7 +175,7 @@ def test_matching_equals_reference_kuhn(fixtures_dir):
         p = long_chain_poset(rng) if trial % 2 else gen_poset(rng)
         posets.append(p)
         if trial % 3 == 0:
-            posets.append(renamed(rng, p))
+            posets.append(renamed(rng, p, ODD))
     assert len(posets) >= 930, len(posets)
     matched = long_paths = 0
     for p in posets:

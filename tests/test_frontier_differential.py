@@ -1,18 +1,18 @@
 """Frontier-vector enumeration, compiled predicates and conjunctive first
-matches against the name-at-a-time code they replaced.
+matches against the definitional references.
 
-The reference functions transcribe the earlier implementations: downsets
-materialized by scanning every linear-extension position, antichains mapped
-from each cut through the per-event frontier scan, ``cuts`` lines rendered by
-``json.dumps`` of the sorted members, and detection evaluating the AST on a
-``{process: state}`` context per antichain (``_evaluate``, kept as the
-oracle).  Lines must agree byte for byte and in order; verdicts and warning
-lists must agree exactly.  The ``analyze predicate`` listing, written from
-the frontier vectors, must be ``json.dumps`` of the document built from the
-detection stream, with the same exit code and the same warnings logged.
+``cuts`` lines, the images of the cut walk and the frontier vectors of
+random posets, event models and state models (re-partitioned ones, and
+ones whose bitsets span several bytes) must be those of
+``reference.downsets`` and ``reference.frontiers`` (the ``cuts`` fixture of
+``tests/conftest.py``).  Detection is checked against ``_evaluate``, kept as
+the oracle, on a ``{process: state}`` context per antichain of
+``reference.width_antichains``: verdicts and warning lists must agree
+exactly.  The ``analyze predicate`` listing, written from the frontier
+vectors, must be ``json.dumps`` of the document built from the detection
+stream, with the same exit code and the same warnings logged.
 """
 
-import heapq
 import json
 import os
 import random
@@ -23,14 +23,13 @@ from pathlib import Path
 import pytest
 
 import posetdual
+import reference
 from posetdual import (
     NotWidthExtensible,
-    build_event_model,
     build_poset,
     build_state_model,
     check_width_extensible,
     detect_width_predicate,
-    enumerate_width_antichains,
     es_transform,
     se_transform,
 )
@@ -49,154 +48,38 @@ from posetdual.analysis import (
     first_width_predicate,
     predicate_from_json,
 )
-from posetdual.cli import _antichain_runs, _cut_lines, _diagnostic, _downset_runs, main
+from posetdual.cli import _diagnostic, main
 from posetdual.errors import PredicateError
-from posetdual.lattice import _frontiers, enumerate_downsets
-from posetdual.poset import minimum_chain_partition, width
-from posetdual.statemodel import StateModel, require_width_extensible
+from posetdual.poset import width
+from posetdual.statemodel import require_width_extensible
 from posetdual.traces import state_to_json, write_trace
 
-from builders import down_sets, random_chain_poset, random_event_model
-
-# --- transcribed reference -------------------------------------------------
-
-
-def ref_linear_extension(p):
-    n = len(p.elements)
-    indeg = [d.bit_count() for d in down_sets(p)]
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(p.elements[v])
-        for w in range(n):
-            if p._up[v] >> w & 1:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-    return tuple(order)
-
-
-def ref_downsets(p):
-    order = ref_linear_extension(p)
-    n = len(order)
-    pos = {e: q for q, e in enumerate(order)}
-    up = []
-    for e in order:
-        mask = 1 << pos[e]
-        for f in order:
-            if p.less(e, f):
-                mask |= 1 << pos[f]
-        up.append(mask)
-    stack = [((1 << n) - 1, 0)]
-    while stack:
-        avail, included = stack.pop()
-        if not avail:
-            yield frozenset(order[q] for q in range(n) if included >> q & 1)
-            continue
-        low = avail & -avail
-        q = low.bit_length() - 1
-        stack.append((avail & ~low, included | low))
-        stack.append((avail & ~up[q], included))
-
-
-def ref_frontier(m, cut):
-    tops = [0] * m.n
-    for e in cut:
-        for i, k in m.labels[e]:
-            tops[i - 1] = max(tops[i - 1], k)
-    return tuple(tops)
-
-
-def ref_width_frontiers(target):
-    poset = target.poset if isinstance(target, StateModel) else target
-    verdict = check_width_extensible(poset)
-    if not verdict.ok:
-        raise NotWidthExtensible(verdict.witness)
-    if isinstance(target, StateModel) and target.n == width(poset)[0]:
-        sm = target
-    else:
-        sm = StateModel(poset=poset, chains=minimum_chain_partition(poset).chains)
-    m = se_transform(sm).event_model
-    return sm, (ref_frontier(m, cut) for cut in ref_downsets(m.poset))
-
-
-def ref_width_antichains(target):
-    sm, vectors = ref_width_frontiers(target)
-    for tops in vectors:
-        yield frozenset(sm.state_at(i + 1, k) for i, k in enumerate(tops))
-
-
-def ref_line(cut):
-    return json.dumps({"cut": sorted(cut)}, sort_keys=True) + "\n"
-
-
-# --- the CLI's lines -------------------------------------------------------------
-
-
-def cli_lines(names, runs):
-    """The ``cuts`` lines of a stream, rendered a run at a time as
-    ``cmd_cuts`` does."""
-    render, lines = _cut_lines(names), []
-    for run in runs:
-        *chunk, tail = render(run).split("\n")
-        assert tail == ""
-        lines += [line + "\n" for line in chunk]
-    return lines
-
-
-def _downset_lines(poset):
-    return cli_lines(*_downset_runs(poset))
-
-
-def _antichain_lines(target):
-    return cli_lines(*_antichain_runs(target))
+from builders import random_chain_poset, random_event_model, renamed
 
 
 def ref_detect(sm, pred, warnings):
+    """The antichains of *sm* that satisfy *pred* by ``_evaluate``, in the
+    reference's order."""
     verdict = check_width_extensible(sm.poset)
     if not verdict.ok:
         raise NotWidthExtensible(verdict.witness)
     w, _ = width(sm.poset)
     if sm.poset.elements and w != sm.n:
         return
-    for antichain in ref_width_antichains(sm):
+    for antichain in reference.width_antichains(sm):
         if _evaluate(sm, pred, antichain, warnings):
             yield antichain
 
 
 # --- random inputs ----------------------------------------------------------
 
-# Names whose sorted order differs from chain order, and some of which
-# json.dumps escapes.
-NAME_PARTS = ["a", "B", "z", "é", '"', "\\", "☃", "0", " "]
-
-
-def renamed(rng, elements, parts=NAME_PARTS):
-    names = set()
-    while len(names) < len(elements):
-        names.add("".join(rng.choice(parts) for _ in range(rng.randint(1, 3))))
-    names = list(names)
-    rng.shuffle(names)
-    return dict(zip(elements, names))
-
-
-def random_poset(rng):
-    p, chains = random_chain_poset(rng, max_elems=rng.choice([6, 10, 14]), max_chains=4)
-    name = renamed(rng, p.elements)
-    poset = build_poset(name.values(), [(name[a], name[b]) for a, b in p.covers])
-    return poset, [[name[s] for s in chain] for chain in chains]
+# The characters of renamed ids: sorted-id order then differs from chain
+# order, and json.dumps escapes some of them.
+NAMES = 'aBzé"\\☃0 '
 
 
 def random_events(rng):
-    return renamed_events(rng, random_event_model(rng, max_procs=4, max_events_per_proc=4))
-
-
-def renamed_events(rng, m):
-    name = renamed(rng, m.poset.elements)
-    poset = build_poset(name.values(), [(name[a], name[b]) for a, b in m.poset.covers])
-    return build_event_model(poset, m.n, {name[e]: s for e, s in m.labels.items()})
+    return renamed(rng, random_event_model(rng, max_procs=4, max_events_per_proc=4), NAMES)
 
 
 def large_events(rng):
@@ -204,13 +87,7 @@ def large_events(rng):
     while True:
         m = random_event_model(rng, max_procs=5, max_events_per_proc=12, max_messages=40)
         if 20 <= len(m.poset.elements) <= 40:
-            return renamed_events(rng, m)
-
-
-def renamed_states(rng, sm):
-    name = renamed(rng, sm.poset.elements)
-    poset = build_poset(name.values(), [(name[a], name[b]) for a, b in sm.poset.covers])
-    return build_state_model(poset, [[name[s] for s in chain] for chain in sm.chains])
+            return renamed(rng, m, NAMES)
 
 
 def split_chain(rng, sm):
@@ -239,17 +116,19 @@ def random_attrs(rng, sm, missing=True):
     return attrs
 
 
-def random_state_model(rng, missing=True):
-    """A state model: the forward transform of a renamed event model, or a
-    renamed chain-covered poset (possibly not width-extensible, possibly of
-    width below its chain count), with random attributes."""
-    if rng.random() < 0.5:
-        sm = es_transform(random_events(rng))
-        poset, chains = sm.poset, sm.chains
-    else:
-        poset, chains = random_poset(rng)
-    sm = build_state_model(poset, chains)
-    return build_state_model(poset, chains, random_attrs(rng, sm, missing))
+def chain_model(rng):
+    """A renamed chain-covered poset of up to 14 states on its chains,
+    possibly not width-extensible, possibly of width below its chain
+    count."""
+    p, chains = random_chain_poset(rng, max_elems=rng.choice([6, 10, 14]), max_chains=4)
+    return renamed(rng, build_state_model(p, chains), NAMES)
+
+
+def attributed_model(rng, missing=True):
+    """The forward transform of a renamed event model, or a
+    :func:`chain_model`, with random attributes."""
+    sm = es_transform(random_events(rng)) if rng.random() < 0.5 else chain_model(rng)
+    return build_state_model(sm.poset, sm.chains, random_attrs(rng, sm, missing))
 
 
 def random_predicate(rng, n, depth=0, names=("x", "y", "ghost"), values=VALUES):
@@ -295,46 +174,26 @@ def random_conjunction(rng, n):
 # --- cuts lines ---------------------------------------------------------------
 
 
-def test_downset_lines_equal_reference():
+def test_downset_lines_equal_reference(cuts):
     rng = random.Random(4101)
     for trial in range(300):
-        poset = random_events(rng).poset if trial % 2 else random_poset(rng)[0]
-        reference = list(ref_downsets(poset))
-        assert list(enumerate_downsets(poset)) == reference
-        assert list(_downset_lines(poset)) == [ref_line(c) for c in reference]
+        cuts.downsets(random_events(rng).poset if trial % 2 else chain_model(rng).poset)
 
 
-def test_antichain_lines_equal_reference():
+def test_antichain_lines_equal_reference(cuts):
     rng = random.Random(4102)
     compared = repartitioned = 0
     for trial in range(400):
         if trial % 2:
             target = es_transform(random_events(rng))
         else:
-            poset, chains = random_poset(rng)
+            sm = chain_model(rng)
             # a state model (re-partitioned when its chains exceed the
             # width) or a bare poset (always partitioned)
-            target = build_state_model(poset, chains) if trial % 4 else poset
-            repartitioned += not (trial % 4) or len(chains) > width(poset)[0]
-        try:
-            reference = list(ref_width_antichains(target))
-        except NotWidthExtensible as exc:
-            with pytest.raises(NotWidthExtensible) as info:
-                list(_antichain_lines(target))
-            assert info.value.witness == exc.witness
-            continue
-        assert list(enumerate_width_antichains(target)) == reference
-        assert list(_antichain_lines(target)) == [ref_line(c) for c in reference]
-        assert_frontiers_equal_reference(target)
-        compared += 1
+            target = sm if trial % 4 else sm.poset
+            repartitioned += not (trial % 4) or sm.n > width(sm.poset)[0]
+        compared += cuts.antichains(target)
     assert compared >= 250 and repartitioned >= 100, (compared, repartitioned)
-
-
-def assert_frontiers_equal_reference(target):
-    view = require_width_extensible(target)
-    ref_view, ref_vectors = ref_width_frontiers(target)
-    assert view.chains == ref_view.chains
-    assert list(_frontiers(view)) == list(ref_vectors)
 
 
 def straddling_events(sm):
@@ -348,7 +207,7 @@ def straddling_events(sm):
     return count
 
 
-def test_multibyte_streams_equal_reference():
+def test_multibyte_streams_equal_reference(cuts):
     """Bitsets of several bytes: 20 to 40 events, shared events whose flipped
     states fall in different bytes, and models whose initial states are
     ordered, which are viewed on Kuhn's partition."""
@@ -356,19 +215,13 @@ def test_multibyte_streams_equal_reference():
     ordered = straddling = 0
     for trial in range(60):
         m = large_events(rng)
-        reference = list(ref_downsets(m.poset))
-        assert list(enumerate_downsets(m.poset)) == reference
-        assert list(_downset_lines(m.poset)) == [ref_line(c) for c in reference]
-
+        cuts.downsets(m.poset)
         sm = es_transform(m)
         if trial % 3:
-            sm = renamed_states(rng, sm)
+            sm = renamed(rng, sm, NAMES)
         if trial % 2:
             sm = split_chain(rng, sm)
-        reference = list(ref_width_antichains(sm))  # es's posets are width-extensible
-        assert list(enumerate_width_antichains(sm)) == reference
-        assert list(_antichain_lines(sm)) == [ref_line(c) for c in reference]
-        assert_frontiers_equal_reference(sm)
+        assert cuts.antichains(sm)  # es's posets are width-extensible
         view = require_width_extensible(sm)
         ordered += view is not sm
         straddling += straddling_events(view)
@@ -382,12 +235,12 @@ def test_compiled_predicates_equal_evaluate():
     rng = random.Random(4103)
     warned = 0
     for _ in range(300):
-        sm = random_state_model(rng)
+        sm = attributed_model(rng)
         if not check_width_extensible(sm.poset).ok:
             continue
         pred = random_predicate(rng, sm.n)
         test = compile_predicate(sm, pred)
-        for antichain in ref_width_antichains(sm):
+        for antichain in reference.width_antichains(require_width_extensible(sm)):
             if len(antichain) != sm.n:
                 break  # width below the process count: no spanning states
             vector = [sm.coords(s)[1] for s in sorted(antichain, key=sm.coords)]
@@ -398,8 +251,8 @@ def test_compiled_predicates_equal_evaluate():
             assert got == want, pred
             warned += bool(want)
         warnings_ref, warnings_new = [], []
-        reference = list(ref_detect(sm, pred, warnings_ref))
-        assert list(detect_width_predicate(sm, pred, warnings_new)) == reference
+        want = list(ref_detect(sm, pred, warnings_ref))
+        assert list(detect_width_predicate(sm, pred, warnings_new)) == want
         assert warnings_new == warnings_ref
     assert warned >= 200, warned
 
@@ -424,7 +277,7 @@ def complete_state_model(rng, kind):
     """A width-extensible state model with values of *kind* for x and y on
     every state."""
     while True:
-        sm = random_state_model(rng)
+        sm = attributed_model(rng)
         if check_width_extensible(sm.poset).ok:
             break
     attrs = {
@@ -460,7 +313,7 @@ def test_lean_closures_equal_evaluate():
     rng = random.Random(4108)
     taken = {(kind, closure): 0 for kind in ("local", "agg") for closure in ("lean", "replay")}
     warned = 0
-    for trial in range(400):
+    for trial in range(600):
         sm = complete_state_model(rng, list(COMPLETE_VALUES)[trial % len(COMPLETE_VALUES)])
         pred = random_predicate(rng, sm.n, names=("x", "y"), values=COMPARED)
         for clause in clauses(pred):
@@ -468,7 +321,7 @@ def test_lean_closures_equal_evaluate():
             assert closure == ("lean" if takes_lean_closure(sm, clause) else "replay"), clause
             taken["agg" if isinstance(clause, AggCmp) else "local", closure] += 1
         test = compile_predicate(sm, pred)
-        for antichain in ref_width_antichains(sm):
+        for antichain in reference.width_antichains(require_width_extensible(sm)):
             if len(antichain) != sm.n:
                 break  # width below the process count: no spanning states
             vector = [sm.coords(s)[1] for s in sorted(antichain, key=sm.coords)]
@@ -477,8 +330,8 @@ def test_lean_closures_equal_evaluate():
             assert got == want, pred
             warned += bool(want)
         warnings_ref, warnings_new = [], []
-        reference = list(ref_detect(sm, pred, warnings_ref))
-        assert list(detect_width_predicate(sm, pred, warnings_new)) == reference
+        want = list(ref_detect(sm, pred, warnings_ref))
+        assert list(detect_width_predicate(sm, pred, warnings_new)) == want
         assert warnings_new == warnings_ref
     # At least three in four clauses of each kind are lean, and both kinds
     # still replay where a state warns or a sum would fail.
@@ -492,7 +345,7 @@ def test_missing_attributes_take_the_replaying_closure():
     rng = random.Random(4109)
     replayed = 0
     for _ in range(300):
-        sm = random_state_model(rng)
+        sm = attributed_model(rng)
         for clause in clauses(random_predicate(rng, sm.n)):
             if isinstance(clause, IndexCmp):
                 continue
@@ -507,7 +360,7 @@ def test_missing_attributes_take_the_replaying_closure():
 
 def test_compile_rejects_processes_the_model_lacks():
     rng = random.Random(4104)
-    sm = random_state_model(rng)
+    sm = attributed_model(rng)
     for pred in (
         AttrCmp(sm.n + 1, "x", "==", 1),
         And((IndexCmp(1, "==", 0), Not(IndexCmp(sm.n + 5, ">", 0)))),
@@ -526,7 +379,7 @@ def test_conjunctive_first_match_equals_first_of_enumeration():
     rng = random.Random(4105)
     direct = unsatisfiable = narrow = 0
     for trial in range(800):
-        sm = random_state_model(rng, missing=trial % 5 == 0)
+        sm = attributed_model(rng, missing=trial % 5 == 0)
         # Mostly conjunctions; other predicates must take the enumeration.
         if trial % 4:
             pred = random_conjunction(rng, sm.n)
@@ -554,20 +407,12 @@ def test_conjunctive_first_match_equals_first_of_enumeration():
 
 # --- the predicate listing --------------------------------------------------------
 
-# Id parts beyond NAME_PARTS: lone surrogates, an astral character, a
+# Id characters beyond NAMES: lone surrogates, an astral character, a
 # control character, and "~" and DEL, which sort before "é" raw but after
 # its "\u00e9" escape.  The surrogates are low ones only: a high one before
 # them would be escaped as a pair, which json.loads reads back as one
 # astral character.
-ODD_PARTS = NAME_PARTS + ["\udc00", "\udfff", "\U0001f600", "\x01", "~", "\x7f"]
-
-
-def odd_named(rng, sm):
-    """*sm*, attributes kept, with its states renamed to ids of ``ODD_PARTS``."""
-    name = renamed(rng, sm.poset.elements, ODD_PARTS)
-    poset = build_poset(name.values(), [(name[a], name[b]) for a, b in sm.poset.covers])
-    chains = [[name[s] for s in chain] for chain in sm.chains]
-    return build_state_model(poset, chains, {name[s]: m for s, m in sm.attrs.items()})
+ODD = NAMES + "\udc00\udfff\U0001f600\x01~\x7f"
 
 
 def parsed_predicate(rng, n):
@@ -616,7 +461,7 @@ def listing_cases(rng):
     empty = build_state_model(build_poset([], []), [])
     cases = [(empty, Const(True)), (empty, Const(False)), (empty, AggCmp("sum", "x", "==", 0))]
     for trial in range(160):
-        sm = odd_named(rng, random_state_model(rng))
+        sm = renamed(rng, attributed_model(rng), ODD)
         if trial % 4 == 0 and any(len(chain) > 1 for chain in sm.chains):
             split = split_chain(rng, sm)
             sm = build_state_model(split.poset, split.chains, sm.attrs)
@@ -651,8 +496,8 @@ def test_listing_equals_the_document_of_the_detection_stream(capsys, caplog, tmp
 
 def test_listing_writes_its_warnings_to_stderr_once(tmp_path):
     # Outside pytest's log capture, each warning goes to stderr as logged.
-    sm = odd_named(random.Random(4108), build_state_model(
-        build_poset(["a", "b"], []), [["a"], ["b"]], {"a": {"x": "s"}}))
+    sm = renamed(random.Random(4108), build_state_model(
+        build_poset(["a", "b"], []), [["a"], ["b"]], {"a": {"x": "s"}}), ODD)
     pred = Or((AttrCmp(1, "x", "<", 1), AttrCmp(2, "x", "==", 0)))
     code, out, warnings = ref_listing(sm, pred)
     assert len(warnings) == 2

@@ -30,7 +30,6 @@ from posetdual.transforms import (
 )
 
 from builders import models
-from test_collapse_differential import has_relay, outcome_bytes
 
 
 def test_graph_and_components_equal_tuple_keyed():
@@ -48,7 +47,7 @@ def test_graph_and_components_equal_tuple_keyed():
         assert all(v in comps[c] for v, c in enumerate(comp_of))
         counts["no chains"] += not sm.chains
         counts["one-state chain"] += any(len(c) == 1 for c in sm.chains)
-        counts["relay"] += has_relay(sm)
+        counts["relay"] += reference.has_relay(sm)
         counts["cycle"] += any(len(c) > 1 for c in want)
     assert counts["no chains"] == 1, counts
     assert min(counts["one-state chain"], counts["relay"], counts["cycle"]) >= 400, counts
@@ -74,7 +73,7 @@ def test_se_stdout_exit_codes_and_edges_equal_tuple_keyed(tmp_path):
         else:
             counts["offending"] += 1
         code = 0 if want.ok else 2
-        assert run_se(path) == (code, outcome_bytes(want)), state_to_json(sm)
-        counts["relay"] += has_relay(sm)
+        assert run_se(path) == (code, reference.se_text(want)), state_to_json(sm)
+        counts["relay"] += reference.has_relay(sm)
     # Failing transforms, shared events and relays must all be compared often.
     assert min(counts.values()) >= 150, counts

@@ -14,7 +14,6 @@ the definition-level brute force.
 import random
 from collections import Counter
 
-from posetdual import build_state_model, es_transform
 from posetdual import statemodel
 from posetdual.statemodel import (
     Verdict,
@@ -27,14 +26,7 @@ from posetdual.statemodel import (
     width_extensible_bruteforce,
 )
 
-from builders import (
-    chain_poset_model,
-    down_sets,
-    pinch_state,
-    random_chain_poset,
-    random_event_model,
-    triple_pinch_state,
-)
+from builders import down_sets, omega_models
 from reference import chain_clocks
 
 
@@ -78,30 +70,10 @@ def width_extensible_by_pair_scan(sm):
     return Verdict(True)
 
 
-def random_models(rng, rounds, max_elems):
-    """Models on their own chains: half random chain posets beside the pinch
-    gadget or the triple pinch, a quarter bare ones, and a quarter es
-    transforms of event models."""
-    gadgets = [pinch_state(), triple_pinch_state()]
-    for trial in range(rounds):
-        if trial % 4 == 3:
-            m = random_event_model(
-                rng, max_procs=rng.choice([2, 3]), max_events_per_proc=3, max_messages=4
-            )
-            yield es_transform(m)
-        elif trial % 2:
-            p, chains = random_chain_poset(
-                rng, max_elems=max_elems, max_chains=rng.choice([3, 4])
-            )
-            yield build_state_model(p, chains)
-        else:
-            yield chain_poset_model(rng, rng.choice(gadgets), max_elems - 9)
-
-
 def test_omega3_on_covers_equals_bitset_scan():
     rng = random.Random(2017)
     outcomes = Counter()
-    for sm in random_models(rng, 3000, 24):
+    for sm in omega_models(rng, 3000, 24):
         want = omega3_by_bitsets(sm).as_json()
         assert check_omega3(sm).as_json() == want, sm.chains
         outcomes[want["ok"]] += 1
@@ -112,7 +84,7 @@ def test_omega3_on_covers_equals_bitset_scan():
 def test_width_extensible_by_omegas_equals_pair_scan_and_bruteforce():
     rng = random.Random(2029)
     views = Counter()
-    for sm in random_models(rng, 4000, 14):
+    for sm in omega_models(rng, 4000, 14):
         for kind, view in (("own", sm), ("kuhn", minimum_view(sm.poset))):
             want = width_extensible_by_pair_scan(view).as_json()
             assert _width_extensible(view).as_json() == want, (kind, view.chains)
@@ -127,7 +99,7 @@ def test_property_reports_equal_pair_scan_reports(monkeypatch):
     """``run_property_checks`` passes ``we`` on the own chains by their
     omega verdicts; the report must be the one the pair scan gives."""
     rng = random.Random(2039)
-    models = list(random_models(rng, 1500, 14))
+    models = list(omega_models(rng, 1500, 14))
     got = [run_property_checks(sm, statemodel.PROPERTIES).as_json() for sm in models]
     monkeypatch.setattr(
         statemodel,

@@ -4,8 +4,8 @@ Width-extensibility and interleaving-consistency are decided on the model's
 process chains whenever its initial states are pairwise concurrent, and
 ``omega3`` is a subset test of down-set bitsets.  The reference below
 transcribes the path that always takes the minimum chain partition from
-Kuhn's matching, without the library's partition policy: the pair-loop
-width-extensibility kernel, ``psi`` on the Kuhn-partitioned model and brute
+Kuhn's matching, without the library's partition policy: the pair loop
+``reference.width_extensible``, ``psi`` on the Kuhn-partitioned model and brute
 force when the poset is not width-extensible; ``omega3`` is scanned state by
 state on the chain clocks.  Reports, witnesses, detail strings and the
 chains that enumeration indexes must agree exactly.
@@ -19,12 +19,10 @@ from posetdual import (
     NotWidthExtensible,
     OracleBoundExceeded,
     Verdict,
-    build_poset,
     build_state_model,
     check_omega1,
     check_omega2,
     check_psi,
-    es_transform,
 )
 from posetdual import poset as poset_module
 from posetdual.analysis import first_width_predicate, predicate_from_json
@@ -37,13 +35,8 @@ from posetdual.statemodel import (
     run_property_checks,
 )
 
-from builders import (
-    pinch_state,
-    random_chain_poset,
-    random_event_model,
-    triple_pinch_state,
-)
-from test_bitset_differential import we_by_pair_loop
+import reference
+from builders import partition_models, pinch_state
 
 # Interleaving-consistency of a poset that is not width-extensible is decided
 # by enumeration on both paths; the bound keeps that enumeration small.
@@ -94,7 +87,7 @@ def ic_on_kuhn_partition(sm):
     """``psi`` on Kuhn's partition of a width-extensible poset, else the
     definition by enumeration."""
     p = sm.poset
-    if we_by_pair_loop(p).ok:
+    if reference.width_extensible(p).ok:
         return check_psi(build_state_model(p, minimum_chain_partition(p).chains))
     return interleaving_consistent_bruteforce(p)
 
@@ -104,7 +97,7 @@ REFERENCE = {
     "omega2": check_omega2,
     "omega3": omega3_by_clock_scan,
     "psi": check_psi,
-    "we": lambda sm: we_by_pair_loop(sm.poset),
+    "we": lambda sm: reference.width_extensible(sm.poset),
     "ic": ic_on_kuhn_partition,
 }
 
@@ -128,39 +121,12 @@ def reference_chains(sm):
     return minimum_chain_partition(sm.poset).chains
 
 
-def pinch_composition(rng):
-    """A random chain-partitioned poset beside a pinch gadget, with a few
-    edges from the random part into the gadget."""
-    p, chains = random_chain_poset(rng, max_elems=11, max_chains=3)
-    gadget = rng.choice([pinch_state, triple_pinch_state])()
-    elements = list(p.elements) + [f"g{s}" for s in gadget.poset.elements]
-    pairs = list(p.covers) + [(f"g{a}", f"g{b}") for a, b in gadget.poset.covers]
-    for _ in range(rng.randint(0, 2)):
-        pairs.append((rng.choice(p.elements), f"g{rng.choice(gadget.poset.elements)}"))
-    chains = chains + [[f"g{s}" for s in c] for c in gadget.chains]
-    return build_state_model(build_poset(elements, pairs), chains)
-
-
-def random_models(rng, count):
-    for trial in range(count):
-        kind = trial % 3
-        if kind == 0:
-            p, chains = random_chain_poset(
-                rng, max_elems=rng.choice([8, 14, 20]), max_chains=rng.choice([3, 5])
-            )
-            yield build_state_model(p, chains)
-        elif kind == 1:
-            yield es_transform(random_event_model(rng, max_events_per_proc=4))
-        else:
-            yield pinch_composition(rng)
-
-
 def test_own_chain_decisions_equal_kuhn_path(monkeypatch):
     monkeypatch.setenv("POSETDUAL_ORACLE_BOUND", str(BOUND))
     rng = random.Random(1950)
     concurrent_not_we = we_not_ic = own_minimum = 0
     pred = predicate_from_json({"op": "index", "proc": 1, "cmp": ">=", "value": 1})
-    for sm in random_models(rng, 3000):
+    for sm in partition_models(rng, 3000):
         ref = reference_verdicts(sm)
         for sub in SUBSETS:
             if any(isinstance(ref[name], OracleBoundExceeded) for name in sub):

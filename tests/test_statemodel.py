@@ -37,12 +37,11 @@ from posetdual.statemodel import (
     width_extensible_bruteforce,
 )
 
-from test_omega_differential import random_models
-
 from builders import (
     barrier_state,
     message_pair_event,
     message_pair_state,
+    omega_models,
     pinch_poset,
     pinch_state,
     random_chain_poset,
@@ -196,7 +195,7 @@ def extend_by_intervals(p, members):
 def test_extension_from_clocks_equals_interval_reads():
     rng = random.Random(16)
     seen = {"grown": 0, "stuck member": 0, "stuck antichain": 0}
-    for sm in random_models(rng, 1500, 14):
+    for sm in omega_models(rng, 1500, 14):
         p = sm.poset
         # A random antichain, or one the width-extensibility check names.
         members, size = [], rng.randint(0, 4)

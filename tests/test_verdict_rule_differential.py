@@ -40,9 +40,7 @@ from posetdual.statemodel import (
     run_property_checks,
 )
 
-from builders import pinch_state
-from test_omega_differential import random_models as omega_models
-from test_partition_differential import random_models as partition_models
+from builders import omega_models, partition_models, pinch_state
 
 BOUND = 14
 
