@@ -126,9 +126,10 @@ def path(run, fields):
 class CutCheck:
     """The library's cut streams against :func:`reference.downsets` and
     :func:`reference.frontiers`: the images of ``lattice._downsets``,
-    ``_antichains`` and ``_frontiers`` and the ``cuts`` lines of
-    ``cli._cut_lines``, each up to *limit* cuts.  ``paths`` counts the runs
-    rendered per :func:`path`."""
+    ``_antichains`` and ``_frontiers``, the sets of
+    ``lattice.enumerate_downsets`` and ``enumerate_width_antichains`` and the
+    ``cuts`` lines of ``cli._cut_lines``, each up to *limit* cuts, in order.
+    ``paths`` counts the runs rendered per :func:`path`."""
 
     def __init__(self):
         self.paths = collections.Counter()
@@ -163,6 +164,7 @@ class CutCheck:
 
     def downsets(self, p, limit=None):
         want = list(itertools.islice(reference.downsets(p), limit))
+        self.same(list(itertools.islice(lattice.enumerate_downsets(p), limit)), want)
         self.compare(p.elements, lattice._downsets(p), cli._downset_runs(p), want, limit)
 
     def antichains(self, target, limit=None):
@@ -175,6 +177,8 @@ class CutCheck:
         vectors = list(itertools.islice(reference.frontiers(view), limit))
         self.same(list(itertools.islice(lattice._frontiers(view), limit)), vectors)
         want = [reference.width_antichain(view, tops) for tops in vectors]
+        enumerated = lattice.enumerate_width_antichains(target)
+        self.same(list(itertools.islice(enumerated, limit)), want)
         runs, cli_runs = lattice._antichains(view), cli._antichain_runs(target)
         self.compare(view.poset.elements, runs, cli_runs, want, limit)
         return True

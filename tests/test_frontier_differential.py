@@ -1,8 +1,8 @@
 """Frontier-vector enumeration, compiled predicates and conjunctive first
 matches against the definitional references.
 
-``cuts`` lines, the images of the cut walk and the frontier vectors of
-random posets, event models and state models (re-partitioned ones, and
+``cuts`` lines, the images and public enumerations of the cut walk and
+the frontier vectors of random posets, event models and state models (re-partitioned ones, and
 ones whose bitsets span several bytes) must be those of
 ``reference.downsets`` and ``reference.frontiers`` (the ``cuts`` fixture of
 ``tests/conftest.py``).  Detection is checked against ``_evaluate``, kept as
